@@ -9,8 +9,8 @@ Subcommands:
   verify    degreewise homology certification of a built or imported complex
   export    emit a constructed complex as JSON
 
-Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error,
-3 verification failure.  Output is deterministic: the same invocation
+Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error
+(a malformed `verify --in` file included), 3 verification failure.  Output is deterministic: the same invocation
 produces byte-identical documents.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (
@@ -55,6 +55,7 @@ from .ring import (
     PolyParseError,
     RingSpec,
     hilbert_function,
+    ideal_contains,
     ideal_product,
     ideal_sum,
     poly_parse,
@@ -150,11 +151,10 @@ def _block_ideal(ring: RingSpec, names: tuple) -> MonomialIdeal:
     return MonomialIdeal(ring, gens)
 
 
-def _instance_of(job: JobSpec) -> FiberInstance:
-    """Build the instance; block mode (no --ideal-i/--ideal-j) additionally
-    gates I' inside I^2 and J' inside J^2."""
+def _ideals_of(job: JobSpec) -> tuple:
+    """The ring and the ideals (I', I, J', J) of a job: I and J default to
+    the block ideals, I' and J' to zero."""
     ring = _ring_of(job)
-    block_mode = job.ideal_i is None and job.ideal_j is None
     I = (
         _block_ideal(ring, job.vars_a)
         if job.ideal_i is None
@@ -167,9 +167,14 @@ def _instance_of(job: JobSpec) -> FiberInstance:
     )
     Ip = _parse_ideal(ring, job.iprime, "--iprime") if job.iprime else MonomialIdeal(ring, [])
     Jp = _parse_ideal(ring, job.jprime, "--jprime") if job.jprime else MonomialIdeal(ring, [])
-    if block_mode:
-        from .ring import ideal_contains
+    return ring, Ip, I, Jp, J
 
+
+def _instance_of(job: JobSpec) -> FiberInstance:
+    """Build the instance; block mode (no --ideal-i/--ideal-j) additionally
+    gates I' inside I^2 and J' inside J^2."""
+    ring, Ip, I, Jp, J = _ideals_of(job)
+    if job.ideal_i is None and job.ideal_j is None:
         I2 = ideal_product(I, I)
         J2 = ideal_product(J, J)
         blockA = "<" + ", ".join(job.vars_a) + ">"
@@ -185,28 +190,15 @@ def _instance_of(job: JobSpec) -> FiberInstance:
     return make_instance(ring, Ip, I, Jp, J)
 
 
-def _star_inputs(job: JobSpec):
-    ring = _ring_of(job)
-    I = (
-        _block_ideal(ring, job.vars_a)
-        if job.ideal_i is None
-        else _parse_ideal(ring, job.ideal_i, "--ideal-i")
-    )
-    J = (
-        _block_ideal(ring, job.vars_b)
-        if job.ideal_j is None
-        else _parse_ideal(ring, job.ideal_j, "--ideal-j")
-    )
+def _star_of(job: JobSpec):
+    """The ring, I, J and the star product of their resolutions."""
+    ring, _, I, _, J = _ideals_of(job)
     if I.is_zero() or J.is_zero():
         raise UsageError("star needs two nonzero ideals")
-    return ring, I, J
+    return ring, I, J, star_product(resolution_of(I), resolution_of(J))
 
 
 # --------------------------------------------------------------- rendering
-
-def _series_str(s) -> str:
-    return str(s)
-
 
 def _ranks(C: ChainComplex) -> list:
     if C.is_empty():
@@ -231,6 +223,18 @@ def _verification_doc(C: ChainComplex, Q: MonomialIdeal, bound: int) -> dict:
     }
 
 
+def _verify_into(doc: dict, lines: list, C: ChainComplex, Q: MonomialIdeal, bound: int) -> int:
+    """Certify C as a resolution of R/Q, record the result in doc and
+    lines, and return the exit code."""
+    v = _verification_doc(C, Q, bound)
+    doc["verification"] = v
+    lines.append(
+        f"verification: {'exact' if v['ok'] else 'FAILED'} up to degree {bound}"
+        + (" (complete)" if v["complete"] else " (bounded)")
+    )
+    return EXIT_OK if v["ok"] else EXIT_VERIFICATION
+
+
 def _emit(job: JobSpec, doc: dict, text: str) -> str:
     if job.json_out:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -240,10 +244,7 @@ def _emit(job: JobSpec, doc: dict, text: str) -> str:
 # ---------------------------------------------------------------- commands
 
 def cmd_star(job: JobSpec):
-    ring, I, J = _star_inputs(job)
-    X = resolution_of(I)
-    Y = resolution_of(J)
-    S = star_product(X, Y)
+    ring, I, J, S = _star_of(job)
     IJ = ideal_product(I, J)
     bound = job.degree_bound if job.degree_bound is not None else S.max_twist()
     doc = {
@@ -263,16 +264,7 @@ def cmd_star(job: JobSpec):
     if is_minimal(S):
         doc["betti"] = graded_betti(S).to_json_dict()
         lines += ["betti table:", graded_betti(S).render_text().rstrip("\n")]
-    code = EXIT_OK
-    if job.verify:
-        v = _verification_doc(S, IJ, bound)
-        doc["verification"] = v
-        lines.append(
-            f"verification: {'exact' if v['ok'] else 'FAILED'} up to degree {bound}"
-            + (" (complete)" if v["complete"] else " (bounded)")
-        )
-        if not v["ok"]:
-            code = EXIT_VERIFICATION
+    code = _verify_into(doc, lines, S, IJ, bound) if job.verify else EXIT_OK
     return code, doc, "\n".join(lines) + "\n"
 
 
@@ -344,16 +336,7 @@ def cmd_fiber(job: JobSpec):
         table = graded_betti(res) if cert.resolution_minimal else graded_betti(minimize(res))
         doc["betti"] = table.to_json_dict()
         lines += ["betti table:", table.render_text().rstrip("\n")]
-    code = EXIT_OK
-    if job.verify:
-        v = _verification_doc(res, Q, bound)
-        doc["verification"] = v
-        lines.append(
-            f"verification: {'exact' if v['ok'] else 'FAILED'} up to degree {bound}"
-            + (" (complete)" if v["complete"] else " (bounded)")
-        )
-        if not v["ok"]:
-            code = EXIT_VERIFICATION
+    code = _verify_into(doc, lines, res, Q, bound) if job.verify else EXIT_OK
     return code, doc, "\n".join(lines) + "\n"
 
 
@@ -454,10 +437,21 @@ def cmd_poincare(job: JobSpec):
     return (EXIT_OK if ok else EXIT_VERIFICATION), doc, "\n".join(lines) + "\n"
 
 
+def _read_complex(path: str) -> ChainComplex:
+    """Load a complex document; any malformed content is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return complex_from_json(fh.read())
+    except (FileNotFoundError, PolyParseError):
+        raise  # reported as usage and parse errors by run()
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        reason = f"missing key {e}" if isinstance(e, KeyError) else " ".join(str(e).split())
+        raise UsageError(f"cannot read a complex from {path}: {reason}") from None
+
+
 def cmd_verify(job: JobSpec):
     if job.in_path:
-        with open(job.in_path, "r", encoding="utf-8") as fh:
-            C = complex_from_json(fh.read())
+        C = _read_complex(job.in_path)
         Q = None
         if job.against:
             Q = _parse_ideal(C.ring, job.against, "--against")
@@ -524,8 +518,7 @@ def cmd_verify(job: JobSpec):
 
 def cmd_export(job: JobSpec):
     if job.what == "star":
-        _, I, J = _star_inputs(job)
-        C = star_product(resolution_of(I), resolution_of(J))
+        C = _star_of(job)[3]
     else:
         instance = _instance_of(job)
         if job.what == "fiber":

@@ -227,6 +227,28 @@ def tensor_basis(C: ChainComplex, D: ChainComplex, n: int) -> list:
     return out
 
 
+def pair_map(ring: RingSpec, labels: list, targets: list, left, right) -> PolyMatrix:
+    """Matrix of f (x) 1 + 1 (x) g from pair labels (i, a, j, b) to pair
+    labels targets.  left(i, j) and right(i, j) give, per source label
+    degrees, (M, k, negate) or None: f sends generator a of degree i to
+    sum_r M[r, a] times generator r of degree k, g likewise on the right
+    factor; negate flips the sign of that term."""
+    target = {lab: pos for pos, lab in enumerate(targets)}
+    entries: dict = {}
+    for col, (i, a, j, b) in enumerate(labels):
+        for side, act in ((0, left(i, j)), (1, right(i, j))):
+            if act is None:
+                continue
+            M, k, negate = act
+            for r in range(M.nrows):
+                p = M.entry(r, b if side else a)
+                if p.is_zero():
+                    continue
+                lab = (i, a, k, r) if side else (k, r, j, b)
+                entries[(target[lab], col)] = -p if negate else p
+    return PolyMatrix.from_entries(ring, len(targets), len(labels), entries)
+
+
 def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("tensor factors live in different rings")
@@ -234,37 +256,20 @@ def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.is_empty() or D.is_empty():
         return zero_complex(ring)
     degrees = sorted({i + j for i in C.modules for j in D.modules})
-    modules, bases = {}, {}
-    for n in degrees:
-        labels = tensor_basis(C, D, n)
-        bases[n] = {lab: pos for pos, lab in enumerate(labels)}
-        modules[n] = tuple(C.twists(i)[a] + D.twists(j)[b] for (i, a, j, b) in labels)
+    bases = {n: tensor_basis(C, D, n) for n in degrees}
+    modules = {
+        n: tuple(C.twists(i)[a] + D.twists(j)[b] for (i, a, j, b) in labels)
+        for n, labels in bases.items()
+    }
     diffs = {}
     for n in degrees:
         if n - 1 not in bases:
             continue
-        tgt = bases[n - 1]
-        entries: dict = {}
-        for col, (i, a, j, b) in enumerate(tensor_basis(C, D, n)):
-            dC = C.diff(i)
-            for r in range(dC.nrows):
-                p = dC.entry(r, a)
-                if p.is_zero():
-                    continue
-                row = tgt[(i - 1, r, j, b)]
-                entries[(row, col)] = p if (row, col) not in entries else entries[(row, col)] + p
-            dD = D.diff(j)
-            sgn = -1 if i % 2 else 1
-            for r in range(dD.nrows):
-                p = dD.entry(r, b)
-                if p.is_zero():
-                    continue
-                if sgn < 0:
-                    p = -p
-                row = tgt[(i, a, j - 1, r)]
-                entries[(row, col)] = p if (row, col) not in entries else entries[(row, col)] + p
-        mat = PolyMatrix.from_entries(ring, len(tgt), len(bases[n]), entries)
-        diffs[n] = mat
+        diffs[n] = pair_map(
+            ring, bases[n], bases[n - 1],
+            lambda i, j: (C.diff(i), i - 1, False),
+            lambda i, j: (D.diff(j), j - 1, i % 2 == 1),
+        )
     return ChainComplex(ring, modules, diffs, check=False)
 
 

@@ -35,6 +35,7 @@ from .complexes import (
     direct_sum,
     is_chain_map,
     is_minimal,
+    pair_map,
     suspension,
     tensor,
     tensor_basis,
@@ -251,90 +252,46 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
 
 # ----------------------------------------------------- the comparison maps
 
-def phi_domain(S: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    return suspension(tensor(truncate_geq(S, 1), Y), -1)
+def _comparison(lift: LiftReport, source: ChainComplex, other: ChainComplex,
+                star_XY: ChainComplex, side: int) -> ChainMap:
+    """Chain map into X * Y induced by a lift source -> target, out of
+    (source_{>=1} (x) other)[-1] on side 0 (Phi: source S, other Y) or
+    (other (x) source_{>=1})[-1] on side 1 (Psi: source T, other X)."""
+    trunc = truncate_geq(source, 1)
+    factors = (trunc, other) if side == 0 else (other, trunc)
+    stars = (lift.map.target, other) if side == 0 else (other, lift.map.target)
+    dom = suspension(tensor(*factors), -1)
 
+    def act(k, o):
+        """The map on the truncated factor, at its degree k and the other's
+        o; the sign is Phi's (-1)^{i+j} or Psi's (-1)^{i+j-1}."""
+        if o:
+            return lift.map.mat(k), k, (k + o + side) % 2 == 1
+        if k == 1:  # only in degree 0: the augmentation d_1 into R
+            return source.diff(1), 0, False
+        return None
 
-def psi_domain(X: ChainComplex, T: ChainComplex) -> ChainComplex:
-    return suspension(tensor(X, truncate_geq(T, 1)), -1)
+    def idle(i, j):
+        return None
+
+    left, right = (act, idle) if side == 0 else (idle, lambda i, j: act(j, i))
+    mats = {}
+    for n in dom.support():
+        targets = star_basis(*stars, n) if n else [(0, 0, 0, 0)]
+        mats[n] = pair_map(star_XY.ring, tensor_basis(*factors, n + 1), targets, left, right)
+    return ChainMap(source=dom, target=star_XY, mats=mats)
 
 
 def build_phi(phi: LiftReport, S: ChainComplex, Y: ChainComplex,
               star_XY: ChainComplex) -> ChainMap:
     """Chain map (S_{>=1} (x) Y)[-1] -> X * Y induced by the lift phi."""
-    ring = star_XY.ring
-    dom = phi_domain(S, Y)
-    S1 = truncate_geq(S, 1)
-    X = phi.map.target
-    mats = {}
-    for n in dom.support():
-        labels = tensor_basis(S1, Y, n + 1)
-        entries: dict = {}
-        if n == 0:
-            dS1 = S.diff(1)
-            for col, (i, a, j, b) in enumerate(labels):
-                if j == 0 and i == 1:
-                    p = dS1.entry(0, a)
-                    if not p.is_zero():
-                        entries[(0, col)] = p
-            mats[n] = PolyMatrix.from_entries(ring, star_XY.rank(0), len(labels), entries)
-            continue
-        tgt = {lab: pos for pos, lab in enumerate(star_basis(X, Y, n))}
-        for col, (i, a, j, b) in enumerate(labels):
-            if j == 0:
-                continue  # zero unless i == 1, and i == 1, j == 0 only occurs at n = 0
-            sign = -1 if (i + j) % 2 else 1
-            pm = phi.map.mat(i)
-            for t in range(pm.nrows):
-                p = pm.entry(t, a)
-                if p.is_zero():
-                    continue
-                if sign < 0:
-                    p = -p
-                row = tgt[(i, t, j, b)]
-                key = (row, col)
-                entries[key] = entries[key] + p if key in entries else p
-        mats[n] = PolyMatrix.from_entries(ring, star_XY.rank(n), len(labels), entries)
-    return ChainMap(source=dom, target=star_XY, mats=mats)
+    return _comparison(phi, S, Y, star_XY, side=0)
 
 
 def build_psi(psi: LiftReport, X: ChainComplex, T: ChainComplex,
               star_XY: ChainComplex) -> ChainMap:
     """Chain map (X (x) T_{>=1})[-1] -> X * Y induced by the lift psi."""
-    ring = star_XY.ring
-    dom = psi_domain(X, T)
-    T1 = truncate_geq(T, 1)
-    Y = psi.map.target
-    mats = {}
-    for n in dom.support():
-        labels = tensor_basis(X, T1, n + 1)
-        entries: dict = {}
-        if n == 0:
-            dT1 = T.diff(1)
-            for col, (i, a, j, b) in enumerate(labels):
-                if i == 0 and j == 1:
-                    p = dT1.entry(0, b)
-                    if not p.is_zero():
-                        entries[(0, col)] = p
-            mats[n] = PolyMatrix.from_entries(ring, star_XY.rank(0), len(labels), entries)
-            continue
-        tgt = {lab: pos for pos, lab in enumerate(star_basis(X, Y, n))}
-        for col, (i, a, j, b) in enumerate(labels):
-            if i == 0:
-                continue
-            sign = -1 if (i + j - 1) % 2 else 1
-            pm = psi.map.mat(j)
-            for u in range(pm.nrows):
-                q = pm.entry(u, b)
-                if q.is_zero():
-                    continue
-                if sign < 0:
-                    q = -q
-                row = tgt[(i, a, j, u)]
-                key = (row, col)
-                entries[key] = entries[key] + q if key in entries else q
-        mats[n] = PolyMatrix.from_entries(ring, star_XY.rank(n), len(labels), entries)
-    return ChainMap(source=dom, target=star_XY, mats=mats)
+    return _comparison(psi, T, X, star_XY, side=1)
 
 
 def omega(Phi: ChainMap, Psi: ChainMap) -> ChainMap:
@@ -417,8 +374,9 @@ def block_instance(m: int, n: int, ip_texts, jp_texts, coeff_field=None) -> Fibe
 
 def default_degree_bound(instance: FiberInstance, resolution: ChainComplex) -> int:
     """Max generator degree across the four ideals, plus homological
-    length, plus 2: wide enough to cover every twist in the cone."""
-    return instance.max_gen_degree() + resolution.max_degree() + 2
+    length, plus 2, raised to the top twist of the resolution if that is
+    higher: every twist is covered, so certification is complete."""
+    return max(instance.max_gen_degree() + resolution.max_degree() + 2, resolution.max_twist())
 
 
 def certify_tor_hypotheses(instance: FiberInstance, d_max: Optional[int] = None) -> dict:
@@ -465,14 +423,23 @@ def _lift_with_fallback(S, X, ideal, constrained: bool):
     return report
 
 
+def _lift_and_compare(instance: FiberInstance, side: int, constrained: bool,
+                      star_XY: ChainComplex) -> tuple:
+    """Lift one side (0: phi : S -> X inside I, 1: psi : T -> Y inside J)
+    and build its comparison map into X * Y; returns (lift, map)."""
+    if side == 0:
+        phi = _lift_with_fallback(instance.S, instance.X, instance.I, constrained)
+        return phi, build_phi(phi, instance.S, instance.Y, star_XY)
+    psi = _lift_with_fallback(instance.T, instance.Y, instance.J, constrained)
+    return psi, build_psi(psi, instance.X, instance.T, star_XY)
+
+
 def build_fiber(instance: FiberInstance, constrained: bool = True,
                 tor_bound: Optional[int] = None) -> FiberBuild:
     tor_reports = certify_tor_hypotheses(instance, tor_bound)
-    phi = _lift_with_fallback(instance.S, instance.X, instance.I, constrained)
-    psi = _lift_with_fallback(instance.T, instance.Y, instance.J, constrained)
     star_XY = star_product(instance.X, instance.Y)
-    Phi = build_phi(phi, instance.S, instance.Y, star_XY)
-    Psi = build_psi(psi, instance.X, instance.T, star_XY)
+    phi, Phi = _lift_and_compare(instance, 0, constrained, star_XY)
+    psi, Psi = _lift_and_compare(instance, 1, constrained, star_XY)
     resolution = cone(omega(Phi, Psi))
     return FiberBuild(
         instance=instance,
@@ -491,18 +458,19 @@ def fiber_resolution(instance: FiberInstance, constrained: bool = True) -> Chain
     return build_fiber(instance, constrained=constrained).resolution
 
 
+def _single_cone(instance: FiberInstance, side: int, constrained: bool) -> ChainComplex:
+    star_XY = star_product(instance.X, instance.Y)
+    return cone(_lift_and_compare(instance, side, constrained, star_XY)[1])
+
+
 def cone_phi(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
     """Cone on Phi alone: resolves R/(I' + IJ)."""
-    phi = _lift_with_fallback(instance.S, instance.X, instance.I, constrained)
-    star_XY = star_product(instance.X, instance.Y)
-    return cone(build_phi(phi, instance.S, instance.Y, star_XY))
+    return _single_cone(instance, 0, constrained)
 
 
 def cone_psi(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
     """Cone on Psi alone: resolves R/(IJ + J')."""
-    psi = _lift_with_fallback(instance.T, instance.Y, instance.J, constrained)
-    star_XY = star_product(instance.X, instance.Y)
-    return cone(build_psi(psi, instance.X, instance.T, star_XY))
+    return _single_cone(instance, 1, constrained)
 
 
 @dataclass

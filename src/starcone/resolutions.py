@@ -42,13 +42,32 @@ def trivial_resolution(ring: RingSpec) -> ChainComplex:
     return ChainComplex(ring, {0: (0,)}, {})
 
 
+def _subset_complex(ring: RingSpec, r: int, twist, entry) -> ChainComplex:
+    """Complex with basis e_T in degree n for the size-n subsets T of
+    range(r), in lexicographic order, twisted by twist(T), and with
+    d(e_T) = sum over positions pos in T of entry(T, pos, T minus T[pos])."""
+    modules, index = {}, {}
+    for n in range(r + 1):
+        subsets = list(combinations(range(r), n))
+        index[n] = {T: pos for pos, T in enumerate(subsets)}
+        modules[n] = tuple(twist(T) for T in subsets)
+    diffs = {}
+    for n in range(1, r + 1):
+        entries = {}
+        for T, col in index[n].items():
+            for pos in range(n):
+                rest = T[:pos] + T[pos + 1 :]
+                entries[(index[n - 1][rest], col)] = entry(T, pos, rest)
+        diffs[n] = PolyMatrix.from_entries(ring, len(index[n - 1]), len(index[n]), entries)
+    return ChainComplex(ring, modules, diffs)
+
+
 def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
     """Koszul complex on homogeneous polynomials f_1..f_m.
 
     Basis of degree n: e_T for size-n subsets T in lexicographic order;
     d(e_T) = sum over i in T of (-1)^pos(i, T) f_i e_{T minus i}."""
-    m = len(polys)
-    if m == 0:
+    if not polys:
         return trivial_resolution(ring)
     for f in polys:
         if f.is_zero() or not f.is_homogeneous():
@@ -56,22 +75,11 @@ def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
         if f.ring != ring:
             raise ValueError("polynomial from a different ring")
     degs = [f.degree() for f in polys]
-    modules, index = {}, {}
-    for n in range(m + 1):
-        subsets = list(combinations(range(m), n))
-        index[n] = {T: pos for pos, T in enumerate(subsets)}
-        modules[n] = tuple(sum(degs[i] for i in T) for T in subsets)
-    diffs = {}
-    for n in range(1, m + 1):
-        entries = {}
-        for T, col in index[n].items():
-            for pos, i in enumerate(T):
-                rest = T[:pos] + T[pos + 1 :]
-                row = index[n - 1][rest]
-                p = polys[i] if pos % 2 == 0 else -polys[i]
-                entries[(row, col)] = p
-        diffs[n] = PolyMatrix.from_entries(ring, len(index[n - 1]), len(index[n]), entries)
-    return ChainComplex(ring, modules, diffs)
+    return _subset_complex(
+        ring, len(polys),
+        lambda T: sum(degs[i] for i in T),
+        lambda T, pos, rest: polys[T[pos]] if pos % 2 == 0 else -polys[T[pos]],
+    )
 
 
 def taylor(I: MonomialIdeal) -> ChainComplex:
@@ -82,35 +90,20 @@ def taylor(I: MonomialIdeal) -> ChainComplex:
     if I.is_zero():
         return trivial_resolution(I.ring)
     ring = I.ring
-    gens = I.gens
-    r = len(gens)
+    lcms = {(): mono_one(ring.nvars)}
 
     def lcm_of(T):
-        out = mono_one(ring.nvars)
-        for i in T:
-            out = mono_lcm(out, gens[i])
-        return out
+        if T not in lcms:
+            lcms[T] = mono_lcm(lcm_of(T[:-1]), I.gens[T[-1]])
+        return lcms[T]
 
-    modules, index, lcms = {}, {}, {}
-    for n in range(r + 1):
-        subsets = list(combinations(range(r), n))
-        index[n] = {T: pos for pos, T in enumerate(subsets)}
-        for T in subsets:
-            lcms[T] = lcm_of(T)
-        modules[n] = tuple(mono_degree(lcms[T]) for T in subsets)
-    diffs = {}
-    for n in range(1, r + 1):
-        entries = {}
-        for T, col in index[n].items():
-            for pos, i in enumerate(T):
-                rest = T[:pos] + T[pos + 1 :]
-                row = index[n - 1][rest]
-                q = mono_div(lcms[T], lcms[rest])
-                p = Polynomial.monomial(ring, q, 1 if pos % 2 == 0 else -1)
-                entries[(row, col)] = p
-            # column sanity: every quotient divides lcm(T)
-        diffs[n] = PolyMatrix.from_entries(ring, len(index[n - 1]), len(index[n]), entries)
-    return ChainComplex(ring, modules, diffs)
+    return _subset_complex(
+        ring, len(I.gens),
+        lambda T: mono_degree(lcm_of(T)),
+        lambda T, pos, rest: Polynomial.monomial(
+            ring, mono_div(lcm_of(T), lcm_of(rest)), 1 if pos % 2 == 0 else -1
+        ),
+    )
 
 
 def minimize(C: ChainComplex) -> ChainComplex:

@@ -185,12 +185,6 @@ class Polynomial:
             raise ValueError(f"bad exponent tuple {m!r}")
         return Polynomial(ring, {tuple(m): c})
 
-    @staticmethod
-    def variable(ring: RingSpec, name: str) -> "Polynomial":
-        i = ring.var_index(name)
-        m = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return Polynomial(ring, {m: ring.coeff_field.one})
-
     # queries ------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -207,12 +201,6 @@ class Polynomial:
 
     def constant_coeff(self):
         return self.terms.get(mono_one(self.ring.nvars), self.ring.coeff_field.zero)
-
-    def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
-
-    def monomials(self):
-        return self.terms.keys()
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
@@ -255,16 +243,6 @@ class Polynomial:
         if c == F.zero:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {m: F.mul(v, c) for m, v in self.terms.items()})
-
-    def times_monomial(self, m: Monomial) -> "Polynomial":
-        return Polynomial(self.ring, {mono_mul(k, m): c for k, c in self.terms.items()})
-
-    def drop_multiples_of(self, ideal: "MonomialIdeal") -> "Polynomial":
-        """Image in R/ideal under the standard-monomial splitting."""
-        return Polynomial(
-            self.ring,
-            {m: c for m, c in self.terms.items() if not ideal.contains_monomial(m)},
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,7 +14,7 @@ X and Y are.
 """
 from __future__ import annotations
 
-from .complexes import ChainComplex, PolyMatrix, graded_betti
+from .complexes import ChainComplex, PolyMatrix, graded_betti, pair_map
 
 
 def _check_bottom(C: ChainComplex, name: str):
@@ -52,48 +52,21 @@ def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     bases = {}
     for n in range(1, max(top, 0) + 1):
         labels = star_basis(X, Y, n)
-        if not labels:
-            continue
-        bases[n] = {lab: pos for pos, lab in enumerate(labels)}
-        modules[n] = tuple(
-            X.twists(i)[a] + Y.twists(j)[b] for (i, a, j, b) in labels
-        )
+        if labels:
+            bases[n] = labels
+            modules[n] = tuple(X.twists(i)[a] + Y.twists(j)[b] for (i, a, j, b) in labels)
     diffs = {}
-    for n in sorted(bases):
-        labels = star_basis(X, Y, n)
-        entries: dict = {}
+    for n, labels in sorted(bases.items()):
         if n == 1:
             dX1, dY1 = X.diff(1), Y.diff(1)
-            for col, (i, a, j, b) in enumerate(labels):
-                p = dX1.entry(0, a) * dY1.entry(0, b)
-                if not p.is_zero():
-                    entries[(0, col)] = p
-            diffs[1] = PolyMatrix.from_entries(ring, 1, len(labels), entries)
+            products = [dX1.entry(0, a) * dY1.entry(0, b) for (_, a, _, b) in labels]
+            diffs[1] = PolyMatrix(ring, 1, len(labels), [products])
             continue
-        tgt = bases.get(n - 1, {})
-        for col, (i, a, j, b) in enumerate(labels):
-            if i > 1:
-                dX = X.diff(i)
-                for r in range(dX.nrows):
-                    p = dX.entry(r, a)
-                    if p.is_zero():
-                        continue
-                    row = tgt[(i - 1, r, j, b)]
-                    key = (row, col)
-                    entries[key] = entries[key] + p if key in entries else p
-            if j > 1:
-                dY = Y.diff(j)
-                neg = i % 2 == 1
-                for s in range(dY.nrows):
-                    q = dY.entry(s, b)
-                    if q.is_zero():
-                        continue
-                    if neg:
-                        q = -q
-                    row = tgt[(i, a, j - 1, s)]
-                    key = (row, col)
-                    entries[key] = entries[key] + q if key in entries else q
-        diffs[n] = PolyMatrix.from_entries(ring, len(tgt), len(labels), entries)
+        diffs[n] = pair_map(
+            ring, labels, bases[n - 1],
+            lambda i, j: (X.diff(i), i - 1, False) if i > 1 else None,
+            lambda i, j: (Y.diff(j), j - 1, i % 2 == 1) if j > 1 else None,
+        )
     return ChainComplex(ring, modules, diffs, check=False)
 
 

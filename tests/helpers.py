@@ -5,7 +5,7 @@ are frozen: reruns exercise the identical instances.
 """
 import random
 
-from starcone import FiberInstance, block_instance
+from starcone import FiberInstance, MonomialIdeal, PrimeField, RingSpec, block_instance, make_instance
 
 
 def random_exponents(rng: random.Random, nvars: int, degree: int) -> list:
@@ -64,3 +64,29 @@ def small_instances(count=5, seed=77) -> list:
         random_suite_instance(rng, max_vars=2, max_gens=2, max_deg=3)
         for _ in range(count)
     ]
+
+
+def explicit_instance(xs, ys, ip, i, jp, j, coeff_field=None) -> FiberInstance:
+    """Instance with every ideal given by monomial strings over blocks xs, ys."""
+    ring = RingSpec(tuple(xs) + tuple(ys), partition=(tuple(xs), tuple(ys)),
+                    coeff_field=coeff_field or PrimeField())
+
+    def ideal(texts):
+        return MonomialIdeal.parse(texts, ring)
+
+    return make_instance(ring, ideal(ip), ideal(i), ideal(jp), ideal(j))
+
+
+def instance_e(coeff_field=None) -> FiberInstance:
+    """I = <x1^2, x1*x2> and J = <y1*y2, y1^2, y2^2> are not regular
+    sequences, so both comparison lifts run the linear solve; the top twist
+    of the resolution (11) exceeds the generator-degree estimate (10)."""
+    return explicit_instance(["x1", "x2"], ["y1", "y2"], ["x1^4", "x1^2*x2^2"],
+                             ["x1^2", "x1*x2"], ["y1^4", "y2^4"], ["y1*y2", "y1^2", "y2^2"],
+                             coeff_field)
+
+
+def instance_e_prime(coeff_field=None) -> FiberInstance:
+    """The 2+1 variant of E: J = <y>, J' = <y^2>."""
+    return explicit_instance(["x1", "x2"], ["y"], ["x1^4", "x1^2*x2^2"],
+                             ["x1^2", "x1*x2"], ["y^2"], ["y"], coeff_field)

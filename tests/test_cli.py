@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, determinism, JSON documents."""
 import json
 
+import pytest
+
 from starcone.cli import build_parser, job_from_args, main, run
 
 
@@ -191,3 +193,51 @@ def test_unconstrained_flag_allows_degenerate():
     assert code == 0
     assert "constrained lifts: no" in text
     assert "minimal: no" in text
+
+
+# ------------------------------------------------------- large coefficients
+
+E = ["--vars-a", "x1,x2", "--vars-b", "y1,y2", "--ideal-i", "x1^2,x1*x2",
+     "--iprime", "x1^4,x1^2*x2^2", "--ideal-j", "y1*y2,y1^2,y2^2", "--jprime", "y1^4,y2^4"]
+E_PRIME = ["--vars-a", "x1,x2", "--vars-b", "y", "--ideal-i", "x1^2,x1*x2",
+           "--iprime", "x1^4,x1^2*x2^2", "--ideal-j", "y", "--jprime", "y^2"]
+
+
+def test_large_prime_agrees_with_small_prime():
+    """4294967311 passes is_prime but p^2 overflows int64."""
+    for block, ranks, top in ((E, "1 10 19 13 3", 11), (E_PRIME, "1 5 6 2", 9)):
+        for prime in ("32003", "4294967311"):
+            code, text = run_argv(["fiber", *block, "--prime", prime, "--verify"])
+            assert code == 0, text
+            assert f"ranks: {ranks}\n" in text
+            assert f"verification: exact up to degree {top} (complete)" in text
+
+
+# ------------------------------------------------- malformed verify input
+
+def _broken_export(mutate):
+    code, text = run_argv(
+        ["export", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--jprime", "y^2"]
+    )
+    doc = json.loads(text)
+    mutate(doc)
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "not_json": lambda: "{not json",
+    "missing_key": lambda: _broken_export(lambda d: d.pop("modules")),
+    "shape_mismatch": lambda: _broken_export(lambda d: d["differentials"]["2"][0].pop()),
+    "wrong_type": lambda: _broken_export(lambda d: d.update(modules=[[0], [1, 1]])),
+    "unknown_field": lambda: _broken_export(lambda d: d["ring"].update(field={"p": 5})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_verify_input_is_usage(tmp_path, case):
+    path = tmp_path / "in.json"
+    path.write_text(MALFORMED[case]())
+    code, text = run_argv(["verify", "--in", str(path)])
+    assert code == 2
+    assert text.startswith(f"usage error: cannot read a complex from {path}: ")
+    assert text.count("\n") == 1

@@ -35,7 +35,7 @@ from starcone import (
 )
 from starcone.fiber import _koszul_preimage, omega
 
-from helpers import small_instances, suite_instances
+from helpers import instance_e, instance_e_prime, small_instances, suite_instances
 
 
 def quadratic():
@@ -240,6 +240,11 @@ def test_default_degree_bound_covers_twists():
     res = fiber_resolution(inst)
     assert default_degree_bound(inst, res) >= res.max_twist()
     assert default_degree_bound(inst, res) == 6
+    # E's top twist, 11, lies above max generator degree + length + 2 = 10
+    inst = instance_e()
+    res = fiber_resolution(inst)
+    assert res.max_twist() == 11
+    assert default_degree_bound(inst, res) == 11
 
 
 def test_rational_field_instance():
@@ -251,3 +256,30 @@ def test_rational_field_instance():
     rep = homology_dims(build.resolution, 7)
     assert rep.exact_in_positive
     assert rep.h0 == hilbert_function(inst.quotient_ideal(), 7)
+
+
+# ------------------------------------------------------ linear-solve lifts
+
+def _certify_linear_solve_build(inst, monkeypatch, ranks):
+    from starcone import linalg
+
+    calls = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+    build = build_fiber(inst)
+    res = build.resolution
+    assert calls, "the lift never reached the linear solve"
+    assert build.constrained
+    assert [res.rank(n) for n in range(res.max_degree() + 1)] == ranks
+    assert is_minimal(res)
+    assert certifies_resolution_of(res, inst.quotient_ideal(), default_degree_bound(inst, res))
+
+
+def test_linear_solve_lift_certified_mod_p(monkeypatch):
+    _certify_linear_solve_build(instance_e(), monkeypatch, [1, 10, 19, 13, 3])
+
+
+def test_linear_solve_lift_certified_over_q(monkeypatch):
+    from starcone import RationalField
+
+    _certify_linear_solve_build(instance_e_prime(RationalField()), monkeypatch, [1, 5, 6, 2])

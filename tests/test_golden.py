@@ -1,0 +1,61 @@
+"""Frozen CLI documents: each case's output must match tests/data byte for byte.
+
+The files were captured from an earlier release, so a refactor that changes
+a basis order, a sign, a coefficient or a line of rendering fails here.
+Regenerate (only for an intended change of output) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from pathlib import Path
+
+import pytest
+
+from starcone.cli import build_parser, job_from_args, run
+
+DATA = Path(__file__).parent / "data"
+
+# E': I = <x1^2, x1*x2> is not a regular sequence, so its lift takes the
+# linear-solve path.
+E_PRIME = ["--vars-a", "x1,x2", "--vars-b", "y", "--ideal-i", "x1^2,x1*x2",
+           "--iprime", "x1^4,x1^2*x2^2", "--ideal-j", "y", "--jprime", "y^2"]
+
+CASES = {
+    "fiber_betti_json_verify": ["fiber", "--vars-a", "x1,x2", "--vars-b", "y", "--iprime", "x1*x2",
+                                "--jprime", "y^3", "--betti", "--json", "--verify"],
+    "fiber_q_json_verify": ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^3",
+                            "--jprime", "y^2", "--prime", "0", "--json", "--verify"],
+    "fiber_explicit_betti_verify": ["fiber", *E_PRIME, "--betti", "--verify"],
+    "star_json_verify": ["star", "--vars-a", "x1,x2", "--vars-b", "y1,y2", "--json", "--verify"],
+    "star_explicit_verify": ["star", "--vars-a", "x1,x2", "--vars-b", "y", "--ideal-i", "x1^2,x1*x2",
+                             "--verify"],
+    "export_cone_phi": ["export", "--vars-a", "x1,x2", "--vars-b", "y", "--iprime", "x1^2,x2^2",
+                        "--jprime", "y^2", "--what", "cone-phi"],
+    "export_cone_psi": ["export", "--vars-a", "x", "--vars-b", "y1,y2", "--iprime", "x^2",
+                        "--jprime", "y1^2,y1*y2", "--what", "cone-psi"],
+    "export_cone_phi_explicit_q": ["export", *E_PRIME, "--prime", "0", "--what", "cone-phi"],
+    "export_fiber_explicit_q": ["export", *E_PRIME, "--prime", "0"],
+    "export_star": ["export", "--vars-a", "x1,x2", "--vars-b", "y", "--what", "star"],
+    "poincare_json": ["poincare", "--vars-a", "x", "--vars-b", "y1,y2", "--iprime", "x^2",
+                      "--jprime", "y1*y2", "--json"],
+    "betti_json": ["betti", "--vars-a", "x1,x2", "--vars-b", "y", "--iprime", "x1^2,x2^2",
+                   "--jprime", "y^2", "--json"],
+    "verify_build": ["verify", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^3", "--jprime", "y^2"],
+}
+
+
+def render(argv) -> str:
+    code, text = run(job_from_args(build_parser().parse_args(argv)))
+    assert code == 0, text
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_document(name):
+    want = (DATA / f"{name}.out").read_bytes()
+    assert render(CASES[name]).encode("utf-8") == want
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (DATA / f"{name}.out").write_bytes(render(argv).encode("utf-8"))

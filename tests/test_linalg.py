@@ -1,0 +1,94 @@
+"""Exact elimination: rank and solve over a small prime, the rationals, and a
+prime whose products overflow int64."""
+import random
+
+import pytest
+
+from starcone import PrimeField, RationalField, linalg
+
+FIELDS = [PrimeField(32003), RationalField(), PrimeField(4294967311)]
+IDS = ["p32003", "Q", "p4294967311"]
+
+
+def apply(F, nrows, entries, x):
+    out = [F.zero] * nrows
+    for (i, j), c in entries.items():
+        out[i] = F.add(out[i], F.mul(c, x[j]))
+    return out
+
+
+def random_entries(rng, F, nrows, ncols):
+    return {
+        (i, j): F.of_int(rng.randint(-9, 9))
+        for i in range(nrows)
+        for j in range(ncols)
+        if rng.random() < 0.5
+    }
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=IDS)
+def test_solve_consistent(F):
+    rng = random.Random(11)
+    for _ in range(40):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        entries = random_entries(rng, F, m, n)
+        rhs = apply(F, m, entries, [F.of_int(rng.randint(-5, 5)) for _ in range(n)])
+        x = linalg.solve(F, m, n, entries, rhs)
+        assert x is not None
+        assert apply(F, m, entries, x) == rhs
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=IDS)
+def test_solve_inconsistent(F):
+    rng = random.Random(12)
+    for _ in range(40):
+        m, n = rng.randint(2, 8), rng.randint(1, 8)
+        entries = random_entries(rng, F, m, n)
+        # row 1 is twice row 0, but the right side does not follow
+        for j in range(n):
+            entries[(0, j)] = F.of_int(rng.randint(1, 9))
+            entries[(1, j)] = F.mul(F.of_int(2), entries[(0, j)])
+        rhs = [F.of_int(rng.randint(-5, 5)) for _ in range(m)]
+        rhs[0], rhs[1] = F.one, F.one
+        assert linalg.solve(F, m, n, entries, rhs) is None
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=IDS)
+def test_solve_sets_free_variables_to_zero(F):
+    # x0 + x1 = 3 and x2 = 5: column 1 is free
+    entries = {(0, 0): F.one, (0, 1): F.one, (1, 2): F.one}
+    x = linalg.solve(F, 2, 3, entries, [F.of_int(3), F.of_int(5)])
+    assert x == [F.of_int(3), F.zero, F.of_int(5)]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=IDS)
+def test_rank_of_known_rank_products(F):
+    """B C with B = [1; *] (m x k) and C = [1 | *] (k x n) has rank exactly k
+    in every field: its top-left k x k block is the identity."""
+    rng = random.Random(13)
+    for _ in range(30):
+        k = rng.randint(0, 5)
+        m, n = k + rng.randint(0, 4), k + rng.randint(0, 4)
+        B = [[int(i == t) if i < k else rng.randint(-9, 9) for t in range(k)] for i in range(m)]
+        C = [[int(j == t) if j < k else rng.randint(-9, 9) for j in range(n)] for t in range(k)]
+        rows, cols = list(range(m)), list(range(n))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        entries = {}
+        for i in range(m):
+            for j in range(n):
+                v = sum(B[i][t] * C[t][j] for t in range(k))
+                if v:
+                    entries[(rows[i], cols[j])] = F.of_int(v)
+        assert linalg.rank(F, m, n, entries) == k
+
+
+def test_large_prime_entries_stay_exact():
+    p = 4294967311
+    F = PrimeField(p)
+    # [[-1, -2], [-3, -5]] written with representatives near p: determinant -1
+    entries = {(0, 0): p - 1, (0, 1): p - 2, (1, 0): p - 3, (1, 1): p - 5}
+    assert linalg.rank(F, 2, 2, entries) == 2
+    rhs = [p - 7, 12345678901 % p]
+    x = linalg.solve(F, 2, 2, entries, rhs)
+    assert apply(F, 2, entries, x) == rhs
