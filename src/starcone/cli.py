@@ -10,7 +10,8 @@ Subcommands:
   export    emit a constructed complex as JSON
 
 Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error
-(a malformed `verify --in` file included), 3 verification failure.  Output is deterministic: the same invocation
+(a malformed `verify --in` file included), 3 verification failure (a broken
+internal invariant included).  Output is deterministic: the same invocation
 produces byte-identical documents.
 """
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional
 
 from .complexes import (
     ChainComplex,
+    InvariantViolation,
     complex_from_json,
     complex_to_json_dict,
     generating_function,
@@ -72,10 +74,6 @@ class UsageError(ValueError):
     pass
 
 
-class VerificationFailure(RuntimeError):
-    pass
-
-
 @dataclass
 class JobSpec:
     """One CLI invocation, fully parsed."""
@@ -119,11 +117,15 @@ def _field_of(prime: int):
 def _ring_of(job: JobSpec) -> RingSpec:
     if not job.vars_a or not job.vars_b:
         raise UsageError("--vars-a and --vars-b are both required")
-    return RingSpec(
-        job.vars_a + job.vars_b,
-        partition=(job.vars_a, job.vars_b),
-        coeff_field=_field_of(job.prime),
-    )
+    field = _field_of(job.prime)  # a UsageError of its own, not caught below
+    try:
+        return RingSpec(
+            job.vars_a + job.vars_b,
+            partition=(job.vars_a, job.vars_b),
+            coeff_field=field,
+        )
+    except ValueError as e:
+        raise UsageError(f"--vars-a/--vars-b: {e}") from None
 
 
 def _parse_ideal(ring: RingSpec, text: str, flag: str) -> MonomialIdeal:
@@ -139,7 +141,10 @@ def _parse_ideal(ring: RingSpec, text: str, flag: str) -> MonomialIdeal:
             raise UsageError(f"{flag}: '{piece}' is not a monomial")
         ((m, c),) = p.terms.items()
         gens.append(m)  # unit coefficients generate the same ideal
-    return MonomialIdeal(ring, gens)
+    try:
+        return MonomialIdeal(ring, gens)
+    except ValueError as e:
+        raise UsageError(f"{flag}: {e}") from None
 
 
 def _block_ideal(ring: RingSpec, names: tuple) -> MonomialIdeal:
@@ -595,6 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.degree_bound is not None and args.degree_bound < 0:
         raise UsageError("--degree-bound must be nonnegative")
+    if args.truncate is not None and args.truncate < 0:
+        raise UsageError("--truncate must be nonnegative")
     return JobSpec(
         command=args.command,
         vars_a=_split_names(args.vars_a) if args.vars_a else (),
@@ -638,6 +645,8 @@ def run(job: JobSpec) -> tuple:
         return EXIT_HYPOTHESIS, f"hypothesis violation: {e}\n"
     except LiftError as e:
         return EXIT_HYPOTHESIS, f"hypothesis violation: {e}\n"
+    except InvariantViolation as e:
+        return EXIT_VERIFICATION, f"verification failure: {e}\n"
     except FileNotFoundError as e:
         return EXIT_USAGE, f"usage error: {e}\n"
     if job.command == "export":

@@ -22,6 +22,12 @@ from typing import Dict, Iterator, Tuple
 from .ring import Polynomial, RingSpec, mono_degree, poly_parse
 
 
+class InvariantViolation(RuntimeError):
+    """A computed result broke an invariant the code relies on, such as a
+    lift that is not a chain map or a negative homology dimension: a fault
+    in the program, not in its input."""
+
+
 class PolyMatrix:
     """Dense-addressed, sparsity-aware matrix of polynomials."""
 

@@ -9,6 +9,11 @@ S, X, T, Y of the four quotients:
      tensor complexes (S_{>=1} (x) Y)[-1] and (X (x) T_{>=1})[-1];
   4. take the cone on (Phi  Psi).
 
+Every complex resolution_of builds is Z^n-multigraded with single-term
+entries, so step 1 solves one small linear system per column of each lift
+degree: in the column's multidegree b, over the generators whose
+multidegrees divide b.
+
 On basis pairs, with i = |alpha| and j = |beta|:
 
   Phi(alpha (x) beta) = (-1)^{i+j} phi(alpha) * beta        if j > 0,
@@ -30,6 +35,7 @@ from . import linalg
 from .complexes import (
     ChainComplex,
     ChainMap,
+    InvariantViolation,
     PolyMatrix,
     cone,
     direct_sum,
@@ -41,17 +47,18 @@ from .complexes import (
     tensor_basis,
     truncate_geq,
 )
-from .homcheck import graded_piece, is_tor_independent
-from .resolutions import is_regular_sequence_monomials, koszul, resolution_of
+from .homcheck import is_tor_independent
+from .resolutions import is_regular_sequence_monomials, resolution_of
 from .ring import (
     MonomialIdeal,
     Polynomial,
     RingSpec,
     ideal_contains,
-    ideal_membership,
     ideal_product,
     mono_div,
     mono_divides,
+    mono_mul,
+    mono_one,
 )
 from .star import star_basis, star_product
 
@@ -72,182 +79,94 @@ class HypothesisViolation(ValueError):
 class LiftReport:
     map: ChainMap
     constrained: bool
-    max_degree_lifted: int
 
 
 # ----------------------------------------------------------------- lifting
 
-def _koszul_generators(X: ChainComplex) -> Optional[list]:
-    """If X is literally the Koszul complex on monomial generators (as built
-    by koszul()), return those monomials; otherwise None."""
-    if X.rank(0) != 1 or X.max_degree() < 1:
-        return None
-    d1 = X.diff(1)
-    fs = []
-    for j in range(d1.ncols):
-        p = d1.entry(0, j)
-        if len(p.terms) != 1:
+def _multidegrees(X: ChainComplex) -> dict:
+    """Exponent-tuple multidegree of every generator of X, by homological
+    degree: 0 in degree 0, then the multidegree of the first nonzero entry's
+    row times that entry's monomial.  Refuses a complex that is not
+    multigraded with single-term entries, where the blocks are undefined."""
+    mdegs = {0: [mono_one(X.ring.nvars)]}
+    for j in range(1, X.max_degree() + 1):
+        d, mdegs[j] = X.diff(j), []
+        for g in range(d.ncols):
+            col = [(i, d.rows[i][g].terms) for i in range(d.nrows) if d.rows[i][g].terms]
+            found = {mono_mul(mdegs[j - 1][i], m) for i, terms in col for m in terms}
+            if len(found) != 1 or any(len(terms) != 1 for _, terms in col):
+                raise ValueError(f"lift target is not multigraded with single-term "
+                                 f"entries at column {g} of d_{j}")
+            mdegs[j].append(found.pop())
+    return mdegs
+
+
+def _lift_column(X: ChainComplex, j: int, mdegs: dict, w_col: list,
+                 constrain_to: Optional[MonomialIdeal]) -> Optional[list]:
+    """A column v with d_j v = w_col, or None.  Each multidegree b of w_col
+    (there is one when the source is multigraded too) is one solve over the
+    generators of X_j and X_{j-1} whose multidegrees divide b, with unknowns
+    x^(b - mdeg) optionally kept inside an ideal."""
+    ring, F = X.ring, X.ring.coeff_field
+    v = [Polynomial.zero(ring)] * X.rank(j)
+    d = X.diff(j)
+    for b in {mono_mul(mdegs[j - 1][i], m) for i, p in enumerate(w_col) for m in p.terms}:
+        rows = [(i, mono_div(b, a)) for i, a in enumerate(mdegs[j - 1]) if mono_divides(a, b)]
+        cols = [(g, mono_div(b, a)) for g, a in enumerate(mdegs.get(j, ())) if mono_divides(a, b)]
+        if constrain_to is not None:
+            cols = [(g, m) for g, m in cols if constrain_to.contains_monomial(m)]
+        entries = {
+            (r, k): c
+            for k, (g, _) in enumerate(cols)
+            for r, (i, _) in enumerate(rows)
+            for c in d.rows[i][g].terms.values()
+        }
+        rhs = [w_col[i].terms.get(m, F.zero) for i, m in rows]
+        sol = linalg.solve(F, len(rows), len(cols), entries, rhs)
+        if sol is None:
             return None
-        ((m, c),) = p.terms.items()
-        if c != X.ring.coeff_field.one:
-            return None
-        fs.append(m)
-    if not is_regular_sequence_monomials(fs):
-        return None
-    probe = koszul(X.ring, [Polynomial.monomial(X.ring, m) for m in fs])
-    return fs if probe == X else None
-
-
-def _koszul_preimage(ring: RingSpec, fs: list, j: int, w: dict, degree: int) -> dict:
-    """Solve d(v) = w inside the Koszul complex on monomials fs, degree j.
-
-    Components are dicts: sorted index tuple -> polynomial.  Splitting off
-    the last generator e and writing w = a + b ^ e, a preimage v = c + d ^ e
-    needs d'(d) = b and d'(c) = a - (-1)^{j-1} f_last d; both right sides
-    are cycles again, so recurse down to exact division at j = 1.
-    """
-    r = len(fs)
-    zero = Polynomial.zero(ring)
-    if j > r:
-        if any(not p.is_zero() for p in w.values()):
-            raise LiftError(degree, "cycle survives past the top of the Koszul complex")
-        return {}
-    if j == 1:
-        target = w.get((), zero)
-        out: dict = {}
-        for mono, coeff in target.terms.items():
-            for i, f in enumerate(fs):
-                if mono_divides(f, mono):
-                    q = Polynomial.monomial(ring, mono_div(mono, f), coeff)
-                    out[(i,)] = out.get((i,), zero) + q
-                    break
-            else:
-                raise LiftError(degree, "element lies outside the target ideal")
-        return {k: v for k, v in out.items() if not v.is_zero()}
-    last = r - 1
-    a = {T: p for T, p in w.items() if last not in T}
-    b = {T[:-1]: p for T, p in w.items() if T and T[-1] == last}
-    d = _koszul_preimage(ring, fs[:-1], j - 1, b, degree)
-    f_last = Polynomial.monomial(ring, fs[last])
-    sign = 1 if (j - 1) % 2 == 0 else -1
-    for T, p in d.items():
-        adj = (f_last * p).scale(sign)
-        a[T] = a.get(T, zero) - adj
-    a = {T: p for T, p in a.items() if not p.is_zero()}
-    c = _koszul_preimage(ring, fs[:-1], j, a, degree)
-    out = dict(c)
-    for T, p in d.items():
-        out[T + (last,)] = p
-    return out
-
-
-def _subset_index(m: int, n: int) -> dict:
-    from itertools import combinations
-
-    return {T: pos for pos, T in enumerate(combinations(range(m), n))}
-
-
-def _solve_linear(X: ChainComplex, j: int, degree_internal: int, w_col: list,
-                  constrain_to: Optional[MonomialIdeal]) -> Optional[list]:
-    """Generic lift step: solve the graded piece of d_j at one internal
-    degree, optionally restricting to basis monomials inside an ideal."""
-    F = X.ring.coeff_field
-    piece = graded_piece(X, j, degree_internal)
-    allowed = list(range(piece.ncols))
-    if constrain_to is not None:
-        allowed = [
-            c
-            for c, (gen, m) in enumerate(piece.col_labels)
-            if constrain_to.contains_monomial(m)
-        ]
-    remap = {orig: new for new, orig in enumerate(allowed)}
-    entries = {
-        (i, remap[c]): v for (i, c), v in piece.entries.items() if c in remap
-    }
-    rhs = [F.zero] * piece.nrows
-    row_index = {lab: i for i, lab in enumerate(piece.row_labels)}
-    for i, p in enumerate(w_col):
-        for m, c in p.terms.items():
-            row = row_index[(i, m)]
-            rhs[row] = F.add(rhs[row], c)
-    sol = linalg.solve(F, piece.nrows, len(allowed), entries, rhs)
-    if sol is None:
-        return None
-    out = [Polynomial.zero(X.ring) for _ in range(X.rank(j))]
-    for new, orig in enumerate(allowed):
-        if sol[new] == F.zero:
-            continue
-        gen, m = piece.col_labels[orig]
-        out[gen] = out[gen] + Polynomial.monomial(X.ring, m, sol[new])
-    return out
+        for (g, m), c in zip(cols, sol):
+            v[g] = v[g] + Polynomial.monomial(ring, m, c)
+    return v
 
 
 def lift_chain_map(S: ChainComplex, X: ChainComplex,
                    constrain_to: Optional[MonomialIdeal] = None) -> LiftReport:
     """Lift the identity of R to a chain map S -> X, degree by degree.
 
-    Both complexes must start with a single twist-0 generator.  With
+    Both complexes must start with a single twist-0 generator, and X must be
+    multigraded with single-term entries, as every complex resolution_of
+    builds is; other targets raise ValueError.  Each column of each lift
+    step is one small linear solve inside its multidegree.  With
     constrain_to given, every positive-degree matrix entry is required to
     lie in that ideal (feasible whenever H_0(S)'s defining ideal sits in
-    the square of X's); violations raise LiftError.
+    the square of X's); violations raise LiftError.  A result that is not a
+    chain map raises InvariantViolation.
     """
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
     ring = X.ring
+    mdegs = _multidegrees(X)
     mats = {0: PolyMatrix.identity(ring, 1)}
-    fs = _koszul_generators(X)
-    subset_idx = {n: _subset_index(len(fs), n) for n in range(len(fs) + 1)} if fs else None
-    top = 0
     for j in range(1, S.max_degree() + 1):
         if S.rank(j) == 0:
             continue
-        top = j
         W = mats.get(j - 1)
         if W is None:
             W = PolyMatrix.zero(ring, X.rank(j - 1), S.rank(j - 1))
         W = W.mul(S.diff(j))
-        cols = []
+        entries = {}
         for g in range(S.rank(j)):
-            w_col = [W.entry(i, g) for i in range(W.nrows)]
-            if fs is not None:
-                w_dict = {}
-                inv_idx = {pos: T for T, pos in subset_idx[j - 1].items()}
-                for i, p in enumerate(w_col):
-                    if not p.is_zero():
-                        w_dict[inv_idx[i]] = p
-                v_dict = _koszul_preimage(ring, fs, j, w_dict, j)
-                v = [Polynomial.zero(ring)] * X.rank(j)
-                for T, p in v_dict.items():
-                    v[subset_idx[j][T]] = p
-                if constrain_to is not None:
-                    for p in v:
-                        if not ideal_membership(p, constrain_to):
-                            raise LiftError(j, f"lifted entry {p} escapes {constrain_to}")
-            else:
-                u = S.twists(j)[g]
-                v = _solve_linear(X, j, u, w_col, constrain_to)
-                if v is None:
-                    unconstrained = (
-                        constrain_to is not None
-                        and _solve_linear(X, j, u, w_col, None) is not None
-                    )
-                    reason = (
-                        "no solution with entries restricted to the ideal"
-                        if unconstrained
-                        else "no solution"
-                    )
-                    raise LiftError(j, reason)
-            cols.append(v)
-        entries = {
-            (i, g): cols[g][i]
-            for g in range(S.rank(j))
-            for i in range(X.rank(j))
-            if not cols[g][i].is_zero()
-        }
+            v = _lift_column(X, j, mdegs, [row[g] for row in W.rows], constrain_to)
+            if v is None:
+                inside = "" if constrain_to is None else f" with entries inside {constrain_to}"
+                raise LiftError(j, "no solution" + inside)
+            entries.update(((i, g), p) for i, p in enumerate(v) if p.terms)
         mats[j] = PolyMatrix.from_entries(ring, X.rank(j), S.rank(j), entries)
     out = ChainMap(source=S, target=X, mats=mats)
-    assert is_chain_map(out), "lift produced a non-chain-map"
-    return LiftReport(map=out, constrained=constrain_to is not None, max_degree_lifted=top)
+    if not is_chain_map(out):
+        raise InvariantViolation("lift produced a non-chain-map")
+    return LiftReport(map=out, constrained=constrain_to is not None)
 
 
 # ----------------------------------------------------- the comparison maps

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex
+from .complexes import ChainComplex, InvariantViolation
 from .ring import MonomialIdeal, hilbert_function, mono_mul, monomials_of_degree
 
 
@@ -127,7 +127,8 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
         euler_homology = 0
         for n in support:
             h = piece_dim[n] - ranks[n] - ranks.get(n + 1, 0)
-            assert h >= 0, f"negative homology dimension at ({n},{d})"
+            if h < 0:
+                raise InvariantViolation(f"negative homology dimension at ({n},{d})")
             module_dims[(n, d)] = piece_dim[n]
             sign = -1 if n % 2 else 1
             euler_modules += sign * piece_dim[n]
@@ -136,7 +137,8 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
                 dims[(n, d)] = h
             if n == 0:
                 h0[d] = h
-        assert euler_modules == euler_homology, "rank-nullity bookkeeping broke"
+        if euler_modules != euler_homology:
+            raise InvariantViolation("rank-nullity bookkeeping broke")
     exact = not any(n >= 1 for (n, d) in dims)
     return HomologyReport(
         dims=dims,

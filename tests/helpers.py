@@ -90,3 +90,17 @@ def instance_e_prime(coeff_field=None) -> FiberInstance:
     """The 2+1 variant of E: J = <y>, J' = <y^2>."""
     return explicit_instance(["x1", "x2"], ["y"], ["x1^4", "x1^2*x2^2"],
                              ["x1^2", "x1*x2"], ["y^2"], ["y"], coeff_field)
+
+
+def double_every_solve(monkeypatch):
+    """Make linalg.solve return twice its solution.  Each later lift step
+    stays solvable, so a lift runs to the end with a non-chain-map."""
+    from starcone import linalg
+
+    solve = linalg.solve
+
+    def doubled(field, *args):
+        x = solve(field, *args)
+        return x and [field.add(v, v) for v in x]
+
+    monkeypatch.setattr(linalg, "solve", doubled)

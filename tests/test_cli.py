@@ -5,6 +5,8 @@ import pytest
 
 from starcone.cli import build_parser, job_from_args, main, run
 
+from helpers import double_every_solve
+
 
 def run_argv(argv):
     parser = build_parser()
@@ -56,6 +58,28 @@ def test_composite_prime_rejected():
 def test_missing_block_is_usage():
     code, text = run_argv(["fiber", "--vars-a", "x", "--iprime", "x^2"])
     assert code == 2
+
+
+def test_negative_truncate_is_usage(capsys):
+    rc = main(["poincare", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--jprime", "y^2",
+               "--truncate", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "usage error: --truncate must be nonnegative\n"
+
+
+BAD_RING_OR_IDEAL = {
+    "overlapping_blocks": ["--vars-a", "x", "--vars-b", "x", "--iprime", "x^2"],
+    "bad_name": ["--vars-a", "x,1x", "--vars-b", "y"],
+    "unit_generator": ["--vars-a", "x", "--vars-b", "y", "--ideal-i", "x", "--ideal-j", "y^0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RING_OR_IDEAL))
+def test_bad_ring_or_ideal_is_usage(case):
+    code, text = run_argv(["fiber", *BAD_RING_OR_IDEAL[case]])
+    assert code == 2
+    assert text.startswith("usage error: ")
+    assert text.count("\n") == 1
 
 
 def test_tor_violation_exit_one():
@@ -211,6 +235,12 @@ def test_large_prime_agrees_with_small_prime():
             assert code == 0, text
             assert f"ranks: {ranks}\n" in text
             assert f"verification: exact up to degree {top} (complete)" in text
+
+
+def test_broken_invariant_is_verification_failure(monkeypatch):
+    double_every_solve(monkeypatch)
+    code, text = run_argv(["fiber", *E_PRIME])
+    assert (code, text) == (3, "verification failure: lift produced a non-chain-map\n")
 
 
 # ------------------------------------------------- malformed verify input

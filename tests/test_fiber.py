@@ -1,6 +1,4 @@
 """Lifts, comparison maps, cones, and the minimality certificate."""
-import random
-
 import pytest
 
 from starcone import (
@@ -33,9 +31,9 @@ from starcone import (
     resolution_of,
     taylor,
 )
-from starcone.fiber import _koszul_preimage, omega
+from starcone.fiber import omega
 
-from helpers import instance_e, instance_e_prime, small_instances, suite_instances
+from helpers import double_every_solve, instance_e, instance_e_prime, small_instances, suite_instances
 
 
 def quadratic():
@@ -69,42 +67,36 @@ def test_lift_identity_needs_unit():
     assert str(rep.map.mat(1).entry(0, 0)) == "1"
 
 
-def test_koszul_preimage_recursion_solves():
-    ring = RingSpec(("x", "y", "z"))
-    fs = [(1, 0, 0), (0, 1, 0), (0, 0, 2)]
-    K = koszul(ring, [poly_parse(t, ring) for t in ["x", "y", "z^2"]])
-    rng = random.Random(5)
-    from itertools import combinations
+def test_lift_refuses_target_without_single_term_entries():
+    ring = RingSpec(("x", "y"))
+    S = resolution_of(MonomialIdeal.parse(["x^2"], ring))
+    with pytest.raises(ValueError):
+        lift_chain_map(S, koszul(ring, [poly_parse("x + y", ring)]))
 
-    for j in (1, 2, 3):
-        idx = list(combinations(range(3), j))
-        v = {
-            T: poly_parse(rng.choice(["x", "y + z", "x*z", "z^2", "1"]), ring)
-            for T in idx
-            if rng.random() < 0.7
-        }
-        if not v:
-            continue
-        # push v through the differential, then ask for any preimage
-        prev = list(combinations(range(3), j - 1))
-        M = K.diff(j)
-        cols = {T: c for c, T in enumerate(idx)}
-        w = {}
-        for r, U in enumerate(prev):
-            acc = poly_parse("0", ring)
-            for T, p in v.items():
-                acc = acc + M.entry(r, cols[T]) * p
-            if not acc.is_zero():
-                w[U] = acc
-        sol = _koszul_preimage(ring, fs, j, w, j)
-        back = {}
-        for r, U in enumerate(prev):
-            acc = poly_parse("0", ring)
-            for T, p in sol.items():
-                acc = acc + M.entry(r, cols[T]) * p
-            if not acc.is_zero():
-                back[U] = acc
-        assert back == w
+
+def test_lift_check_is_not_an_assert(monkeypatch):
+    """A wrong solve is caught by an exception that `python -O` keeps."""
+    from starcone import InvariantViolation
+
+    double_every_solve(monkeypatch)
+    inst = instance_e()
+    with pytest.raises(InvariantViolation):
+        lift_chain_map(inst.S, inst.X, constrain_to=inst.I)
+
+
+def test_construction_does_not_call_the_certifier(monkeypatch):
+    """The lifts solve in multidegree blocks, not in homcheck's graded pieces."""
+    import starcone.fiber
+    import starcone.homcheck
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the construction called homcheck.graded_piece")
+
+    # also in fiber's namespace, in case it imports the function by name
+    for module in (starcone.homcheck, starcone.fiber):
+        monkeypatch.setattr(module, "graded_piece", refuse, raising=False)
+    for inst in (instance_e(), block_instance(2, 2, ["x1^2", "x1*x2"], ["y1^2", "y1*y2"])):
+        assert build_fiber(inst).constrained
 
 
 def test_lift_entries_constrained_on_suite():
