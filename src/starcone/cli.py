@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error
 (a malformed `verify --in` file included), 3 verification failure (a broken
-internal invariant included).  Output is deterministic: the same invocation
-produces byte-identical documents.
+internal invariant included), 4 resource error (out of memory).  Output is
+deterministic: the same invocation produces byte-identical documents.
 """
 from __future__ import annotations
 
@@ -68,6 +68,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
+EXIT_RESOURCE = 4
 
 
 class UsageError(ValueError):
@@ -649,6 +650,8 @@ def run(job: JobSpec) -> tuple:
         return EXIT_VERIFICATION, f"verification failure: {e}\n"
     except FileNotFoundError as e:
         return EXIT_USAGE, f"usage error: {e}\n"
+    except MemoryError:
+        return EXIT_RESOURCE, "resource error: out of memory\n"
     if job.command == "export":
         return code, text
     return code, _emit(job, doc, text)

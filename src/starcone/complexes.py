@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from .ring import Polynomial, RingSpec, mono_degree, poly_parse
+from .ring import Polynomial, RingSpec, mono_degree, mono_mul, mono_one, poly_parse
 
 
 class InvariantViolation(RuntimeError):
@@ -373,6 +373,25 @@ def is_complex(C: ChainComplex) -> bool:
         if not C.diff(n - 1).mul(C.diff(n)).is_zero():
             return False
     return True
+
+
+def multidegrees(C: ChainComplex) -> Optional[dict]:
+    """Exponent-tuple multidegree of every generator, by homological degree:
+    0 for the twist-0 generators of the lowest degree, otherwise a nonzero
+    entry's row multidegree times its monomial, which every term of every
+    nonzero entry in the column must agree on.  None when C is not
+    multigraded with single-term entries in this way, twists included."""
+    mdegs: dict = {}
+    for n in C.support():
+        low = n == C.min_degree()
+        found = [{mono_one(C.ring.nvars)} if low and w == 0 else set() for w in C.twists(n)]
+        for i, row in enumerate(C.diffs[n].rows if n in C.diffs else ()):
+            for j, p in enumerate(row):
+                found[j].update(mono_mul(mdegs[n - 1][i], m) for m in p.terms)
+        mdegs[n] = [f.pop() for f in found if len(f) == 1]
+        if [mono_degree(a) for a in mdegs[n]] != list(C.twists(n)):
+            return None
+    return mdegs
 
 
 def is_minimal(C: ChainComplex) -> bool:

@@ -41,6 +41,7 @@ from .complexes import (
     direct_sum,
     is_chain_map,
     is_minimal,
+    multidegrees,
     pair_map,
     suspension,
     tensor,
@@ -58,7 +59,6 @@ from .ring import (
     mono_div,
     mono_divides,
     mono_mul,
-    mono_one,
 )
 from .star import star_basis, star_product
 
@@ -82,24 +82,6 @@ class LiftReport:
 
 
 # ----------------------------------------------------------------- lifting
-
-def _multidegrees(X: ChainComplex) -> dict:
-    """Exponent-tuple multidegree of every generator of X, by homological
-    degree: 0 in degree 0, then the multidegree of the first nonzero entry's
-    row times that entry's monomial.  Refuses a complex that is not
-    multigraded with single-term entries, where the blocks are undefined."""
-    mdegs = {0: [mono_one(X.ring.nvars)]}
-    for j in range(1, X.max_degree() + 1):
-        d, mdegs[j] = X.diff(j), []
-        for g in range(d.ncols):
-            col = [(i, d.rows[i][g].terms) for i in range(d.nrows) if d.rows[i][g].terms]
-            found = {mono_mul(mdegs[j - 1][i], m) for i, terms in col for m in terms}
-            if len(found) != 1 or any(len(terms) != 1 for _, terms in col):
-                raise ValueError(f"lift target is not multigraded with single-term "
-                                 f"entries at column {g} of d_{j}")
-            mdegs[j].append(found.pop())
-    return mdegs
-
 
 def _lift_column(X: ChainComplex, j: int, mdegs: dict, w_col: list,
                  constrain_to: Optional[MonomialIdeal]) -> Optional[list]:
@@ -146,7 +128,9 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
     ring = X.ring
-    mdegs = _multidegrees(X)
+    mdegs = multidegrees(X)
+    if mdegs is None:
+        raise ValueError("lift target is not multigraded with single-term entries")
     mats = {0: PolyMatrix.identity(ring, 1)}
     for j in range(1, S.max_degree() + 1):
         if S.rank(j) == 0:

@@ -1,22 +1,30 @@
-"""Independent certification by degreewise linear algebra.
+"""Independent certification by linear algebra over the coefficient field.
 
 Every construction in this package can be audited here: slice a complex
-into its graded pieces over the coefficient field, compute ranks exactly,
-and read off homology dimensions degree by degree.  Nothing in this module
-reuses the structural shortcuts the constructions themselves rely on.
+into finite-dimensional pieces over the coefficient field, compute ranks
+exactly, and read off homology dimensions degree by degree.  Nothing in this
+module reuses the structural shortcuts the constructions themselves rely on.
 
 dim H_n(C)_d = dim ker(d_n)_d - rank(d_{n+1})_d, with the kernel dimension
 coming from rank-nullity.  Reducing all matrix entries modulo a monomial
 ideal J (and restricting to standard monomials) computes H(C tensor R/J)
 instead, which for a resolution of R/I is Tor(R/I, R/J).
+
+Complexes of monomial ideals are Z^N-graded with single-term entries, so a
+degree-d piece splits into multidegree blocks: label (j, m) of C_n lies in
+block mdeg_j + m, and its matrix is d_n's scalar coefficients on the block's
+generators (Miller-Sturmfels, ch. 1-4); each distinct block is ranked once.
+The multidegrees are read off C, not taken from its construction; a complex
+without them is ranked one total-degree piece at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, InvariantViolation
+from .complexes import ChainComplex, InvariantViolation, is_complex, multidegrees
 from .ring import MonomialIdeal, hilbert_function, mono_mul, monomials_of_degree
 
 
@@ -76,6 +84,66 @@ def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal
     return GradedPiece(len(row_labels), len(col_labels), entries, row_labels, col_labels)
 
 
+def _piece_homology(size: dict, ranks: dict, d: int) -> dict:
+    """dim H_n = size_n - rank d_n - rank d_{n+1} on one piece of degree d,
+    checked: no dimension is negative, and the Euler characteristics agree."""
+    h = {n: s - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, s in sorted(size.items())}
+    for n, v in h.items():
+        if v < 0:
+            raise InvariantViolation(f"negative homology dimension at ({n},{d})")
+    if sum((-1) ** n * (size[n] - v) for n, v in h.items()):
+        raise InvariantViolation("rank-nullity bookkeeping broke")
+    return h
+
+
+def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
+    """Per degree d <= d_max, the homology of the whole degree-d piece."""
+    for d in range(d_max + 1):
+        size = {n: len(_degree_basis(C, n, d, modulo)) for n in C.support()}
+        ranks = {n: graded_piece(C, n, d, modulo).rank(C.ring.coeff_field)
+                 for n in size if size[n]}
+        yield [_piece_homology(size, ranks, d)]
+
+
+def _block_pieces(C: ChainComplex, mdegs: dict, d_max: int, modulo: Optional[MonomialIdeal]):
+    """Per degree d <= d_max, the homology of each multidegree block, the
+    labels of _degree_basis grouped by mdeg_j + m.  Blocks with the same
+    generators have the same matrices, so each distinct one is ranked once."""
+    base = d_max + 1  # no exponent of a degree-d multidegree exceeds d
+    code = lambda m: sum(e * base ** k for k, e in enumerate(m))
+    gens = [(n, j, w, code(a)) for n, mdeg in mdegs.items()
+            for j, (w, a) in enumerate(zip(C.twists(n), mdeg))]
+    standard = [[code(m) for m in monomials_of_degree(C.ring.nvars, r)
+                 if modulo is None or not modulo.contains_monomial(m)] for r in range(base)]
+    columns = {n: [[(i, c) for i, row in enumerate(C.diff(n).rows) for c in row[j].terms.values()]
+                   for j in range(C.rank(n))] for n in mdegs}
+    memo: dict = {}
+    for d in range(base):
+        blocks: dict = {}
+        for g, (_, _, w, a) in enumerate(gens):
+            for m in standard[d - w] if w <= d else ():
+                blocks.setdefault(a + m, []).append(g)
+        keys = [tuple(block) for block in blocks.values()]
+        for key in keys:
+            if key not in memo:
+                memo[key] = _block_homology(C, columns, [gens[g][:2] for g in key], d)
+        yield [memo[key] for key in keys]
+
+
+def _block_homology(C: ChainComplex, columns: dict, block: list, d: int) -> dict:
+    """Homology of d's scalar coefficients on one block's generators (n, j);
+    columns[n][j] lists column j of d_n as (row, coefficient) pairs."""
+    gens: dict = {}
+    for n, j in block:
+        gens.setdefault(n, []).append(j)
+    ranks = {}
+    for n, cols in gens.items():
+        rows = {i: r for r, i in enumerate(gens.get(n - 1, ()))}
+        entries = {(rows[i], k): c for k, j in enumerate(cols) for i, c in columns[n][j] if i in rows}
+        ranks[n] = linalg.rank(C.ring.coeff_field, len(rows), len(cols), entries)
+    return _piece_homology({n: len(cols) for n, cols in gens.items()}, ranks, d)
+
+
 @dataclass
 class HomologyReport:
     """Degreewise homology dimensions up to an internal degree bound."""
@@ -86,7 +154,6 @@ class HomologyReport:
     h0: list              # dim H_0 in degrees 0..degree_bound
     exact_in_positive: bool
     modulo: Optional[str] = None
-    module_dims: dict = dc_field(default_factory=dict)  # (n, d) -> dim (C_n)_d
 
     def dim(self, n: int, d: int) -> int:
         return self.dims.get((n, d), 0)
@@ -109,45 +176,22 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     """Dimensions of H_n(C (x) R/modulo)_d for every n and d <= d_max."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    from .complexes import is_complex
-
     if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
-    F = C.ring.coeff_field
-    support = C.support()
-    dims: dict = {}
-    module_dims: dict = {}
-    h0 = [0] * (d_max + 1)
-    for d in range(d_max + 1):
-        piece_dim = {n: len(_degree_basis(C, n, d, modulo)) for n in support}
-        ranks = {}
-        for n in support:
-            ranks[n] = graded_piece(C, n, d, modulo).rank(F) if piece_dim[n] else 0
-        euler_modules = 0
-        euler_homology = 0
-        for n in support:
-            h = piece_dim[n] - ranks[n] - ranks.get(n + 1, 0)
-            if h < 0:
-                raise InvariantViolation(f"negative homology dimension at ({n},{d})")
-            module_dims[(n, d)] = piece_dim[n]
-            sign = -1 if n % 2 else 1
-            euler_modules += sign * piece_dim[n]
-            euler_homology += sign * h
-            if h:
-                dims[(n, d)] = h
-            if n == 0:
-                h0[d] = h
-        if euler_modules != euler_homology:
-            raise InvariantViolation("rank-nullity bookkeeping broke")
-    exact = not any(n >= 1 for (n, d) in dims)
+    mdegs = multidegrees(C)
+    pieces = (_dense_pieces(C, d_max, modulo) if mdegs is None
+              else _block_pieces(C, mdegs, d_max, modulo))
+    dims: Counter = Counter()
+    for d, homologies in enumerate(pieces):
+        for h in homologies:
+            dims.update({(n, d): v for n, v in h.items() if v})
     return HomologyReport(
-        dims=dims,
+        dims=dict(dims),
         degree_bound=d_max,
         complete=d_max >= C.max_twist(),
-        h0=h0,
-        exact_in_positive=exact,
+        h0=[dims[0, d] for d in range(d_max + 1)],
+        exact_in_positive=not any(n >= 1 for (n, d) in dims),
         modulo=str(modulo) if modulo is not None else None,
-        module_dims=module_dims,
     )
 
 

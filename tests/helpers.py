@@ -4,6 +4,8 @@ Everything here uses explicit random.Random seeds so the sampled suites
 are frozen: reruns exercise the identical instances.
 """
 import random
+import resource
+from contextlib import contextmanager
 
 from starcone import FiberInstance, MonomialIdeal, PrimeField, RingSpec, block_instance, make_instance
 
@@ -104,3 +106,40 @@ def double_every_solve(monkeypatch):
         return x and [field.add(v, v) for v in x]
 
     monkeypatch.setattr(linalg, "solve", doubled)
+
+
+def dense_homology(C, d_max, modulo=None):
+    """Oracle for homology_dims: one dense graded piece per (n, d), ranked
+    whole, with rank-nullity.  Returns (nonzero dims by (n, d), h0)."""
+    from starcone.homcheck import graded_piece
+
+    F = C.ring.coeff_field
+    dims, h0 = {}, []
+    for d in range(d_max + 1):
+        pieces = {n: graded_piece(C, n, d, modulo) for n in C.support()}
+        ranks = {n: piece.rank(F) for n, piece in pieces.items()}
+        for n, piece in pieces.items():
+            h = piece.ncols - ranks[n] - ranks.get(n + 1, 0)
+            assert h >= 0
+            if h:
+                dims[n, d] = h
+        h0.append(dims.get((0, d), 0))
+    return dims, h0
+
+
+@contextmanager
+def address_space_cap(extra_mib):
+    """Cap this process's address space at its current size plus extra_mib
+    while the block runs, so a runaway allocation raises MemoryError
+    instead of exhausting the machine (Linux)."""
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (extra_mib << 20)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -243,6 +243,17 @@ def test_broken_invariant_is_verification_failure(monkeypatch):
     assert (code, text) == (3, "verification failure: lift produced a non-chain-map\n")
 
 
+def test_out_of_memory_is_resource_error(monkeypatch):
+    import starcone.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(starcone.cli, "homology_dims", exhausted)
+    code, text = run_argv(["fiber", *E_PRIME, "--verify"])
+    assert (code, text) == (4, "resource error: out of memory\n")
+
+
 # ------------------------------------------------- malformed verify input
 
 def _broken_export(mutate):

@@ -1,12 +1,19 @@
 """Degreewise homology computation, Tor independence, mutation detection."""
 import pytest
 
+import starcone.homcheck
 from starcone import (
     ChainComplex,
+    ChainMap,
     MonomialIdeal,
     PolyMatrix,
+    RationalField,
     RingSpec,
+    block_instance,
+    build_fiber,
     certifies_resolution_of,
+    cone,
+    default_degree_bound,
     hilbert_function,
     homology_dims,
     is_complex,
@@ -15,6 +22,15 @@ from starcone import (
     poly_parse,
     resolution_of,
     tor_dims,
+)
+from starcone.complexes import multidegrees
+
+from helpers import (
+    address_space_cap,
+    dense_homology,
+    instance_e,
+    instance_e_prime,
+    small_instances,
 )
 
 RING = RingSpec(("x", "y"))
@@ -119,13 +135,12 @@ def test_tor_bounded_mode_witness_location():
     assert rep.witness == (1, 5)
 
 
-def test_mutation_of_differential_detected():
-    from starcone import build_fiber, block_instance
-
+def _mutated_fiber():
+    """The 1+1 fiber resolution with one entry of d_2 replaced by a
+    different monomial of the same degree."""
     inst = block_instance(1, 1, ["x^2"], ["y^2"])
     res = build_fiber(inst).resolution
     ring = res.ring
-    # corrupt one entry of d_2 with a different monomial of the same degree
     mats = {n: res.diff(n) for n in (1, 2)}
     rows = [list(r) for r in mats[2].rows]
     assert str(rows[0][0]) == "x"
@@ -136,6 +151,11 @@ def test_mutation_of_differential_detected():
         {1: mats[1], 2: PolyMatrix(ring, 3, 2, rows)},
         check=True,
     )
+    return inst, bad
+
+
+def test_mutation_of_differential_detected():
+    inst, bad = _mutated_fiber()
     if is_complex(bad):
         rep = homology_dims(bad, 6)
         assert not (rep.exact_in_positive and rep.h0 == hilbert_function(inst.quotient_ideal(), 6))
@@ -150,3 +170,71 @@ def test_report_serialization():
     doc = rep.to_json_dict()
     assert doc["exact_in_positive"] is True
     assert doc["degree_bound"] == 4
+
+
+# ------------------------------------------------------- multidegree blocks
+
+def _oracle_corpus():
+    """(name, complex, degree bound, ideal to reduce by or None)."""
+    fibers = small_instances() + [instance_e(), instance_e_prime(RationalField())]
+    for k, inst in enumerate(fibers):
+        res = build_fiber(inst).resolution
+        bound = default_degree_bound(inst, res)
+        yield f"fiber{k}", res, bound, None
+        for name in ("I", "J", "Jp"):
+            yield f"fiber{k}/tor {name}", res, bound, getattr(inst, name)
+    C = K(RING, "x", "y")
+    ident = ChainMap(C, C, {n: PolyMatrix.identity(RING, C.rank(n)) for n in C.support()})
+    yield "cone of the identity", cone(ident), 4, None
+    yield "mutated fiber", _mutated_fiber()[1], 6, None
+
+
+def test_blocks_agree_with_dense_oracle():
+    for name, C, bound, J in _oracle_corpus():
+        if not is_complex(C):
+            with pytest.raises(ValueError):
+                homology_dims(C, bound)
+            continue
+        rep = homology_dims(C, bound) if J is None else tor_dims(C, J, bound)
+        dims, h0 = dense_homology(C, bound, J)
+        assert (rep.dims, rep.h0) == (dims, h0), name
+        assert rep.exact_in_positive == (not any(n >= 1 for n, _ in dims)), name
+        if not name.startswith("mutated"):
+            assert multidegrees(C) is not None, name
+
+
+def test_non_multigraded_complex_falls_back_to_graded_pieces(monkeypatch):
+    ring = RingSpec(("x", "y", "z"))
+    C = K(ring, "x + y", "z^2")
+    assert multidegrees(C) is None
+    calls = []
+    piece = starcone.homcheck.graded_piece
+    monkeypatch.setattr(starcone.homcheck, "graded_piece", lambda *a: calls.append(a) or piece(*a))
+    rep = homology_dims(C, 5)
+    assert rep.exact_in_positive and rep.complete
+    assert rep.h0 == [1, 2, 2, 2, 2, 2]  # R/(x + y, z^2) = k[x, z]/(z^2)
+    assert calls
+
+
+def test_multigraded_certification_forms_no_graded_piece(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certification formed a dense graded piece")
+
+    monkeypatch.setattr(starcone.homcheck, "graded_piece", refuse)
+    inst = block_instance(2, 2, ["x1^2", "x1*x2"], ["y1^2", "y1*y2"])
+    res = build_fiber(inst).resolution
+    assert certifies_resolution_of(res, inst.quotient_ideal(), default_degree_bound(inst, res))
+
+
+def test_three_plus_three_rung_certifies_complete():
+    """Ranked as one dense piece per internal degree, this rung needs a
+    31317 x 55836 matrix (about 13 GiB); the cap turns that into a
+    MemoryError rather than an exhausted machine."""
+    inst = block_instance(3, 3, ["x1^2", "x2^2", "x3^2", "x1*x2*x3"], ["y1^2", "y2^2", "y3^2"])
+    res = build_fiber(inst).resolution
+    assert [res.rank(n) for n in res.support()] == [1, 16, 48, 67, 52, 22, 4]
+    bound = default_degree_bound(inst, res)
+    with address_space_cap(512):
+        rep = homology_dims(res, bound)
+    assert rep.complete and rep.exact_in_positive
+    assert rep.h0 == hilbert_function(inst.quotient_ideal(), bound)
