@@ -339,7 +339,7 @@ def cmd_fiber(job: JobSpec):
     ]
     lines += _certificate_text(cert_doc)
     if job.betti:
-        table = graded_betti(res) if cert.resolution_minimal else graded_betti(minimize(res))
+        table = graded_betti(minimize(res))
         doc["betti"] = table.to_json_dict()
         lines += ["betti table:", table.render_text().rstrip("\n")]
     code = _verify_into(doc, lines, res, Q, bound) if job.verify else EXIT_OK
@@ -352,7 +352,7 @@ def cmd_betti(job: JobSpec):
     instance = _instance_of(job)
     build = build_fiber(instance, constrained=job.constrained)
     res = build.resolution
-    constructed = graded_betti(res) if is_minimal(res) else graded_betti(minimize(res))
+    constructed = graded_betti(minimize(res))
     bS = graded_betti(instance.S)
     bX = graded_betti(instance.X)
     bT = graded_betti(instance.T)
@@ -390,7 +390,7 @@ def cmd_poincare(job: JobSpec):
         raise UsageError("poincare works in block mode; drop --ideal-i/--ideal-j")
     instance = _instance_of(job)
     build = build_fiber(instance, constrained=job.constrained)
-    res = build.resolution if is_minimal(build.resolution) else minimize(build.resolution)
+    res = minimize(build.resolution)
     R_IpJ = resolution_of(ideal_sum(instance.Ip, instance.J))
     R_IJp = resolution_of(ideal_sum(instance.I, instance.Jp))
     R_IplusJ = resolution_of(ideal_sum(instance.I, instance.J))

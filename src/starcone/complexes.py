@@ -4,6 +4,8 @@ A complex stores, per homological degree n, the twist tuple of a free module
 and the matrix of the differential into degree n-1.  Columns of a matrix
 correspond to generators of the source, rows to generators of the target;
 entry (i, j) must be homogeneous of degree twists_n[j] - twists_{n-1}[i].
+Matrices are sparse: PolyMatrix keeps each column as {row: nonzero entry},
+and no other module depends on that layout.
 
 Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
   * suspension by l multiplies every differential by (-1)^l;
@@ -29,78 +31,92 @@ class InvariantViolation(RuntimeError):
 
 
 class PolyMatrix:
-    """Dense-addressed, sparsity-aware matrix of polynomials."""
+    """Sparse matrix of polynomials, stored by column.
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    Column j is a dict {row: nonzero Polynomial}; zero entries are never
+    stored, so equal matrices have equal columns.  Callers read entries
+    through column(j), entry(i, j) and nonzero_entries(); rows is a
+    derived dense view for rendering.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "_cols")
 
     def __init__(self, ring: RingSpec, nrows: int, ncols: int, rows):
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = tuple(tuple(r) for r in rows)
-        if len(self.rows) != nrows or any(len(r) != ncols for r in self.rows):
+        rows = [tuple(r) for r in rows]
+        if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError("matrix shape mismatch")
+        self.ring, self.nrows, self.ncols = ring, nrows, ncols
+        self._cols = [{i: row[j] for i, row in enumerate(rows) if row[j].terms}
+                      for j in range(ncols)]
+
+    @staticmethod
+    def _of_columns(ring: RingSpec, nrows: int, ncols: int, cols: list) -> "PolyMatrix":
+        M = object.__new__(PolyMatrix)
+        M.ring, M.nrows, M.ncols, M._cols = ring, nrows, ncols, cols
+        return M
 
     @staticmethod
     def zero(ring: RingSpec, nrows: int, ncols: int) -> "PolyMatrix":
-        z = Polynomial.zero(ring)
-        return PolyMatrix(ring, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return PolyMatrix._of_columns(ring, nrows, ncols, [{} for _ in range(ncols)])
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "PolyMatrix":
-        z, o = Polynomial.zero(ring), Polynomial.one(ring)
-        return PolyMatrix(
-            ring, n, n, [[o if i == j else z for j in range(n)] for i in range(n)]
-        )
+        one = Polynomial.one(ring)
+        return PolyMatrix._of_columns(ring, n, n, [{j: one} for j in range(n)])
 
     @staticmethod
     def from_entries(ring: RingSpec, nrows: int, ncols: int, entries: dict) -> "PolyMatrix":
-        rows = [[Polynomial.zero(ring)] * ncols for _ in range(nrows)]
+        cols: list = [{} for _ in range(ncols)]
         for (i, j), p in entries.items():
-            rows[i][j] = p
-        return PolyMatrix(ring, nrows, ncols, rows)
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError(f"entry ({i},{j}) outside a {nrows}x{ncols} matrix")
+            if p.terms:
+                cols[j][i] = p
+        return PolyMatrix._of_columns(ring, nrows, ncols, cols)
+
+    def column(self, j: int) -> dict:
+        """Column j as {row: nonzero entry}; callers must not modify it."""
+        return self._cols[j]
 
     def entry(self, i: int, j: int) -> Polynomial:
-        return self.rows[i][j]
+        p = self._cols[j].get(i)
+        return Polynomial.zero(self.ring) if p is None else p
+
+    @property
+    def rows(self) -> tuple:
+        z = Polynomial.zero(self.ring)
+        return tuple(tuple(col.get(i, z) for col in self._cols) for i in range(self.nrows))
 
     def nonzero_entries(self) -> Iterator[Tuple[int, int, Polynomial]]:
-        for i, row in enumerate(self.rows):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    yield i, j, p
+        """(row, column, entry) in row-major order."""
+        for i, j in sorted((i, j) for j, col in enumerate(self._cols) for i in col):
+            yield i, j, self._cols[j][i]
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.rows for p in row)
+        return not any(self._cols)
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        acc: dict = {}
-        for i, row in enumerate(self.rows):
-            for k, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.rows[k]):
-                    if b.is_zero():
-                        continue
+        cols = []
+        for col in other._cols:
+            acc: dict = {}
+            for k, b in col.items():
+                for i, a in self._cols[k].items():
                     prod = a * b
-                    key = (i, j)
-                    acc[key] = acc[key] + prod if key in acc else prod
-        return PolyMatrix.from_entries(self.ring, self.nrows, other.ncols, acc)
+                    acc[i] = acc[i] + prod if i in acc else prod
+            cols.append({i: p for i, p in acc.items() if p.terms})
+        return PolyMatrix._of_columns(self.ring, self.nrows, other.ncols, cols)
 
     def neg(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.ring, self.nrows, self.ncols, [[-p for p in row] for row in self.rows]
-        )
+        cols = [{i: -p for i, p in col.items()} for col in self._cols]
+        return PolyMatrix._of_columns(self.ring, self.nrows, self.ncols, cols)
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row counts disagree")
-        return PolyMatrix(
-            self.ring,
-            self.nrows,
-            self.ncols + other.ncols,
-            [a + b for a, b in zip(self.rows, other.rows)],
+        return PolyMatrix._of_columns(
+            self.ring, self.nrows, self.ncols + other.ncols, self._cols + other._cols
         )
 
     def __eq__(self, other) -> bool:
@@ -109,7 +125,7 @@ class PolyMatrix:
             and self.ring == other.ring
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._cols == other._cols
         )
 
     def __hash__(self):
@@ -246,10 +262,7 @@ def pair_map(ring: RingSpec, labels: list, targets: list, left, right) -> PolyMa
             if act is None:
                 continue
             M, k, negate = act
-            for r in range(M.nrows):
-                p = M.entry(r, b if side else a)
-                if p.is_zero():
-                    continue
+            for r, p in M.column(b if side else a).items():
                 lab = (i, a, k, r) if side else (k, r, j, b)
                 entries[(target[lab], col)] = -p if negate else p
     return PolyMatrix.from_entries(ring, len(targets), len(labels), entries)
@@ -279,6 +292,14 @@ def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     return ChainComplex(ring, modules, diffs, check=False)
 
 
+def _upper_block(A: PolyMatrix, B: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
+    """The block matrix [[A, B], [0, D]]."""
+    cols = [A.column(j) for j in range(A.ncols)] + [
+        {**B.column(j), **{A.nrows + i: p for i, p in D.column(j).items()}} for j in range(D.ncols)
+    ]
+    return PolyMatrix._of_columns(A.ring, A.nrows + D.nrows, A.ncols + D.ncols, cols)
+
+
 def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("summands live in different rings")
@@ -286,18 +307,8 @@ def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     modules = {}
     for n in set(C.modules) | set(D.modules):
         modules[n] = C.twists(n) + D.twists(n)
-    diffs = {}
-    for n in modules:
-        rc, rd = C.rank(n), D.rank(n)
-        tc, td = C.rank(n - 1), D.rank(n - 1)
-        if tc + td == 0 or rc + rd == 0:
-            continue
-        entries = {}
-        for i, j, p in C.diff(n).nonzero_entries():
-            entries[(i, j)] = p
-        for i, j, p in D.diff(n).nonzero_entries():
-            entries[(tc + i, rc + j)] = p
-        diffs[n] = PolyMatrix.from_entries(ring, tc + td, rc + rd, entries)
+    diffs = {n: _upper_block(C.diff(n), PolyMatrix.zero(ring, C.rank(n - 1), D.rank(n)), D.diff(n))
+             for n in modules}
     return ChainComplex(ring, modules, diffs, check=False)
 
 
@@ -319,12 +330,8 @@ def chain_map_defect(f: ChainMap):
     """First degree where the square d_target f - f d_source fails, or None."""
     degrees = set(f.source.modules) | set(f.target.modules)
     for n in sorted(degrees):
-        lhs = f.target.diff(n).mul(f.mat(n))
-        rhs = f.mat(n - 1).mul(f.source.diff(n))
-        for i in range(lhs.nrows):
-            for j in range(lhs.ncols):
-                if lhs.entry(i, j) != rhs.entry(i, j):
-                    return n
+        if f.target.diff(n).mul(f.mat(n)) != f.mat(n - 1).mul(f.source.diff(n)):
+            return n
     return None
 
 
@@ -348,20 +355,7 @@ def cone(f: ChainMap) -> ChainComplex:
         tw = T.twists(n) + S.twists(n - 1)
         if tw:
             modules[n] = tw
-    diffs = {}
-    for n in modules:
-        tc, sc = T.rank(n), S.rank(n - 1)
-        tr, sr = T.rank(n - 1), S.rank(n - 2)
-        if tr + sr == 0:
-            continue
-        entries = {}
-        for i, j, p in T.diff(n).nonzero_entries():
-            entries[(i, j)] = p
-        for i, j, p in f.mat(n - 1).nonzero_entries():
-            entries[(i, tc + j)] = p
-        for i, j, p in S.diff(n - 1).nonzero_entries():
-            entries[(tr + i, tc + j)] = -p
-        diffs[n] = PolyMatrix.from_entries(ring, tr + sr, tc + sc, entries)
+    diffs = {n: _upper_block(T.diff(n), f.mat(n - 1), S.diff(n - 1).neg()) for n in modules}
     return ChainComplex(ring, modules, diffs, check=False)
 
 
@@ -385,9 +379,10 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
     for n in C.support():
         low = n == C.min_degree()
         found = [{mono_one(C.ring.nvars)} if low and w == 0 else set() for w in C.twists(n)]
-        for i, row in enumerate(C.diffs[n].rows if n in C.diffs else ()):
-            for j, p in enumerate(row):
-                found[j].update(mono_mul(mdegs[n - 1][i], m) for m in p.terms)
+        mat = C.diff(n)
+        for j, f in enumerate(found):
+            for i, p in mat.column(j).items():
+                f.update(mono_mul(mdegs[n - 1][i], m) for m in p.terms)
         mdegs[n] = [f.pop() for f in found if len(f) == 1]
         if [mono_degree(a) for a in mdegs[n]] != list(C.twists(n)):
             return None

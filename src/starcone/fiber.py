@@ -83,27 +83,29 @@ class LiftReport:
 
 # ----------------------------------------------------------------- lifting
 
-def _lift_column(X: ChainComplex, j: int, mdegs: dict, w_col: list,
+def _lift_column(X: ChainComplex, j: int, mdegs: dict, w_col: dict,
                  constrain_to: Optional[MonomialIdeal]) -> Optional[list]:
-    """A column v with d_j v = w_col, or None.  Each multidegree b of w_col
-    (there is one when the source is multigraded too) is one solve over the
-    generators of X_j and X_{j-1} whose multidegrees divide b, with unknowns
-    x^(b - mdeg) optionally kept inside an ideal."""
+    """A column v with d_j v = w_col ({row: nonzero entry}), or None.  Each
+    multidegree b of w_col (there is one when the source is multigraded
+    too) is one solve over the generators of X_j and X_{j-1} whose
+    multidegrees divide b, with unknowns x^(b - mdeg) optionally kept
+    inside an ideal."""
     ring, F = X.ring, X.ring.coeff_field
     v = [Polynomial.zero(ring)] * X.rank(j)
     d = X.diff(j)
-    for b in {mono_mul(mdegs[j - 1][i], m) for i, p in enumerate(w_col) for m in p.terms}:
+    for b in {mono_mul(mdegs[j - 1][i], m) for i, p in w_col.items() for m in p.terms}:
         rows = [(i, mono_div(b, a)) for i, a in enumerate(mdegs[j - 1]) if mono_divides(a, b)]
         cols = [(g, mono_div(b, a)) for g, a in enumerate(mdegs.get(j, ())) if mono_divides(a, b)]
         if constrain_to is not None:
             cols = [(g, m) for g, m in cols if constrain_to.contains_monomial(m)]
+        row_of = {i: r for r, (i, _) in enumerate(rows)}
         entries = {
-            (r, k): c
+            (row_of[i], k): c
             for k, (g, _) in enumerate(cols)
-            for r, (i, _) in enumerate(rows)
-            for c in d.rows[i][g].terms.values()
+            for i, p in d.column(g).items() if i in row_of
+            for c in p.terms.values()
         }
-        rhs = [w_col[i].terms.get(m, F.zero) for i, m in rows]
+        rhs = [w_col[i].terms.get(m, F.zero) if i in w_col else F.zero for i, m in rows]
         sol = linalg.solve(F, len(rows), len(cols), entries, rhs)
         if sol is None:
             return None
@@ -141,7 +143,7 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
         W = W.mul(S.diff(j))
         entries = {}
         for g in range(S.rank(j)):
-            v = _lift_column(X, j, mdegs, [row[g] for row in W.rows], constrain_to)
+            v = _lift_column(X, j, mdegs, W.column(g), constrain_to)
             if v is None:
                 inside = "" if constrain_to is None else f" with entries inside {constrain_to}"
                 raise LiftError(j, "no solution" + inside)

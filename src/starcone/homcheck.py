@@ -69,10 +69,7 @@ def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal
     entries: dict = {}
     mat = C.diff(n)
     for col, (j, m) in enumerate(col_labels):
-        for i in range(mat.nrows):
-            p = mat.entry(i, j)
-            if p.is_zero():
-                continue
+        for i, p in mat.column(j).items():
             for me, c in p.terms.items():
                 prod = mono_mul(me, m)
                 if modulo is not None and modulo.contains_monomial(prod):
@@ -115,7 +112,7 @@ def _block_pieces(C: ChainComplex, mdegs: dict, d_max: int, modulo: Optional[Mon
             for j, (w, a) in enumerate(zip(C.twists(n), mdeg))]
     standard = [[code(m) for m in monomials_of_degree(C.ring.nvars, r)
                  if modulo is None or not modulo.contains_monomial(m)] for r in range(base)]
-    columns = {n: [[(i, c) for i, row in enumerate(C.diff(n).rows) for c in row[j].terms.values()]
+    columns = {n: [[(i, c) for i, p in C.diff(n).column(j).items() for c in p.terms.values()]
                    for j in range(C.rank(n))] for n in mdegs}
     memo: dict = {}
     for d in range(base):

@@ -1,5 +1,5 @@
 """Free resolutions of monomial quotients: Koszul and Taylor complexes,
-plus Gaussian minimization of an arbitrary complex.
+plus Gaussian minimization of an arbitrary complex by sparse Schur updates.
 
 No Groebner machinery anywhere: Taylor + minimize is the general route,
 and for generators forming a regular sequence the Taylor complex already
@@ -7,6 +7,7 @@ IS the Koszul complex on them.
 """
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 from typing import Sequence
 
@@ -107,65 +108,55 @@ def taylor(I: MonomialIdeal) -> ChainComplex:
 
 
 def minimize(C: ChainComplex) -> ChainComplex:
-    """Cancel unit (degree-zero) entries until none remain.
+    """Cancel unit entries (nonzero constant coefficient) until none remain.
 
-    Pivot choice is deterministic: first constant entry in (homological
-    degree, row, column) order.  Each cancellation removes one generator
-    at n and one at n-1, applies the Schur update to the differential at
-    n, deletes the pivot row from the differential at n+1 and the pivot
-    column from the differential at n-1.  Homology is untouched.
+    Pivot choice is deterministic: first unit entry in (homological degree,
+    row, column) order.  Cancelling d_n[i, j] removes generator j of C_n and
+    generator i of C_{n-1}: every column k of d_n with an entry in row i
+    gets the sparse Schur update column_k - column_j * d_n[i, k] / c, with
+    c the pivot's constant coefficient, and row j of d_{n+1} and column i
+    of d_{n-1} are deleted.  Generators keep their input indices until the
+    end, so this order is the input's.  Needs no grading; homology is
+    untouched.
     """
-    F = C.ring.coeff_field
-    mods = {n: list(tw) for n, tw in C.modules.items()}
-    mats = {
-        n: [list(row) for row in C.diff(n).rows] for n in sorted(mods)
-    }
-
-    def find_pivot():
-        for n in sorted(mats):
-            for i, row in enumerate(mats[n]):
-                for j, p in enumerate(row):
-                    if not p.is_zero() and p.constant_coeff() != F.zero:
-                        return n, i, j
-        return None
-
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
-        n, pi, pj = hit
-        mat = mats[n]
-        inv = F.inv(mat[pi][pj].constant_coeff())
-        old_rows = len(mat)
-        old_cols = len(mat[0]) if mat else 0
-        new = []
-        for i in range(old_rows):
-            if i == pi:
+    F, zero = C.ring.coeff_field, Polynomial.zero(C.ring)
+    mats = {n: {j: dict(C.diff(n).column(j)) for j in range(C.rank(n))} for n in C.modules}
+    units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items()
+             for i, p in col.items() if p.constant_coeff() != F.zero]
+    heapq.heapify(units)  # may hold stale positions, skipped when popped
+    while units:
+        n, pi, pj = heapq.heappop(units)
+        pivot = mats[n].get(pj, {}).get(pi)
+        if pivot is None or pivot.constant_coeff() == F.zero:
+            continue
+        inv = F.inv(pivot.constant_coeff())
+        pcol = mats[n].pop(pj)
+        for k, col in mats[n].items():
+            if pi not in col:
                 continue
-            row = []
-            for j in range(old_cols):
-                if j == pj:
+            factor = col.pop(pi).scale(inv)
+            for i, q in pcol.items():
+                if i == pi:
                     continue
-                p = mat[i][j] - mat[i][pj] * mat[pi][j].scale(inv)
-                row.append(p)
-            new.append(row)
-        mats[n] = new
-        if n + 1 in mats:
-            mats[n + 1] = [row for i, row in enumerate(mats[n + 1]) if i != pj]
-        if n - 1 in mats:
-            mats[n - 1] = [
-                [p for j, p in enumerate(row) if j != pi] for row in mats[n - 1]
-            ]
-        mods[n].pop(pj)
-        mods[n - 1].pop(pi)
+                p = col.get(i, zero) - q * factor
+                if not p.terms:
+                    col.pop(i, None)
+                    continue
+                col[i] = p
+                if p.constant_coeff() != F.zero:
+                    heapq.heappush(units, (n, i, k))
+        for col in mats.get(n + 1, {}).values():
+            col.pop(pj, None)
+        del mats[n - 1][pi]
 
-    modules = {n: tuple(tw) for n, tw in mods.items() if tw}
-    diffs = {}
-    for n, rows in mats.items():
-        nrows = len(modules.get(n - 1, ()))
-        ncols = len(modules.get(n, ()))
-        if nrows and ncols:
-            diffs[n] = PolyMatrix(C.ring, nrows, ncols, rows)
+    keep = {n: sorted(cols) for n, cols in mats.items()}
+    index = {n: {g: pos for pos, g in enumerate(gens)} for n, gens in keep.items()}
+    diffs = {
+        n: PolyMatrix.from_entries(C.ring, len(keep[n - 1]), len(gens), {
+            (index[n - 1][i], index[n][g]): p for g in gens for i, p in mats[n][g].items()})
+        for n, gens in keep.items() if n - 1 in keep
+    }
+    modules = {n: tuple(C.twists(n)[g] for g in gens) for n, gens in keep.items()}
     return ChainComplex(C.ring, modules, diffs, check=False)
 
 

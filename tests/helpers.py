@@ -143,3 +143,35 @@ def address_space_cap(extra_mib):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def dense_minimize(C):
+    """Oracle for minimize: Gaussian cancellation on dense lists of rows,
+    rescanning for the first unit entry in (degree, row, column) order
+    before every step, as minimize did before it went sparse."""
+    from starcone import ChainComplex, PolyMatrix
+
+    F = C.ring.coeff_field
+    mods = {n: list(tw) for n, tw in C.modules.items()}
+    mats = {n: [list(row) for row in C.diff(n).rows] for n in sorted(mods)}
+    while True:
+        units = [(n, i, j) for n in sorted(mats) for i, row in enumerate(mats[n])
+                 for j, p in enumerate(row) if p.constant_coeff() != F.zero]
+        if not units:
+            break
+        n, pi, pj = units[0]
+        mat = mats[n]
+        inv = F.inv(mat[pi][pj].constant_coeff())
+        mats[n] = [[mat[i][j] - mat[i][pj] * mat[pi][j].scale(inv)
+                    for j in range(len(mat[i])) if j != pj]
+                   for i in range(len(mat)) if i != pi]
+        if n + 1 in mats:
+            mats[n + 1] = [row for i, row in enumerate(mats[n + 1]) if i != pj]
+        if n - 1 in mats:
+            mats[n - 1] = [[p for j, p in enumerate(row) if j != pi] for row in mats[n - 1]]
+        mods[n].pop(pj)
+        mods[n - 1].pop(pi)
+    modules = {n: tuple(tw) for n, tw in mods.items() if tw}
+    diffs = {n: PolyMatrix(C.ring, len(modules.get(n - 1, ())), len(modules.get(n, ())), rows)
+             for n, rows in mats.items() if modules.get(n - 1) and modules.get(n)}
+    return ChainComplex(C.ring, modules, diffs, check=False)

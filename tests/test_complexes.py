@@ -54,6 +54,50 @@ def test_complex_validates_homogeneity():
         )
 
 
+def test_poly_matrix_dense_rows_round_trip():
+    P = lambda t: poly_parse(t, RING)
+    rows = ((P("x"), P("0"), P("y^2")), (P("0"), P("0"), P("3*z")))
+    M = PolyMatrix(RING, 2, 3, rows)
+    assert M.rows == rows
+    assert M.entry(0, 2) == P("y^2") and M.entry(1, 0).is_zero()
+    assert PolyMatrix(RING, 2, 3, M.rows) == M
+
+
+def test_poly_matrix_does_not_store_zero_entries():
+    P = lambda t: poly_parse(t, RING)
+    with_zero = PolyMatrix.from_entries(RING, 2, 2, {(0, 1): P("x"), (1, 0): P("0")})
+    assert with_zero == PolyMatrix.from_entries(RING, 2, 2, {(0, 1): P("x")})
+    assert list(with_zero.nonzero_entries()) == [(0, 1, P("x"))]
+    assert PolyMatrix.from_entries(RING, 2, 2, {(1, 1): P("0")}).is_zero()
+
+
+def test_poly_matrix_shape_mismatch():
+    P = lambda t: poly_parse(t, RING)
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        PolyMatrix(RING, 2, 2, [[P("x"), P("y")], [P("z")]])
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        PolyMatrix(RING, 1, 2, [[P("x"), P("y")], [P("z"), P("x")]])
+
+
+def test_poly_matrix_mul_by_hand():
+    P = lambda t: poly_parse(t, RING)
+    A = PolyMatrix(RING, 2, 2, [[P("x"), P("y")], [P("0"), P("z")]])
+    B = PolyMatrix(RING, 2, 3, [[P("y"), P("1"), P("0")], [P("-x"), P("0"), P("z")]])
+    # row 0: [x*y - y*x, x, y*z]; row 1: [-x*z, 0, z^2]
+    want = PolyMatrix(RING, 2, 3, [[P("0"), P("x"), P("y*z")], [P("-x*z"), P("0"), P("z^2")]])
+    assert A.mul(B) == want
+    with pytest.raises(ValueError):
+        B.mul(A)
+
+
+def test_poly_matrix_nonzero_entries_row_major():
+    P = lambda t: poly_parse(t, RING)
+    entries = {(1, 0): P("x"), (0, 2): P("y"), (1, 2): P("z"), (0, 0): P("1")}
+    M = PolyMatrix.from_entries(RING, 2, 3, entries)
+    assert [(i, j) for i, j, _ in M.nonzero_entries()] == [(0, 0), (0, 2), (1, 0), (1, 2)]
+    assert all(p == entries[i, j] for i, j, p in M.nonzero_entries())
+
+
 def test_zero_matrix_and_empty_module_dropped():
     C = ChainComplex(RING, {0: (0,), 1: (), 2: (5,)}, {})
     assert C.support() == [0, 2]

@@ -19,6 +19,9 @@ DATA = Path(__file__).parent / "data"
 E_PRIME = ["--vars-a", "x1,x2", "--vars-b", "y", "--ideal-i", "x1^2,x1*x2",
            "--iprime", "x1^4,x1^2*x2^2", "--ideal-j", "y", "--jprime", "y^2"]
 
+# Koszul on x + y, z^2: not multigraded, so verify --in ranks graded pieces.
+NON_MULTIGRADED = str(DATA / "koszul_x_plus_y_z2.json")
+
 CASES = {
     "fiber_betti_json_verify": ["fiber", "--vars-a", "x1,x2", "--vars-b", "y", "--iprime", "x1*x2",
                                 "--jprime", "y^3", "--betti", "--json", "--verify"],
@@ -34,11 +37,15 @@ CASES = {
                         "--jprime", "y1^2,y1*y2", "--what", "cone-psi"],
     "export_cone_phi_explicit_q": ["export", *E_PRIME, "--prime", "0", "--what", "cone-phi"],
     "export_fiber_explicit_q": ["export", *E_PRIME, "--prime", "0"],
+    "export_fiber_cancelling": ["export", "--vars-a", "x1,x2", "--vars-b", "y",
+                                "--iprime", "x1^2,x1*x2,x2^2", "--jprime", "y^2"],
     "export_star": ["export", "--vars-a", "x1,x2", "--vars-b", "y", "--what", "star"],
     "poincare_json": ["poincare", "--vars-a", "x", "--vars-b", "y1,y2", "--iprime", "x^2",
                       "--jprime", "y1*y2", "--json"],
     "betti_json": ["betti", "--vars-a", "x1,x2", "--vars-b", "y", "--iprime", "x1^2,x2^2",
                    "--jprime", "y^2", "--json"],
+    "verify_in_non_multigraded": ["verify", "--in", NON_MULTIGRADED],
+    "verify_in_non_multigraded_json": ["verify", "--in", NON_MULTIGRADED, "--json"],
     "verify_build": ["verify", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^3", "--jprime", "y^2"],
 }
 

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import dense_minimize
 from starcone import (
+    ChainComplex,
+    ChainMap,
     MonomialIdeal,
+    PolyMatrix,
     RingSpec,
     certifies_resolution_of,
+    cone,
     graded_betti,
     hilbert_function,
     homology_dims,
@@ -85,6 +90,62 @@ def test_minimize_preserves_homology():
 def test_minimize_fixes_minimal_complex():
     C = K(RING, "x", "y")
     assert minimize(C) == C
+
+
+def _matrix(ring, nrows, ncols, texts):
+    return PolyMatrix.from_entries(
+        ring, nrows, ncols, {ij: poly_parse(t, ring) for ij, t in texts.items()})
+
+
+def test_minimize_schur_update_adds_and_cancels_terms():
+    # d_1 = [[x, y, x], [1, 1, 1]]: the pivot (1, 0) turns y into y - x
+    # and x into x - x = 0 in the surviving row.
+    C = ChainComplex(RING, {0: (0, 1), 1: (1, 1, 1)}, {1: _matrix(RING, 2, 3, {
+        (0, 0): "x", (0, 1): "y", (0, 2): "x", (1, 0): "1", (1, 1): "1", (1, 2): "1"})})
+    want = ChainComplex(RING, {0: (0,), 1: (1, 1)}, {1: _matrix(RING, 1, 2, {(0, 0): "y - x"})})
+    assert minimize(C) == want
+    assert str(minimize(C).diff(1)) == "[32002*x + y, 0]"
+
+
+def test_minimize_non_multigraded_unit_entry():
+    # Koszul on x + y, z^2 with a redundant copy e3 of e1 and the unit
+    # relation g2 = e1 - e3: cancelling e1 against g2 moves z^2 onto e3.
+    C = ChainComplex(RING3, {0: (0,), 1: (1, 2, 1), 2: (3, 1)}, {
+        1: _matrix(RING3, 1, 3, {(0, 0): "x + y", (0, 1): "z^2", (0, 2): "x + y"}),
+        2: _matrix(RING3, 3, 2, {(0, 0): "z^2", (1, 0): "-x - y", (0, 1): "1", (2, 1): "-1"}),
+    })
+    want = ChainComplex(RING3, {0: (0,), 1: (2, 1), 2: (3,)}, {
+        1: _matrix(RING3, 1, 2, {(0, 0): "z^2", (0, 1): "x + y"}),
+        2: _matrix(RING3, 2, 1, {(0, 0): "-x - y", (1, 0): "z^2"}),
+    })
+    assert is_complex(C) and not is_minimal(C)
+    assert minimize(C) == want
+
+
+def test_minimize_matches_dense_reference_by_hand():
+    K2 = K(RING3, "x + y", "z^2")
+    identity = ChainMap(K2, K2, {n: PolyMatrix.identity(RING3, K2.rank(n)) for n in K2.support()})
+    quadrics = MonomialIdeal.parse(["x^2", "y^2", "z^2", "x*y", "x*z", "y*z"], RING3)
+    # the first cancellation turns the zero at (1, 1) into the unit -1
+    new_unit = ChainComplex(RING, {0: (0, 0), 1: (0, 0)}, {1: _matrix(RING, 2, 2, {
+        (0, 0): "1", (0, 1): "1", (1, 0): "1"})})
+    for C in (cone(identity), taylor(quadrics), new_unit):
+        assert minimize(C) == dense_minimize(C)
+    assert minimize(cone(identity)).is_empty() and minimize(new_unit).is_empty()
+
+
+taylor_gens = st.lists(
+    st.sampled_from(["x^2", "y^2", "z^2", "x*y", "x*z", "y*z", "x^3", "x*y*z", "y^2*z", "x*z^2"]),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@given(taylor_gens)
+def test_minimize_matches_dense_reference(texts):
+    T = taylor(MonomialIdeal.parse(texts, RING3))
+    assert minimize(T) == dense_minimize(T)
 
 
 def test_trivial_resolution():
