@@ -19,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import (
     ChainComplex,
@@ -37,6 +35,7 @@ from .fiber import (
     HypothesisViolation,
     LiftError,
     build_fiber,
+    certify_minimal,
     cone_phi,
     cone_psi,
     default_degree_bound,
@@ -75,29 +74,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class JobSpec:
-    """One CLI invocation, fully parsed."""
-
-    command: str
-    vars_a: tuple = ()
-    vars_b: tuple = ()
-    iprime: Optional[str] = None
-    jprime: Optional[str] = None
-    ideal_i: Optional[str] = None
-    ideal_j: Optional[str] = None
-    prime: int = 32003
-    degree_bound: Optional[int] = None
-    truncate: Optional[int] = None
-    json_out: bool = False
-    verify: bool = False
-    constrained: bool = True
-    betti: bool = False
-    what: str = "fiber"
-    in_path: Optional[str] = None
-    against: Optional[str] = None
-
-
 # ------------------------------------------------------------ input parsing
 
 def _split_names(text: str) -> tuple:
@@ -115,7 +91,7 @@ def _field_of(prime: int):
     return PrimeField(prime)
 
 
-def _ring_of(job: JobSpec) -> RingSpec:
+def _ring_of(job: argparse.Namespace) -> RingSpec:
     if not job.vars_a or not job.vars_b:
         raise UsageError("--vars-a and --vars-b are both required")
     field = _field_of(job.prime)  # a UsageError of its own, not caught below
@@ -157,7 +133,7 @@ def _block_ideal(ring: RingSpec, names: tuple) -> MonomialIdeal:
     return MonomialIdeal(ring, gens)
 
 
-def _ideals_of(job: JobSpec) -> tuple:
+def _ideals_of(job: argparse.Namespace) -> tuple:
     """The ring and the ideals (I', I, J', J) of a job: I and J default to
     the block ideals, I' and J' to zero."""
     ring = _ring_of(job)
@@ -176,27 +152,29 @@ def _ideals_of(job: JobSpec) -> tuple:
     return ring, Ip, I, Jp, J
 
 
-def _instance_of(job: JobSpec) -> FiberInstance:
+def _instance_of(job: argparse.Namespace) -> FiberInstance:
     """Build the instance; block mode (no --ideal-i/--ideal-j) additionally
     gates I' inside I^2 and J' inside J^2."""
     ring, Ip, I, Jp, J = _ideals_of(job)
     if job.ideal_i is None and job.ideal_j is None:
-        I2 = ideal_product(I, I)
-        J2 = ideal_product(J, J)
-        blockA = "<" + ", ".join(job.vars_a) + ">"
-        blockB = "<" + ", ".join(job.vars_b) + ">"
-        if not ideal_contains(I2, Ip):
-            raise HypothesisViolation(
-                f"hypothesis I' inside {blockA}^2 fails: {Ip} is not contained in {I2}"
-            )
-        if not ideal_contains(J2, Jp):
-            raise HypothesisViolation(
-                f"hypothesis J' inside {blockB}^2 fails: {Jp} is not contained in {J2}"
-            )
+        for name, primed, block, names in (("I'", Ip, I, job.vars_a), ("J'", Jp, J, job.vars_b)):
+            square = ideal_product(block, block)
+            if not ideal_contains(square, primed):
+                raise HypothesisViolation(f"hypothesis {name} inside <{', '.join(names)}>^2 "
+                                          f"fails: {primed} is not contained in {square}")
     return make_instance(ring, Ip, I, Jp, J)
 
 
-def _star_of(job: JobSpec):
+def _built(job: argparse.Namespace, block_only: bool = False) -> tuple:
+    """The instance and its build_fiber; betti and poincare compare against
+    block-mode closed forms, so they refuse --ideal-i/--ideal-j."""
+    if block_only and (job.ideal_i is not None or job.ideal_j is not None):
+        raise UsageError(f"{job.command} works in block mode; drop --ideal-i/--ideal-j")
+    instance = _instance_of(job)
+    return instance, build_fiber(instance, constrained=job.constrained_lift)
+
+
+def _star_of(job: argparse.Namespace):
     """The ring, I, J and the star product of their resolutions."""
     ring, _, I, _, J = _ideals_of(job)
     if I.is_zero() or J.is_zero():
@@ -212,44 +190,48 @@ def _ranks(C: ChainComplex) -> list:
     return [C.rank(n) for n in range(C.max_degree() + 1)]
 
 
-def _verification_doc(C: ChainComplex, Q: MonomialIdeal, bound: int) -> dict:
+def _verification(C: ChainComplex, Q: MonomialIdeal | None, bound: int) -> tuple:
+    """Certify C up to degree bound as a resolution of R/Q, or only as
+    exact in positive degrees when Q is None: (document fields, passed)."""
     report = homology_dims(C, bound)
-    expected = hilbert_function(Q, bound)
-    ok = report.exact_in_positive and report.h0 == expected
-    return {
+    ok = report.exact_in_positive
+    v = {
         "bound": bound,
         "complete": report.complete,
         "exact_in_positive_degrees": report.exact_in_positive,
         "h0_hilbert": report.h0,
-        "h0_expected": expected,
-        "h0_matches": report.h0 == expected,
-        "dims": {f"{n},{d}": v for (n, d), v in sorted(report.dims.items())},
-        "verdict": "exact" if ok else "FAILED",
-        "ok": ok,
+        "dims": {f"{n},{d}": dim for (n, d), dim in sorted(report.dims.items())},
     }
+    if Q is not None:
+        v["h0_expected"] = hilbert_function(Q, bound)
+        v["h0_matches"] = report.h0 == v["h0_expected"]
+        ok = ok and v["h0_matches"]
+    v["verdict"] = "exact" if ok else "FAILED"
+    return v, ok
+
+
+def _extent(v: dict) -> str:
+    return " (complete)" if v["complete"] else " (bounded)"
 
 
 def _verify_into(doc: dict, lines: list, C: ChainComplex, Q: MonomialIdeal, bound: int) -> int:
     """Certify C as a resolution of R/Q, record the result in doc and
     lines, and return the exit code."""
-    v = _verification_doc(C, Q, bound)
-    doc["verification"] = v
-    lines.append(
-        f"verification: {'exact' if v['ok'] else 'FAILED'} up to degree {bound}"
-        + (" (complete)" if v["complete"] else " (bounded)")
-    )
-    return EXIT_OK if v["ok"] else EXIT_VERIFICATION
+    v, ok = _verification(C, Q, bound)
+    doc["verification"] = {**v, "ok": ok}
+    lines.append(f"verification: {v['verdict']} up to degree {bound}" + _extent(v))
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _emit(job: JobSpec, doc: dict, text: str) -> str:
-    if job.json_out:
+def _emit(job: argparse.Namespace, doc: dict, text: str) -> str:
+    if job.json:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return text
 
 
 # ---------------------------------------------------------------- commands
 
-def cmd_star(job: JobSpec):
+def cmd_star(job: argparse.Namespace):
     ring, I, J, S = _star_of(job)
     IJ = ideal_product(I, J)
     bound = job.degree_bound if job.degree_bound is not None else S.max_twist()
@@ -311,19 +293,12 @@ def _certificate_text(cert_doc: dict) -> list:
     )
 
 
-def cmd_fiber(job: JobSpec):
-    from .fiber import certify_minimal
-
-    instance = _instance_of(job)
-    build = build_fiber(instance, constrained=job.constrained)
+def cmd_fiber(job: argparse.Namespace):
+    instance, build = _built(job)
     res = build.resolution
     cert = certify_minimal(instance, build)
     Q = instance.quotient_ideal()
-    bound = (
-        job.degree_bound
-        if job.degree_bound is not None
-        else default_degree_bound(instance, res)
-    )
+    bound = job.degree_bound if job.degree_bound is not None else default_degree_bound(instance, res)
     cert_doc = _certificate_doc(build, cert, bound)
     doc = {
         "command": "fiber",
@@ -346,13 +321,9 @@ def cmd_fiber(job: JobSpec):
     return code, doc, "\n".join(lines) + "\n"
 
 
-def cmd_betti(job: JobSpec):
-    if job.ideal_i is not None or job.ideal_j is not None:
-        raise UsageError("betti works in block mode; drop --ideal-i/--ideal-j")
-    instance = _instance_of(job)
-    build = build_fiber(instance, constrained=job.constrained)
-    res = build.resolution
-    constructed = graded_betti(minimize(res))
+def cmd_betti(job: argparse.Namespace):
+    instance, build = _built(job, block_only=True)
+    constructed = graded_betti(minimize(build.resolution))
     bS = graded_betti(instance.S)
     bX = graded_betti(instance.X)
     bT = graded_betti(instance.T)
@@ -385,11 +356,8 @@ def cmd_betti(job: JobSpec):
     return (EXIT_OK if match else EXIT_VERIFICATION), doc, "\n".join(lines) + "\n"
 
 
-def cmd_poincare(job: JobSpec):
-    if job.ideal_i is not None or job.ideal_j is not None:
-        raise UsageError("poincare works in block mode; drop --ideal-i/--ideal-j")
-    instance = _instance_of(job)
-    build = build_fiber(instance, constrained=job.constrained)
+def cmd_poincare(job: argparse.Namespace):
+    instance, build = _built(job, block_only=True)
     res = minimize(build.resolution)
     R_IpJ = resolution_of(ideal_sum(instance.Ip, instance.J))
     R_IJp = resolution_of(ideal_sum(instance.I, instance.Jp))
@@ -455,15 +423,13 @@ def _read_complex(path: str) -> ChainComplex:
         raise UsageError(f"cannot read a complex from {path}: {reason}") from None
 
 
-def cmd_verify(job: JobSpec):
+def cmd_verify(job: argparse.Namespace):
     if job.in_path:
         C = _read_complex(job.in_path)
-        Q = None
-        if job.against:
-            Q = _parse_ideal(C.ring, job.against, "--against")
+        Q = _parse_ideal(C.ring, job.against, "--against") if job.against else None
         bound = job.degree_bound if job.degree_bound is not None else C.max_twist()
         try:
-            report = homology_dims(C, bound)
+            v, ok = _verification(C, Q, bound)
         except ValueError as e:
             doc = {
                 "command": "verify",
@@ -473,69 +439,38 @@ def cmd_verify(job: JobSpec):
                 "reason": str(e),
             }
             return EXIT_VERIFICATION, doc, f"verify: FAILED ({e})\n"
-        ok = report.exact_in_positive
-        doc = {
-            "command": "verify",
-            "source": "imported",
-            "bound": bound,
-            "complete": report.complete,
-            "exact_in_positive_degrees": report.exact_in_positive,
-            "dims": {f"{n},{d}": v for (n, d), v in sorted(report.dims.items())},
-            "h0_hilbert": report.h0,
-        }
-        lines = [
-            f"verify: imported complex, degree bound {bound}"
-            + (" (complete)" if report.complete else " (bounded)"),
-            "exact in positive degrees: " + ("yes" if report.exact_in_positive else "NO"),
-            "H0 Hilbert: " + " ".join(str(v) for v in report.h0),
-        ]
+        doc = {"command": "verify", "source": "imported", **v}
+        subject, against = "imported complex", []
         if Q is not None:
-            expected = hilbert_function(Q, bound)
-            match = report.h0 == expected
-            ok = ok and match
-            doc["h0_expected"] = expected
-            doc["h0_matches"] = match
-            lines.append(f"H0 against {Q}: " + ("match" if match else "MISMATCH"))
-        doc["verdict"] = "exact" if ok else "FAILED"
-        lines.append(f"verdict: {doc['verdict']}")
-        return (EXIT_OK if ok else EXIT_VERIFICATION), doc, "\n".join(lines) + "\n"
-    # no --in: build the fiber construction and certify it
-    instance = _instance_of(job)
-    build = build_fiber(instance, constrained=job.constrained)
-    res = build.resolution
-    Q = instance.quotient_ideal()
-    bound = (
-        job.degree_bound
-        if job.degree_bound is not None
-        else default_degree_bound(instance, res)
-    )
-    v = _verification_doc(res, Q, bound)
-    doc = {"command": "verify", "source": "fiber", "quotient_ideal": str(Q), **v}
+            against = [f"H0 against {Q}: " + ("match" if v["h0_matches"] else "MISMATCH")]
+    else:
+        instance, build = _built(job)
+        res = build.resolution
+        Q = instance.quotient_ideal()
+        bound = job.degree_bound if job.degree_bound is not None else default_degree_bound(instance, res)
+        v, ok = _verification(res, Q, bound)
+        doc = {"command": "verify", "source": "fiber", "quotient_ideal": str(Q), **v, "ok": ok}
+        subject, against = f"resolution of R/{Q}", []
     lines = [
-        f"verify: resolution of R/{Q}, degree bound {bound}"
-        + (" (complete)" if v["complete"] else " (bounded)"),
-        "exact in positive degrees: "
-        + ("yes" if v["exact_in_positive_degrees"] else "NO"),
+        f"verify: {subject}, degree bound {bound}" + _extent(v),
+        "exact in positive degrees: " + ("yes" if v["exact_in_positive_degrees"] else "NO"),
         "H0 Hilbert: " + " ".join(str(x) for x in v["h0_hilbert"]),
+        *against,
         f"verdict: {v['verdict']}",
     ]
-    return (EXIT_OK if v["ok"] else EXIT_VERIFICATION), doc, "\n".join(lines) + "\n"
+    return (EXIT_OK if ok else EXIT_VERIFICATION), doc, "\n".join(lines) + "\n"
 
 
-def cmd_export(job: JobSpec):
+def cmd_export(job: argparse.Namespace):
     if job.what == "star":
         C = _star_of(job)[3]
+    elif job.what == "fiber":
+        C = _built(job)[1].resolution
     else:
-        instance = _instance_of(job)
-        if job.what == "fiber":
-            C = build_fiber(instance, constrained=job.constrained).resolution
-        elif job.what == "cone-phi":
-            C = cone_phi(instance, constrained=job.constrained)
-        else:
-            C = cone_psi(instance, constrained=job.constrained)
+        cone_of = cone_phi if job.what == "cone-phi" else cone_psi
+        C = cone_of(_instance_of(job), constrained=job.constrained_lift)
     doc = complex_to_json_dict(C)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return EXIT_OK, doc, text
+    return EXIT_OK, doc, json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------- entry point
@@ -566,6 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="require comparison-lift entries inside I resp. J",
         )
         p.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
+        # flags only some subcommands define: every job still carries them
+        p.set_defaults(iprime=None, jprime=None, verify=False, betti=False, what="fiber",
+                       in_path=None, against=None)
 
     p_star = sub.add_parser("star", help="build the star product of two resolutions")
     common(p_star, ideals=False)
@@ -598,30 +536,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def job_from_args(args: argparse.Namespace) -> JobSpec:
+def job_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the numeric flags and split the variable lists of a parsed
+    command line, which is then the job that run executes."""
     if args.degree_bound is not None and args.degree_bound < 0:
         raise UsageError("--degree-bound must be nonnegative")
     if args.truncate is not None and args.truncate < 0:
         raise UsageError("--truncate must be nonnegative")
-    return JobSpec(
-        command=args.command,
-        vars_a=_split_names(args.vars_a) if args.vars_a else (),
-        vars_b=_split_names(args.vars_b) if args.vars_b else (),
-        iprime=getattr(args, "iprime", None),
-        jprime=getattr(args, "jprime", None),
-        ideal_i=args.ideal_i,
-        ideal_j=args.ideal_j,
-        prime=args.prime,
-        degree_bound=args.degree_bound,
-        truncate=args.truncate,
-        json_out=args.json,
-        constrained=args.constrained_lift,
-        verify=getattr(args, "verify", False),
-        betti=getattr(args, "betti", False),
-        what=getattr(args, "what", "fiber"),
-        in_path=getattr(args, "in_path", None),
-        against=getattr(args, "against", None),
-    )
+    args.vars_a = _split_names(args.vars_a) if args.vars_a else ()
+    args.vars_b = _split_names(args.vars_b) if args.vars_b else ()
+    return args
 
 
 _COMMANDS = {
@@ -634,7 +558,7 @@ _COMMANDS = {
 }
 
 
-def run(job: JobSpec) -> tuple:
+def run(job: argparse.Namespace) -> tuple:
     """Execute one job; returns (exit code, output text)."""
     try:
         code, doc, text = _COMMANDS[job.command](job)
@@ -652,8 +576,6 @@ def run(job: JobSpec) -> tuple:
         return EXIT_USAGE, f"usage error: {e}\n"
     except MemoryError:
         return EXIT_RESOURCE, "resource error: out of memory\n"
-    if job.command == "export":
-        return code, text
     return code, _emit(job, doc, text)
 
 
@@ -666,9 +588,8 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     code, text = run(job)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if job.out:
+        with open(job.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

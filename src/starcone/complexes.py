@@ -416,13 +416,6 @@ class PowerSeries:
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n > self.truncation:
-            raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
-        return self.coeffs[n]
-
     @staticmethod
     def of(coeffs, truncation: int) -> "PowerSeries":
         cs = list(coeffs)[: truncation + 1]
@@ -457,9 +450,6 @@ class PowerSeries:
                 b = other.coeffs[j] if j <= other.truncation else 0
                 out[i + j] += a * b
         return PowerSeries(tuple(out))
-
-    def scale(self, c: int) -> "PowerSeries":
-        return PowerSeries(tuple(c * a for a in self.coeffs))
 
     def shift_up(self, k: int) -> "PowerSeries":
         """Multiply by t^k (truncation grows with the shift)."""
@@ -593,7 +583,7 @@ def complex_to_json_dict(C: ChainComplex) -> dict:
     return {"ring": C.ring.describe(), "modules": modules, "differentials": diffs}
 
 
-def complex_from_json_dict(doc: dict, check: bool = True) -> ChainComplex:
+def complex_from_json_dict(doc: dict) -> ChainComplex:
     ring = RingSpec.from_description(doc["ring"])
     modules = {int(n): tuple(tw) for n, tw in doc["modules"].items()}
     diffs = {}
@@ -603,12 +593,12 @@ def complex_from_json_dict(doc: dict, check: bool = True) -> ChainComplex:
         ncols = len(modules.get(n, ()))
         mat_rows = [[poly_parse(s, ring) for s in row] for row in rows]
         diffs[n] = PolyMatrix(ring, nrows, ncols, mat_rows)
-    return ChainComplex(ring, modules, diffs, check=check)
+    return ChainComplex(ring, modules, diffs)
 
 
 def complex_to_json(C: ChainComplex) -> str:
     return json.dumps(complex_to_json_dict(C), indent=2, sort_keys=True)
 
 
-def complex_from_json(text: str, check: bool = True) -> ChainComplex:
-    return complex_from_json_dict(json.loads(text), check=check)
+def complex_from_json(text: str) -> ChainComplex:
+    return complex_from_json_dict(json.loads(text))

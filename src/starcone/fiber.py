@@ -284,13 +284,13 @@ def default_degree_bound(instance: FiberInstance, resolution: ChainComplex) -> i
     return max(instance.max_gen_degree() + resolution.max_degree() + 2, resolution.max_twist())
 
 
-def certify_tor_hypotheses(instance: FiberInstance, d_max: Optional[int] = None) -> dict:
+def certify_tor_hypotheses(instance: FiberInstance) -> dict:
     """Tor-independence of the pairs (I, J), (I', J), (I, J'); raises a
     HypothesisViolation naming the first failing pair."""
     checks = {
-        "(I,J)": is_tor_independent(instance.X, instance.J, d_max),
-        "(I',J)": is_tor_independent(instance.S, instance.J, d_max),
-        "(I,J')": is_tor_independent(instance.X, instance.Jp, d_max),
+        "(I,J)": is_tor_independent(instance.X, instance.J),
+        "(I',J)": is_tor_independent(instance.S, instance.J),
+        "(I,J')": is_tor_independent(instance.X, instance.Jp),
     }
     for pair, rep in checks.items():
         if not rep:
@@ -339,9 +339,8 @@ def _lift_and_compare(instance: FiberInstance, side: int, constrained: bool,
     return psi, build_psi(psi, instance.X, instance.T, star_XY)
 
 
-def build_fiber(instance: FiberInstance, constrained: bool = True,
-                tor_bound: Optional[int] = None) -> FiberBuild:
-    tor_reports = certify_tor_hypotheses(instance, tor_bound)
+def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild:
+    tor_reports = certify_tor_hypotheses(instance)
     star_XY = star_product(instance.X, instance.Y)
     phi, Phi = _lift_and_compare(instance, 0, constrained, star_XY)
     psi, Psi = _lift_and_compare(instance, 1, constrained, star_XY)

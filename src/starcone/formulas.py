@@ -1,21 +1,27 @@
 """Closed-form Betti numbers and Poincare series identities.
 
-With b_i = beta_i(R/I), c_j = beta_j(R/J) and X, Y minimal, the star
-product gives the convolution
+Write A * B for the convolution of two graded Betti tables,
+(A * B)_{l,k} = sum A_{i,j} B_{l-i,k-j}, and A_+ for the part of A in
+homological degrees >= 1.  With X, Y minimal resolutions of R/I, R/J, the
+star product gives
 
-  beta_l(R/IJ) = sum_{i=1}^{l} b_i c_{l+1-i}        (l >= 1),
+  beta(R/IJ) = t^{-1} beta(R/I)_+ * beta(R/J)_+     in degrees >= 1,
 
-graded version with an inner convolution over internal degree.  For the
-two-block quotient F = R/(I' + IJ + J') with I = <x_1..x_m>,
-J = <y_1..y_n>, I' <= I^2, J' <= J^2:
+the shift t^{-1} lowering the homological degree by one.  For the
+two-block quotient F = R/(I' + IJ + J') the graded table is
+
+  beta(F) = beta(R/IJ)_+ + beta(R/I')_+ * beta(R/J) + beta(R/I) * beta(R/J')_+
+                                                    in degrees >= 1,
+
+with beta_{0,0} = 1 in both.  With I = <x_1..x_m>, J = <y_1..y_n>,
+I' <= I^2, J' <= J^2 the totals also have the closed form
 
   beta_l(F) = sum_{t=1}^{l} [ beta_t(R/I') C(n, l-t) + C(m, l-t) beta_t(R/J') ]
               + C(m+n, l+1) - C(m, l+1) - C(n, l+1),
 
-and the graded refinement adds the star table to the two convolutions of
-the primed tables against the opposite Koszul factor.  Both Poincare
-identities below are packaged as residuals that a correct construction
-drives to zero.
+which betti_fiber evaluates on its own, as an independent check of the
+table.  Both Poincare identities below are packaged as residuals that a
+correct construction drives to zero.
 """
 from __future__ import annotations
 
@@ -24,41 +30,39 @@ from math import comb
 from .complexes import BettiTable, PowerSeries
 
 
+# ------------------------------------------------------------ convolution
+
+def _positive(table: BettiTable) -> BettiTable:
+    return BettiTable({(l, k): v for (l, k), v in table.entries.items() if l >= 1})
+
+
+def _convolve(out: dict, A: BettiTable, B: BettiTable, shift: int = 0) -> dict:
+    """Add every A[i,j] B[l,k] into out[(i + l + shift, j + k)]."""
+    for (i, j), a in A.entries.items():
+        for (l, k), b in B.entries.items():
+            key = (i + l + shift, j + k)
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
 # ---------------------------------------------------------------- products
 
 def betti_product(bI: BettiTable, bJ: BettiTable, ell: int) -> int:
     """Total Betti number of R/IJ in homological degree ell >= 1."""
     if ell < 0:
         raise ValueError("homological degree must be nonnegative")
-    if ell == 0:
-        return 1
-    tI = bI.totals()
-    tJ = bJ.totals()
-    return sum(tI.get(i, 0) * tJ.get(ell + 1 - i, 0) for i in range(1, ell + 1))
+    return betti_product_table(bI, bJ).total(ell)
 
 
 def graded_betti_product(bI: BettiTable, bJ: BettiTable, ell: int, k: int) -> int:
     """Graded Betti number beta_{ell,k}(R/IJ)."""
-    if ell == 0:
-        return 1 if k == 0 else 0
-    total = 0
-    for i in range(1, ell + 1):
-        for j in range(0, k + 1):
-            total += bI.entry(i, j) * bJ.entry(ell + 1 - i, k - j)
-    return total
+    return betti_product_table(bI, bJ).entry(ell, k)
 
 
 def betti_product_table(bI: BettiTable, bJ: BettiTable) -> BettiTable:
-    top = bI.max_l() + bJ.max_l() - 1
-    kmax = max((k for (_, k) in bI.entries), default=0) + max(
-        (k for (_, k) in bJ.entries), default=0
-    )
-    entries = {(0, 0): 1}
-    for ell in range(1, top + 1):
-        for k in range(0, kmax + 1):
-            v = graded_betti_product(bI, bJ, ell, k)
-            if v:
-                entries[(ell, k)] = v
+    """beta(R/IJ): the positive parts convolved, one homological degree down."""
+    entries = _convolve({}, _positive(bI), _positive(bJ), shift=-1)
+    entries[0, 0] = 1
     return BettiTable(entries)
 
 
@@ -98,33 +102,18 @@ def betti_fiber(ell: int, m: int, n: int, bIp: BettiTable, bJp: BettiTable) -> i
 
 def graded_betti_fiber(ell: int, k: int, bIJ: BettiTable, bIp: BettiTable,
                        bI: BettiTable, bJp: BettiTable, bJ: BettiTable) -> int:
-    """Graded Betti number of the fiber quotient: the star table plus the
-    two primed-against-opposite convolutions."""
-    if ell == 0:
-        return 1 if k == 0 else 0
-    acc = bIJ.entry(ell, k)
-    for i in range(1, ell + 1):
-        for j in range(0, k + 1):
-            acc += bIp.entry(i, j) * bJ.entry(ell - i, k - j)
-            acc += bI.entry(ell - i, k - j) * bJp.entry(i, j)
-    return acc
+    """Graded Betti number of the fiber quotient."""
+    return fiber_betti_table(bIJ, bIp, bI, bJp, bJ).entry(ell, k)
 
 
 def fiber_betti_table(bIJ: BettiTable, bIp: BettiTable, bI: BettiTable,
                       bJp: BettiTable, bJ: BettiTable) -> BettiTable:
-    top = max(
-        bIJ.max_l(),
-        bIp.max_l() + bJ.max_l(),
-        bI.max_l() + bJp.max_l(),
-    )
-    ks = [k for table in (bIJ, bIp, bI, bJp, bJ) for (_, k) in table.entries]
-    kmax = 2 * max(ks, default=0)
-    entries = {(0, 0): 1}
-    for ell in range(1, top + 1):
-        for k in range(0, kmax + 1):
-            v = graded_betti_fiber(ell, k, bIJ, bIp, bI, bJp, bJ)
-            if v:
-                entries[(ell, k)] = v
+    """beta(F): the star table plus the two primed-against-opposite
+    convolutions."""
+    entries = dict(_positive(bIJ).entries)
+    _convolve(entries, _positive(bIp), bJ)
+    _convolve(entries, bI, _positive(bJp))
+    entries[0, 0] = 1
     return BettiTable(entries)
 
 

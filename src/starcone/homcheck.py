@@ -32,16 +32,14 @@ from .ring import MonomialIdeal, hilbert_function, mono_mul, monomials_of_degree
 class GradedPiece:
     """Matrix of one differential in one internal degree, over the field.
 
-    Columns are labeled (generator index, monomial), rows likewise for the
-    target; labels are ordered generator-major with monomials descending
+    Columns are the basis (generator index, monomial) of the source, rows
+    that of the target, ordered generator-major with monomials descending
     lex within a generator.
     """
 
     nrows: int
     ncols: int
     entries: dict
-    row_labels: list
-    col_labels: list
 
     def rank(self, coeff_field) -> int:
         return linalg.rank(coeff_field, self.nrows, self.ncols, self.entries)
@@ -78,7 +76,7 @@ def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal
                 key = (row, col)
                 entries[key] = F.add(entries[key], c) if key in entries else c
     entries = {k: v for k, v in entries.items() if v != F.zero}
-    return GradedPiece(len(row_labels), len(col_labels), entries, row_labels, col_labels)
+    return GradedPiece(len(row_labels), len(col_labels), entries)
 
 
 def _piece_homology(size: dict, ranks: dict, d: int) -> dict:

@@ -175,3 +175,39 @@ def dense_minimize(C):
     diffs = {n: PolyMatrix(C.ring, len(modules.get(n - 1, ())), len(modules.get(n, ())), rows)
              for n, rows in mats.items() if modules.get(n - 1) and modules.get(n)}
     return ChainComplex(C.ring, modules, diffs, check=False)
+
+
+def loop_betti_product_table(bI, bJ):
+    """Oracle for betti_product_table: every entry (l, k) inside the bounds
+    summed over i = 1..l and j = 0..k, as the per-entry loops did."""
+    from starcone import BettiTable
+
+    top = bI.max_l() + bJ.max_l() - 1
+    kmax = max((k for (_, k) in bI.entries), default=0) + max(
+        (k for (_, k) in bJ.entries), default=0
+    )
+    entries = {(0, 0): 1}
+    for ell in range(1, top + 1):
+        for k in range(kmax + 1):
+            entries[ell, k] = sum(bI.entry(i, j) * bJ.entry(ell + 1 - i, k - j)
+                                  for i in range(1, ell + 1) for j in range(k + 1))
+    return BettiTable(entries)
+
+
+def loop_fiber_betti_table(bIJ, bIp, bI, bJp, bJ):
+    """Oracle for fiber_betti_table, per entry as loop_betti_product_table."""
+    from starcone import BettiTable
+
+    top = max(bIJ.max_l(), bIp.max_l() + bJ.max_l(), bI.max_l() + bJp.max_l())
+    ks = [k for table in (bIJ, bIp, bI, bJp, bJ) for (_, k) in table.entries]
+    kmax = 2 * max(ks, default=0)
+    entries = {(0, 0): 1}
+    for ell in range(1, top + 1):
+        for k in range(kmax + 1):
+            acc = bIJ.entry(ell, k)
+            for i in range(1, ell + 1):
+                for j in range(k + 1):
+                    acc += bIp.entry(i, j) * bJ.entry(ell - i, k - j)
+                    acc += bI.entry(ell - i, k - j) * bJp.entry(i, j)
+            entries[ell, k] = acc
+    return BettiTable(entries)

@@ -219,6 +219,28 @@ def test_unconstrained_flag_allows_degenerate():
     assert "minimal: no" in text
 
 
+# ------------------------------------------------------------ flag surface
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--betti"],
+    ["star", "--iprime", "x^2"],
+    ["fiber", "--in", "f.json"],
+    ["verify", "--what", "star"],
+])
+def test_flag_outside_its_subcommand_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_absent_flags_take_their_defaults():
+    export = job_from_args(build_parser().parse_args(["export", "--vars-a", "x", "--vars-b", "y"]))
+    assert export.verify is False and export.betti is False
+    verify = job_from_args(build_parser().parse_args(["verify", "--vars-a", "x", "--vars-b", "y"]))
+    assert verify.what == "fiber"
+
+
 # ------------------------------------------------------- large coefficients
 
 E = ["--vars-a", "x1,x2", "--vars-b", "y1,y2", "--ideal-i", "x1^2,x1*x2",

@@ -1,5 +1,7 @@
 """Closed-form Betti numbers and the two Poincare-series identities."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from starcone import (
     BettiTable,
@@ -22,6 +24,8 @@ from starcone import (
     tensor,
     vandermonde_check,
 )
+
+from helpers import loop_betti_product_table, loop_fiber_betti_table
 
 KOSZUL1 = BettiTable({(0, 0): 1, (1, 1): 1})
 QUAD = BettiTable({(0, 0): 1, (1, 2): 1})
@@ -123,3 +127,20 @@ def test_vandermonde():
         for n in range(1, 5):
             for r in range(0, m + n + 1):
                 assert vandermonde_check(m, n, r)
+
+
+# Arbitrary tables, not only those of resolutions: any (l, k) >= 0, any
+# positive value, entries in degree 0 other than (0, 0) included.
+betti_tables = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 7)), st.integers(1, 5), max_size=6
+).map(BettiTable)
+
+
+@given(betti_tables, betti_tables)
+def test_betti_product_table_matches_loops(bI, bJ):
+    assert betti_product_table(bI, bJ) == loop_betti_product_table(bI, bJ)
+
+
+@given(st.lists(betti_tables, min_size=5, max_size=5))
+def test_fiber_betti_table_matches_loops(tables):
+    assert fiber_betti_table(*tables) == loop_fiber_betti_table(*tables)

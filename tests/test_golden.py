@@ -21,6 +21,10 @@ E_PRIME = ["--vars-a", "x1,x2", "--vars-b", "y", "--ideal-i", "x1^2,x1*x2",
 
 # Koszul on x + y, z^2: not multigraded, so verify --in ranks graded pieces.
 NON_MULTIGRADED = str(DATA / "koszul_x_plus_y_z2.json")
+# The frozen star export resolves R/<x1*y, x2*y>; verify --in reads it back.
+STAR_EXPORT = str(DATA / "export_star.out")
+# d1 = (x), d2 = (y): homogeneous, but d1 d2 = x*y != 0.
+NOT_A_COMPLEX = str(DATA / "not_a_complex.json")
 
 CASES = {
     "fiber_betti_json_verify": ["fiber", "--vars-a", "x1,x2", "--vars-b", "y", "--iprime", "x1*x2",
@@ -47,22 +51,43 @@ CASES = {
     "verify_in_non_multigraded": ["verify", "--in", NON_MULTIGRADED],
     "verify_in_non_multigraded_json": ["verify", "--in", NON_MULTIGRADED, "--json"],
     "verify_build": ["verify", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^3", "--jprime", "y^2"],
+    "verify_in_against_match": ["verify", "--in", STAR_EXPORT, "--against", "x1*y,x2*y"],
+    "verify_in_against_match_json": ["verify", "--in", STAR_EXPORT, "--against", "x1*y,x2*y", "--json"],
+    "verify_in_against_mismatch": ["verify", "--in", STAR_EXPORT, "--against", "x1*y"],
+    "verify_in_against_mismatch_json": ["verify", "--in", STAR_EXPORT, "--against", "x1*y", "--json"],
+    "verify_in_not_a_complex": ["verify", "--in", NOT_A_COMPLEX],
+    "verify_in_not_a_complex_json": ["verify", "--in", NOT_A_COMPLEX, "--json"],
+    "fiber_verify_bounded": ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^3",
+                             "--jprime", "y^2", "--verify", "--degree-bound", "2"],
+    "fiber_gate_jprime": ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--jprime", "y"],
+    "betti_ideal_i": ["betti", "--vars-a", "x1,x2", "--vars-b", "y", "--ideal-i", "x1^2"],
+    "fiber_explicit_unconstrained_json": ["fiber", *E_PRIME, "--no-constrained-lift", "--json"],
+}
+
+# Exit codes other than 0; every other case must succeed.
+EXIT_CODES = {
+    "verify_in_against_mismatch": 3,
+    "verify_in_against_mismatch_json": 3,
+    "verify_in_not_a_complex": 3,
+    "verify_in_not_a_complex_json": 3,
+    "fiber_gate_jprime": 1,
+    "betti_ideal_i": 2,
 }
 
 
-def render(argv) -> str:
-    code, text = run(job_from_args(build_parser().parse_args(argv)))
-    assert code == 0, text
+def render(name) -> str:
+    code, text = run(job_from_args(build_parser().parse_args(CASES[name])))
+    assert code == EXIT_CODES.get(name, 0), text
     return text
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_document(name):
     want = (DATA / f"{name}.out").read_bytes()
-    assert render(CASES[name]).encode("utf-8") == want
+    assert render(name).encode("utf-8") == want
 
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (DATA / f"{name}.out").write_bytes(render(argv).encode("utf-8"))
+    for name in CASES:
+        (DATA / f"{name}.out").write_bytes(render(name).encode("utf-8"))
