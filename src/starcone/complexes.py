@@ -538,11 +538,9 @@ class BettiTable:
         """Aligned table, rows indexed by k - l, columns by l, '.' for zero."""
         if not self.entries:
             return "(empty)\n"
-        ls = sorted({l for l, _ in self.entries})
-        lo = min(l for l in range(0, max(ls) + 1))
-        hi = max(ls)
+        hi = max(l for l, _ in self.entries)
         rows = sorted({k - l for l, k in self.entries})
-        cols = list(range(lo, hi + 1))
+        cols = list(range(hi + 1))
         tot = self.totals()
         width = max(
             len(str(v)) for v in list(tot.values()) + cols + [0]

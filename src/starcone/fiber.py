@@ -56,6 +56,7 @@ from .ring import (
     RingSpec,
     ideal_contains,
     ideal_product,
+    ideal_sum,
     mono_div,
     mono_divides,
     mono_mul,
@@ -228,8 +229,6 @@ class FiberInstance:
     Y: ChainComplex
 
     def quotient_ideal(self) -> MonomialIdeal:
-        from .ring import ideal_sum
-
         return ideal_sum(ideal_sum(self.Ip, self.Jp), ideal_product(self.I, self.J))
 
     def max_gen_degree(self) -> int:
@@ -322,10 +321,7 @@ def _lift_with_fallback(S, X, ideal, constrained: bool):
             return lift_chain_map(S, X, constrain_to=ideal)
         except LiftError:
             pass
-    report = lift_chain_map(S, X, constrain_to=None)
-    if constrained:
-        report.constrained = False
-    return report
+    return lift_chain_map(S, X, constrain_to=None)
 
 
 def _lift_and_compare(instance: FiberInstance, side: int, constrained: bool,

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import linalg
 from .complexes import ChainComplex, InvariantViolation, is_complex, multidegrees
-from .ring import MonomialIdeal, hilbert_function, mono_mul, monomials_of_degree
+from .ring import MonomialIdeal, hilbert_function, mono_mul, mono_support, monomials_of_degree
 
 
 @dataclass
@@ -150,21 +150,8 @@ class HomologyReport:
     exact_in_positive: bool
     modulo: Optional[str] = None
 
-    def dim(self, n: int, d: int) -> int:
-        return self.dims.get((n, d), 0)
-
     def positive_cells(self) -> dict:
         return {(n, d): v for (n, d), v in self.dims.items() if n >= 1}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dims": {f"{n},{d}": v for (n, d), v in sorted(self.dims.items())},
-            "degree_bound": self.degree_bound,
-            "complete": self.complete,
-            "h0": list(self.h0),
-            "exact_in_positive": self.exact_in_positive,
-            **({"modulo": self.modulo} if self.modulo else {}),
-        }
 
 
 def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] = None) -> HomologyReport:
@@ -216,12 +203,8 @@ class TorReport:
 
 
 def _entry_support(X: ChainComplex) -> frozenset:
-    out: frozenset = frozenset()
-    for mat in X.diffs.values():
-        for _, _, p in mat.nonzero_entries():
-            for m in p.terms:
-                out |= frozenset(i for i, e in enumerate(m) if e)
-    return out
+    return frozenset().union(*(mono_support(m) for mat in X.diffs.values()
+                               for _, _, p in mat.nonzero_entries() for m in p.terms))
 
 
 def is_tor_independent(X: ChainComplex, J: MonomialIdeal, d_max: Optional[int] = None) -> TorReport:

@@ -164,12 +164,11 @@ def test_mutation_of_differential_detected():
             homology_dims(bad, 6)
 
 
-def test_report_serialization():
+def test_report_fields():
     C = K(RING, "x", "y")
     rep = homology_dims(C, 4)
-    doc = rep.to_json_dict()
-    assert doc["exact_in_positive"] is True
-    assert doc["degree_bound"] == 4
+    assert rep.exact_in_positive is True
+    assert rep.degree_bound == 4
 
 
 # ------------------------------------------------------- multidegree blocks

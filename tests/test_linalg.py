@@ -1,6 +1,11 @@
 """Exact elimination: rank and solve over a small prime, the rationals, and a
-prime whose products overflow int64."""
+prime above 2^32, on matrices up to 40 x 40, past the largest multidegree
+block the benchmark ladder ranks (33 x 18)."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +35,7 @@ def random_entries(rng, F, nrows, ncols):
 def test_solve_consistent(F):
     rng = random.Random(11)
     for _ in range(40):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        m, n = rng.randint(1, 40), rng.randint(1, 40)
         entries = random_entries(rng, F, m, n)
         rhs = apply(F, m, entries, [F.of_int(rng.randint(-5, 5)) for _ in range(n)])
         x = linalg.solve(F, m, n, entries, rhs)
@@ -67,8 +72,8 @@ def test_rank_of_known_rank_products(F):
     in every field: its top-left k x k block is the identity."""
     rng = random.Random(13)
     for _ in range(30):
-        k = rng.randint(0, 5)
-        m, n = k + rng.randint(0, 4), k + rng.randint(0, 4)
+        k = rng.randint(0, 30)
+        m, n = k + rng.randint(0, 10), k + rng.randint(0, 10)
         B = [[int(i == t) if i < k else rng.randint(-9, 9) for t in range(k)] for i in range(m)]
         C = [[int(j == t) if j < k else rng.randint(-9, 9) for j in range(n)] for t in range(k)]
         rows, cols = list(range(m)), list(range(n))
@@ -92,3 +97,12 @@ def test_large_prime_entries_stay_exact():
     rhs = [p - 7, 12345678901 % p]
     x = linalg.solve(F, 2, 2, entries, rhs)
     assert apply(F, 2, entries, x) == rhs
+
+
+def test_import_needs_no_numpy():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, starcone; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
