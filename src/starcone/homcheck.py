@@ -13,19 +13,22 @@ instead, which for a resolution of R/I is Tor(R/I, R/J).
 Complexes of monomial ideals are Z^N-graded with single-term entries, so a
 degree-d piece splits into multidegree blocks: label (j, m) of C_n lies in
 block mdeg_j + m, and its matrix is d_n's scalar coefficients on the block's
-generators (Miller-Sturmfels, ch. 1-4); each distinct block is ranked once.
+generators (Miller-Sturmfels, ch. 1-4).  It is fixed by the generators with
+mdeg_j <= b (less, modulo J, those with mdeg_j + u <= b for a generator u of
+J), so the b are walked up one degree at a time with these sets as bitmasks,
+listing no labels; each distinct block is ranked once, counted once per b.
 The multidegrees are read off C, not taken from its construction; a complex
 without them is ranked one total-degree piece at a time.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
 from .complexes import ChainComplex, InvariantViolation, is_complex, multidegrees
-from .ring import MonomialIdeal, hilbert_function, mono_mul, mono_support, monomials_of_degree
+from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_support, monomials_of_degree
 
 
 @dataclass
@@ -97,32 +100,39 @@ def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
         size = {n: len(_degree_basis(C, n, d, modulo)) for n in C.support()}
         ranks = {n: graded_piece(C, n, d, modulo).rank(C.ring.coeff_field)
                  for n in size if size[n]}
-        yield [_piece_homology(size, ranks, d)]
+        yield [(_piece_homology(size, ranks, d), 1)]
 
 
 def _block_pieces(C: ChainComplex, mdegs: dict, d_max: int, modulo: Optional[MonomialIdeal]):
-    """Per degree d <= d_max, the homology of each multidegree block, the
-    labels of _degree_basis grouped by mdeg_j + m.  Blocks with the same
-    generators have the same matrices, so each distinct one is ranked once."""
+    """Per degree d <= d_max, (homology, number of b) for each distinct block.
+    The block at b, the labels (g, x^(b - mdeg_g)) of _degree_basis, is the
+    generators g with mdeg_g <= b less those with mdeg_g + u <= b for some u
+    in modulo.gens.  Both sets are bits of one mask per b, the OR of the masks
+    at every b - e_i and the bits seeded at b.  Each block is ranked once."""
     base = d_max + 1  # no exponent of a degree-d multidegree exceeds d
-    code = lambda m: sum(e * base ** k for k, e in enumerate(m))
-    gens = [(n, j, w, code(a)) for n, mdeg in mdegs.items()
-            for j, (w, a) in enumerate(zip(C.twists(n), mdeg))]
-    standard = [[code(m) for m in monomials_of_degree(C.ring.nvars, r)
-                 if modulo is None or not modulo.contains_monomial(m)] for r in range(base)]
+    steps = [base ** k for k in range(C.ring.nvars)]
+    gens = [(n, j, a) for n, mdeg in mdegs.items() for j, a in enumerate(mdeg)]
+    G = len(gens)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
+    seeds = [defaultdict(int) for _ in range(base)]
+    for g, (_, _, a) in enumerate(gens):
+        for k, b in [(G + g, a)] + [(g, mono_mul(a, u)) for u in (modulo.gens if modulo else ())]:
+            if mono_degree(b) < base:
+                seeds[mono_degree(b)][sum(e * s for e, s in zip(b, steps))] |= 1 << k
     columns = {n: [[(i, c) for i, p in C.diff(n).column(j).items() for c in p.terms.values()]
                    for j in range(C.rank(n))] for n in mdegs}
     memo: dict = {}
-    for d in range(base):
-        blocks: dict = {}
-        for g, (_, _, w, a) in enumerate(gens):
-            for m in standard[d - w] if w <= d else ():
-                blocks.setdefault(a + m, []).append(g)
-        keys = [tuple(block) for block in blocks.values()]
-        for key in keys:
-            if key not in memo:
-                memo[key] = _block_homology(C, columns, [gens[g][:2] for g in key], d)
-        yield [memo[key] for key in keys]
+    masks: dict = {}
+    for d, seeded in enumerate(seeds):
+        below, masks = masks, seeded
+        for b, mask in below.items():
+            for s in steps:
+                masks[b + s] |= mask
+        counts = Counter(mask >> G & ~mask for mask in masks.values())
+        for block in counts:
+            if block not in memo:
+                gs = [gens[g][:2] for g in range(block.bit_length()) if block >> g & 1]
+                memo[block] = _block_homology(C, columns, gs, d)
+        yield [(memo[block], count) for block, count in counts.items()]
 
 
 def _block_homology(C: ChainComplex, columns: dict, block: list, d: int) -> dict:
@@ -165,8 +175,8 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
               else _block_pieces(C, mdegs, d_max, modulo))
     dims: Counter = Counter()
     for d, homologies in enumerate(pieces):
-        for h in homologies:
-            dims.update({(n, d): v for n, v in h.items() if v})
+        for h, count in homologies:
+            dims.update({(n, d): v * count for n, v in h.items() if v})
     return HomologyReport(
         dims=dict(dims),
         degree_bound=d_max,
@@ -213,7 +223,8 @@ def is_tor_independent(X: ChainComplex, J: MonomialIdeal, d_max: Optional[int] =
     Structural fast path: if the variables appearing in X's differentials
     are disjoint from J's support, X stays a resolution after reduction
     (the two sides live in tensor-complementary subrings).  Otherwise
-    certify by bounded Tor computation, which needs an explicit d_max.
+    certify by bounded Tor computation up to d_max, by default
+    X.max_twist() + J.max_gen_degree() + 1.
     """
     if not _entry_support(X) & J.support():
         return TorReport(independent=True, mode="structural")

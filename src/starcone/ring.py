@@ -476,14 +476,22 @@ def _same_ring(I: MonomialIdeal, J: MonomialIdeal):
 
 
 def hilbert_function(I: MonomialIdeal, d_max: int) -> list:
-    """dim_k (R/I)_d for d = 0..d_max, by counting standard monomials."""
+    """dim_k (R/I)_d for d = 0..d_max, by walking the standard monomials up:
+    those of degree d are the x_i-multiples of degree d - 1 ones that are no
+    generator and whose every quotient by a variable is standard.  Codes are
+    in base d_max + 1, which no exponent of degree <= d_max reaches."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    n = I.ring.nvars
-    return [
-        sum(1 for m in monomials_of_degree(n, d) if not I.contains_monomial(m))
-        for d in range(d_max + 1)
-    ]
+    base = d_max + 1
+    steps = [base ** i for i in range(I.ring.nvars)]
+    gens = {sum(e * s for e, s in zip(g, steps)) for g in I.gens if mono_degree(g) <= d_max}
+    layer = {0}
+    out = [1]
+    for _ in range(d_max):
+        layer = {m for m in {m + s for m in layer for s in steps} if m not in gens
+                 and all(m - s in layer for s in steps if m // s % base)}
+        out.append(len(layer))
+    return out
 
 
 def ideal_monomial_count(I: MonomialIdeal, d: int) -> int:

@@ -7,7 +7,18 @@ import random
 import resource
 from contextlib import contextmanager
 
-from starcone import FiberInstance, MonomialIdeal, PrimeField, RingSpec, block_instance, make_instance
+from starcone import (
+    ChainComplex,
+    FiberInstance,
+    MonomialIdeal,
+    PolyMatrix,
+    PrimeField,
+    RingSpec,
+    block_instance,
+    build_fiber,
+    make_instance,
+    poly_parse,
+)
 
 
 def random_exponents(rng: random.Random, nvars: int, degree: int) -> list:
@@ -92,6 +103,25 @@ def instance_e_prime(coeff_field=None) -> FiberInstance:
     """The 2+1 variant of E: J = <y>, J' = <y^2>."""
     return explicit_instance(["x1", "x2"], ["y"], ["x1^4", "x1^2*x2^2"],
                              ["x1^2", "x1*x2"], ["y^2"], ["y"], coeff_field)
+
+
+def koszul_without_syzygy():
+    """R <-[x y]- R(-1)^2, the Koszul complex on x, y with its syzygy
+    missing, and <x, y>.  H_1 is k, at multidegree x*y: above every twist."""
+    ring = RingSpec(("x", "y"))
+    d1 = PolyMatrix.from_entries(ring, 1, 2, {(0, 0): poly_parse("x", ring), (0, 1): poly_parse("y", ring)})
+    return ChainComplex(ring, {0: (0,), 1: (1, 1)}, {1: d1}), MonomialIdeal.parse(["x", "y"], ring)
+
+
+def fiber_without_top_module():
+    """The 2+2 fiber resolution of I' = <x1^2, x2^2>, J' = <y1^2, y2^2> with
+    its top module deleted, and the fiber ideal it no longer resolves."""
+    inst = block_instance(2, 2, ["x1^2", "x2^2"], ["y1^2", "y2^2"])
+    res = build_fiber(inst).resolution
+    top = res.max_degree()
+    C = ChainComplex(res.ring, {n: res.twists(n) for n in res.support() if n < top},
+                     {n: mat for n, mat in res.diffs.items() if n < top})
+    return C, inst.quotient_ideal()
 
 
 def double_every_solve(monkeypatch):

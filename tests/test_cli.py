@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from starcone import complex_to_json
 from starcone.cli import build_parser, job_from_args, main, run
+from starcone.ring import mono_str
 
-from helpers import double_every_solve
+from helpers import double_every_solve, fiber_without_top_module, koszul_without_syzygy
 
 
 def run_argv(argv):
@@ -304,3 +306,25 @@ def test_malformed_verify_input_is_usage(tmp_path, case):
     assert code == 2
     assert text.startswith(f"usage error: cannot read a complex from {path}: ")
     assert text.count("\n") == 1
+
+
+# ------------------------------------------- certificates above every twist
+
+# ROADMAP item 2: "(complete)" only says that the bound covers every twist,
+# but homology can sit at the join of generator multidegrees above them.
+# Each test pins a false "verdict: exact"; item 2 removes the markers.
+ABOVE_EVERY_TWIST = {
+    "koszul_without_syzygy": koszul_without_syzygy,
+    "fiber_without_top_module": fiber_without_top_module,
+}
+
+
+@pytest.mark.xfail(strict=True, reason="complete means only d_max >= max_twist (ROADMAP item 2)")
+@pytest.mark.parametrize("case", sorted(ABOVE_EVERY_TWIST))
+def test_homology_above_every_twist_is_verification_failure(tmp_path, case):
+    C, Q = ABOVE_EVERY_TWIST[case]()
+    path = tmp_path / "in.json"
+    path.write_text(complex_to_json(C))
+    code, text = run_argv(["verify", "--in", str(path), "--against", ",".join(
+        mono_str(g, Q.ring) for g in Q.gens)])
+    assert code == 3, text

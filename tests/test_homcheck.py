@@ -1,4 +1,6 @@
 """Degreewise homology computation, Tor independence, mutation detection."""
+from functools import reduce
+
 import pytest
 
 import starcone.homcheck
@@ -24,12 +26,15 @@ from starcone import (
     tor_dims,
 )
 from starcone.complexes import multidegrees
+from starcone.ring import mono_degree, mono_lcm
 
 from helpers import (
     address_space_cap,
     dense_homology,
+    fiber_without_top_module,
     instance_e,
     instance_e_prime,
+    koszul_without_syzygy,
     small_instances,
 )
 
@@ -186,6 +191,11 @@ def _oracle_corpus():
     ident = ChainMap(C, C, {n: PolyMatrix.identity(RING, C.rank(n)) for n in C.support()})
     yield "cone of the identity", cone(ident), 4, None
     yield "mutated fiber", _mutated_fiber()[1], 6, None
+    # Not exact, without modulo; the homology sits above every twist.
+    yield "koszul without its syzygy", koszul_without_syzygy()[0], 3, None
+    C = fiber_without_top_module()[0]
+    lcm = reduce(mono_lcm, [a for mdeg in multidegrees(C).values() for a in mdeg])
+    yield "fiber without its top module", C, mono_degree(lcm), None
 
 
 def test_blocks_agree_with_dense_oracle():
@@ -223,6 +233,20 @@ def test_multigraded_certification_forms_no_graded_piece(monkeypatch):
     inst = block_instance(2, 2, ["x1^2", "x1*x2"], ["y1^2", "y1*y2"])
     res = build_fiber(inst).resolution
     assert certifies_resolution_of(res, inst.quotient_ideal(), default_degree_bound(inst, res))
+
+
+def test_multigraded_certification_enumerates_no_labels(monkeypatch):
+    """Blocks are found by walking multidegrees, not by listing the
+    (generator, monomial) labels of each degree."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("certification enumerated the monomials of a degree")
+
+    monkeypatch.setattr(starcone.homcheck, "monomials_of_degree", refuse)
+    inst = block_instance(2, 2, ["x1^2", "x1*x2"], ["y1^2", "y1*y2"])
+    res = build_fiber(inst).resolution
+    bound = default_degree_bound(inst, res)
+    assert certifies_resolution_of(res, inst.quotient_ideal(), bound)
+    assert tor_dims(res, inst.J, bound).positive_cells()
 
 
 def test_three_plus_three_rung_certifies_complete():

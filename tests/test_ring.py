@@ -1,4 +1,6 @@
 """Polynomial arithmetic, parsing, and monomial ideal calculus."""
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +152,23 @@ def test_hilbert_inclusion_exclusion_agree():
     for d in range(8):
         total = len(monomials_of_degree(3, d))
         assert hilbert_function(I, d)[d] + ideal_monomial_count(I, d) == total
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A monomial ideal in 1-4 variables with 1-5 (not always minimal) generators."""
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda e: sum(e) > 0)
+    ring = RingSpec(tuple(f"v{i}" for i in range(nvars)))
+    return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=5)))
+
+
+@given(monomial_ideals())
+def test_hilbert_function_complements_inclusion_exclusion(I):
+    n = I.ring.nvars
+    h = hilbert_function(I, 8)
+    for d in range(9):
+        assert h[d] + ideal_monomial_count(I, d) == comb(d + n - 1, n - 1)
 
 
 @given(
