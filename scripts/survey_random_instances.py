@@ -20,6 +20,7 @@ import random
 import sys
 
 from starcone import (
+    betti_product_table,
     block_instance,
     build_fiber,
     certify_minimal,
@@ -69,7 +70,7 @@ def check_instance(inst, m, n):
 
     constructed = graded_betti(res)
     formula = fiber_betti_table(
-        graded_betti(build.star),
+        betti_product_table(graded_betti(inst.X), graded_betti(inst.Y)),
         graded_betti(inst.S), graded_betti(inst.X),
         graded_betti(inst.T), graded_betti(inst.Y),
     )

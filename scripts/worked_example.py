@@ -15,6 +15,7 @@ Usage: python3 scripts/worked_example.py
 from starcone import (
     MonomialIdeal,
     RingSpec,
+    betti_product_table,
     block_instance,
     build_fiber,
     certify_minimal,
@@ -101,7 +102,7 @@ def part_fiber():
     rule("Betti numbers: construction vs closed form")
     constructed = graded_betti(build.resolution)
     formula = fiber_betti_table(
-        graded_betti(build.star),
+        betti_product_table(graded_betti(inst.X), graded_betti(inst.Y)),
         graded_betti(inst.S), graded_betti(inst.X),
         graded_betti(inst.T), graded_betti(inst.Y),
     )

@@ -86,7 +86,11 @@ def _split_names(text: str) -> tuple:
 def _field_of(prime: int):
     if prime == 0:
         return RationalField()
-    if not is_prime(prime):
+    try:
+        certified = is_prime(prime)
+    except ValueError as e:  # too large to certify
+        raise UsageError(f"--prime {e}") from None
+    if not certified:
         raise UsageError(f"--prime {prime} is not prime (use 0 for the rationals)")
     return PrimeField(prime)
 

@@ -391,12 +391,8 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
 
 def is_minimal(C: ChainComplex) -> bool:
     """No differential entry has a nonzero constant term."""
-    F = C.ring.coeff_field
-    for mat in C.diffs.values():
-        for _, _, p in mat.nonzero_entries():
-            if p.constant_coeff() != F.zero:
-                return False
-    return True
+    return not any(p.constant_coeff() for mat in C.diffs.values()
+                   for _, _, p in mat.nonzero_entries())
 
 
 # ------------------------------------------------------------ power series

@@ -106,7 +106,7 @@ def _lift_column(X: ChainComplex, j: int, mdegs: dict, w_col: dict,
             for i, p in d.column(g).items() if i in row_of
             for c in p.terms.values()
         }
-        rhs = [w_col[i].terms.get(m, F.zero) if i in w_col else F.zero for i, m in rows]
+        rhs = [w_col[i].terms.get(m, 0) if i in w_col else 0 for i, m in rows]
         sol = linalg.solve(F, len(rows), len(cols), entries, rhs)
         if sol is None:
             return None

@@ -1,10 +1,14 @@
 """Exact coefficient fields.
 
-Two implementations behind the same small interface: a prime field with a
-large default prime (fast path, elements are ints in [0, p)), and the
-rationals (audit path, elements are Fraction).  Everything downstream is
-written against this interface, so swapping the field reruns the whole
-pipeline in exact rational arithmetic.
+Scalars are plain Python numbers, added, subtracted and multiplied with
+Python's own operators.  A field only does what the operators cannot:
+`of_int` normalizes a result (n % p for a prime field, unchanged over the
+rationals), `of_fraction` reads num/den, `inv` inverts, and `describe`
+names the field in documents.  A prime field with a large default prime is
+the fast path (elements are ints in [0, p)); the rationals are the audit
+path (elements are ints or Fractions, which compare, hash and print the
+same).  Swapping the field reruns the whole pipeline in exact rational
+arithmetic.
 """
 from __future__ import annotations
 
@@ -13,20 +17,28 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
+# Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson and Webster 2015); above it nothing is certified.
+CERTIFIED_BELOW = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for everything below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin for n below CERTIFIED_BELOW; a larger n
+    raises ValueError, since its answer would not be a proof."""
+    if n >= CERTIFIED_BELOW:
+        raise ValueError(f"{n} is too large to certify as prime "
+                         f"(the test is proven below {CERTIFIED_BELOW})")
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in small:
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -47,14 +59,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def of_int(self, n: int):
         return n % self.p
 
@@ -63,18 +67,6 @@ class PrimeField:
         if d == 0:
             raise ZeroDivisionError(f"denominator {den} is not invertible mod {self.p}")
         return num * pow(d, self.p - 2, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -87,33 +79,13 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class RationalField:
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def of_int(self, n: int):
-        return Fraction(n)
+    def of_int(self, n):
+        return n
 
     def of_fraction(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("denominator is zero")
         return Fraction(num, den)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -125,8 +97,10 @@ class RationalField:
 
 
 def field_from_description(desc: dict):
-    if "prime" in desc:
-        return PrimeField(int(desc["prime"]))
-    if desc.get("rationals"):
+    """The field a `describe()` dict names: exactly {"prime": <int>} or
+    {"rationals": true}; anything else raises ValueError."""
+    if isinstance(desc, dict) and desc.keys() == {"prime"} and type(desc["prime"]) is int:
+        return PrimeField(desc["prime"])
+    if isinstance(desc, dict) and desc.keys() == {"rationals"} and desc["rationals"] is True:
         return RationalField()
     raise ValueError(f"unrecognized field description: {desc!r}")

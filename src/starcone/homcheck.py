@@ -77,8 +77,8 @@ def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal
                     continue
                 row = row_index[(i, prod)]
                 key = (row, col)
-                entries[key] = F.add(entries[key], c) if key in entries else c
-    entries = {k: v for k, v in entries.items() if v != F.zero}
+                entries[key] = entries.get(key, 0) + c
+    entries = {k: s for k, v in entries.items() if (s := F.of_int(v))}
     return GradedPiece(len(row_labels), len(col_labels), entries)
 
 

@@ -122,12 +122,12 @@ def minimize(C: ChainComplex) -> ChainComplex:
     F, zero = C.ring.coeff_field, Polynomial.zero(C.ring)
     mats = {n: {j: dict(C.diff(n).column(j)) for j in range(C.rank(n))} for n in C.modules}
     units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items()
-             for i, p in col.items() if p.constant_coeff() != F.zero]
+             for i, p in col.items() if p.constant_coeff()]
     heapq.heapify(units)  # may hold stale positions, skipped when popped
     while units:
         n, pi, pj = heapq.heappop(units)
         pivot = mats[n].get(pj, {}).get(pi)
-        if pivot is None or pivot.constant_coeff() == F.zero:
+        if pivot is None or not pivot.constant_coeff():
             continue
         inv = F.inv(pivot.constant_coeff())
         pcol = mats[n].pop(pj)
@@ -143,7 +143,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
                     col.pop(i, None)
                     continue
                 col[i] = p
-                if p.constant_coeff() != F.zero:
+                if p.constant_coeff():
                     heapq.heappush(units, (n, i, k))
         for col in mats.get(n + 1, {}).values():
             col.pop(pj, None)

@@ -166,10 +166,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: RingSpec, c) -> "Polynomial":
-        c = ring.coeff_field.of_int(c) if isinstance(c, int) else c
-        if c == ring.coeff_field.zero:
-            return Polynomial(ring, {})
-        return Polynomial(ring, {mono_one(ring.nvars): c})
+        return Polynomial.monomial(ring, mono_one(ring.nvars), c)
 
     @staticmethod
     def one(ring: RingSpec) -> "Polynomial":
@@ -177,9 +174,8 @@ class Polynomial:
 
     @staticmethod
     def monomial(ring: RingSpec, m: Monomial, coeff=1) -> "Polynomial":
-        F = ring.coeff_field
-        c = F.of_int(coeff) if isinstance(coeff, int) else coeff
-        if c == F.zero:
+        c = ring.coeff_field.of_int(coeff)
+        if not c:
             return Polynomial(ring, {})
         if len(m) != ring.nvars or any(e < 0 for e in m):
             raise ValueError(f"bad exponent tuple {m!r}")
@@ -200,49 +196,49 @@ class Polynomial:
         return len(degs) <= 1
 
     def constant_coeff(self):
-        return self.terms.get(mono_one(self.ring.nvars), self.ring.coeff_field.zero)
+        return self.terms.get(mono_one(self.ring.nvars), 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
 
     # arithmetic ---------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        F = self.ring.coeff_field
+        norm = self.ring.coeff_field.of_int
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = F.add(out.get(m, F.zero), c)
-            if s == F.zero:
+            s = norm(out.get(m, 0) + c)
+            if not s:
                 out.pop(m, None)
             else:
                 out[m] = s
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        F = self.ring.coeff_field
-        return Polynomial(self.ring, {m: F.neg(c) for m, c in self.terms.items()})
+        norm = self.ring.coeff_field.of_int
+        return Polynomial(self.ring, {m: norm(-c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        F = self.ring.coeff_field
+        norm = self.ring.coeff_field.of_int
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if s == F.zero:
+                s = norm(out.get(m, 0) + c1 * c2)
+                if not s:
                     out.pop(m, None)
                 else:
                     out[m] = s
         return Polynomial(self.ring, out)
 
     def scale(self, c) -> "Polynomial":
-        F = self.ring.coeff_field
-        c = F.of_int(c) if isinstance(c, int) else c
-        if c == F.zero:
+        norm = self.ring.coeff_field.of_int
+        c = norm(c)
+        if not c:
             return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {m: F.mul(v, c) for m, v in self.terms.items()})
+        return Polynomial(self.ring, {m: norm(v * c) for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -257,14 +253,13 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        F = self.ring.coeff_field
         pieces = []
         for m, c in self.sorted_terms():
-            neg = not isinstance(F, PrimeField) and c < 0
+            neg = c < 0  # never over a prime field, whose elements lie in [0, p)
             mag = -c if neg else c
             if mono_degree(m) == 0:
                 body = str(mag)
-            elif mag == F.one:
+            elif mag == 1:
                 body = mono_str(m, self.ring)
             else:
                 body = f"{mag}*{mono_str(m, self.ring)}"
@@ -322,12 +317,12 @@ def poly_parse(text: str, ring: RingSpec) -> Polynomial:
                 if i >= len(toks) or toks[i][0] != "int":
                     raise PolyParseError("malformed rational coefficient")
                 try:
-                    coeff = F.mul(coeff, F.of_fraction(num, toks[i][1]))
+                    coeff *= F.of_fraction(num, toks[i][1])
                 except ZeroDivisionError as e:
                     raise PolyParseError(str(e)) from None
                 i += 1
             else:
-                coeff = F.mul(coeff, F.of_int(num))
+                coeff *= num
             return i, coeff, expts
         if kind == "name":
             idx = ring.var_index(val)
@@ -349,7 +344,7 @@ def poly_parse(text: str, ring: RingSpec) -> Polynomial:
     elif toks[0] == ("op", "+"):
         i = 1
     while i < len(toks):
-        coeff, expts = F.of_int(sign), [0] * ring.nvars
+        coeff, expts = sign, [0] * ring.nvars
         i, coeff, expts = parse_factor(i, coeff, expts)
         while i < len(toks) and toks[i] == ("op", "*"):
             i += 1
@@ -374,7 +369,7 @@ def mono_parse(text: str, ring: RingSpec) -> Monomial:
     if len(p.terms) != 1:
         raise PolyParseError(f"{text!r} is not a single monomial")
     ((m, c),) = p.terms.items()
-    if c != ring.coeff_field.one:
+    if c != 1:
         raise PolyParseError(f"{text!r} has a nontrivial coefficient")
     return m
 

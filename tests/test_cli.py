@@ -50,11 +50,22 @@ def test_parse_error_is_usage():
 
 
 def test_composite_prime_rejected():
-    code, text = run_argv(
-        ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--prime", "32001"]
-    )
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to the twelve prime bases 2..37
+    for prime in ["32001", "318665857834031151167461"]:
+        code, text = run_argv(
+            ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--prime", prime]
+        )
+        assert code == 2
+        assert "not prime" in text
+
+
+def test_uncertifiable_prime_is_usage():
+    code, text = run_argv(["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2",
+                           "--prime", "3317044064679887385961983"])
     assert code == 2
-    assert "not prime" in text
+    assert "too large to certify" in text
+    assert text.count("\n") == 1
 
 
 def test_missing_block_is_usage():
@@ -295,6 +306,13 @@ MALFORMED = {
     "shape_mismatch": lambda: _broken_export(lambda d: d["differentials"]["2"][0].pop()),
     "wrong_type": lambda: _broken_export(lambda d: d.update(modules=[[0], [1, 1]])),
     "unknown_field": lambda: _broken_export(lambda d: d["ring"].update(field={"p": 5})),
+    "float_prime": lambda: _broken_export(lambda d: d["ring"].update(field={"prime": 7.9})),
+    "rationals_not_true": lambda: _broken_export(
+        lambda d: d["ring"].update(field={"rationals": "no"})),
+    "pseudoprime": lambda: _broken_export(
+        lambda d: d["ring"].update(field={"prime": 318665857834031151167461})),
+    "uncertifiable_prime": lambda: _broken_export(
+        lambda d: d["ring"].update(field={"prime": 3317044064679887385961983})),
 }
 
 
