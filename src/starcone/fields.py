@@ -3,12 +3,12 @@
 Scalars are plain Python numbers, added, subtracted and multiplied with
 Python's own operators.  A field only does what the operators cannot:
 `of_int` normalizes a result (n % p for a prime field, unchanged over the
-rationals), `of_fraction` reads num/den, `inv` inverts, and `describe`
-names the field in documents.  A prime field with a large default prime is
-the fast path (elements are ints in [0, p)); the rationals are the audit
-path (elements are ints or Fractions, which compare, hash and print the
-same).  Swapping the field reruns the whole pipeline in exact rational
-arithmetic.
+rationals), `of_fraction` reads num/den, `inv` inverts (over the rationals
+an integral inverse, as of -1, is an int, so unit pivots stay in int
+arithmetic), and `describe` names the field in documents.  A prime field
+with a large default prime is the fast path (elements are ints in [0, p));
+the rationals are the audit path (ints or Fractions, which compare, hash and
+print the same), rerunning the whole pipeline in exact rational arithmetic.
 """
 from __future__ import annotations
 
@@ -90,7 +90,8 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        q = 1 / Fraction(a)
+        return q.numerator if q.denominator == 1 else q
 
     def describe(self) -> dict:
         return {"rationals": True}

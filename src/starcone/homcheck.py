@@ -19,6 +19,14 @@ J), so the b are walked up one degree at a time with these sets as bitmasks,
 listing no labels; each distinct block is ranked once, counted once per b.
 The multidegrees are read off C, not taken from its construction; a complex
 without them is ranked one total-degree piece at a time.
+
+Blocks are ranked top degree down by the Gaussian elimination lemma of
+algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
+entry d_n[h, g] != 0 keeps homology, deleting row g of d_{n+1} and column h
+of d_{n-1}.  The columns of d_{n-1} that are pivot rows of d_n are dropped;
+d_{n-1} d_n = 0, which `is_complex` checks first (and which holds modulo J),
+makes them combinations of the rest, so the rank is kept and in an exact
+block no column left reduces to zero.
 """
 from __future__ import annotations
 
@@ -118,7 +126,7 @@ def _block_pieces(C: ChainComplex, mdegs: dict, d_max: int, modulo: Optional[Mon
         for k, b in [(G + g, a)] + [(g, mono_mul(a, u)) for u in (modulo.gens if modulo else ())]:
             if mono_degree(b) < base:
                 seeds[mono_degree(b)][sum(e * s for e, s in zip(b, steps))] |= 1 << k
-    columns = {n: [[(i, c) for i, p in C.diff(n).column(j).items() for c in p.terms.values()]
+    columns = {n: [{i: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
                    for j in range(C.rank(n))] for n in mdegs}
     memo: dict = {}
     masks: dict = {}
@@ -131,21 +139,24 @@ def _block_pieces(C: ChainComplex, mdegs: dict, d_max: int, modulo: Optional[Mon
         for block in counts:
             if block not in memo:
                 gs = [gens[g][:2] for g in range(block.bit_length()) if block >> g & 1]
-                memo[block] = _block_homology(C, columns, gs, d)
+                memo[block] = _block_homology(C.ring.coeff_field, columns, gs, d)
         yield [(memo[block], count) for block, count in counts.items()]
 
 
-def _block_homology(C: ChainComplex, columns: dict, block: list, d: int) -> dict:
+def _block_homology(F, columns: dict, block: list, d: int) -> dict:
     """Homology of d's scalar coefficients on one block's generators (n, j);
-    columns[n][j] lists column j of d_n as (row, coefficient) pairs."""
+    columns[n][j] is column j of d_n as a {row: coefficient} dict.  Those
+    cancelled are the pivot rows of d_{n+1}: none if n + 1 has no generators."""
     gens: dict = {}
     for n, j in block:
         gens.setdefault(n, []).append(j)
     ranks = {}
-    for n, cols in gens.items():
-        rows = {i: r for r, i in enumerate(gens.get(n - 1, ()))}
-        entries = {(rows[i], k): c for k, j in enumerate(cols) for i, c in columns[n][j] if i in rows}
-        ranks[n] = linalg.rank(C.ring.coeff_field, len(rows), len(cols), entries)
+    cancelled: dict = {}
+    for n in sorted(gens, reverse=True):
+        rows = set(gens.get(n - 1, ()))
+        cancelled = linalg.echelon(F, ({i: c for i, c in columns[n][j].items() if i in rows}
+                                       for j in gens[n] if j not in cancelled))
+        ranks[n] = len(cancelled)
     return _piece_homology({n: len(cols) for n, cols in gens.items()}, ranks, d)
 
 

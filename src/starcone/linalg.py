@@ -1,72 +1,72 @@
-"""Exact Gaussian elimination over the coefficient field.
+"""Exact linear algebra over the coefficient field: one sparse column reduction.
 
-One forward elimination on Python rows serves `rank` and `solve` for every
-field: prime fields of any size and the rationals.  Scalars are plain
-numbers: each cell update is Python arithmetic passed once through the
-field's `of_int`, and only the pivot needs the field's `inv`.  The
-matrices it sees are multidegree blocks of a few dozen rows and columns,
-where plain rows cost less than any array setup.
-
-Pivoting is deterministic: columns left to right, and within a column the
-first nonzero entry scanning rows top-down.  Each pivot row is scaled to a
-leading 1 and cleared below only; `solve` then back-substitutes with the
-free variables set to zero.
+Columns, `{row: c}` dicts of nonzero field elements, are reduced left to
+right against an echelon basis keyed by pivot row, the least row: a column
+left nonzero is independent of those before it and joins the basis, scaled
+to 1 at its pivot, so the rank is the size of the basis.  `solve` returns
+the solution that is zero off these greedy pivot columns.  Column j carries
+a tag 1 in row nrows + j, past every true row and so never a pivot; x is read
+off the tags of the reduced right-hand side.  Scalars are plain numbers,
+each update passed once through `of_int`.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 
-def _matrix(field, nrows: int, ncols: int, entries: dict) -> list:
-    """Dense rows of the sparse matrix {(i, j): c}, entries made canonical."""
-    rows = [[0] * ncols for _ in range(nrows)]
-    for (i, j), c in entries.items():
-        rows[i][j] = field.of_int(c)
-    return rows
-
-
-def _eliminate(field, A: list, ncols: int) -> list:
-    """Row-reduce A in place over its first ncols columns (trailing columns
-    ride along); returns the pivot columns, the k-th pivot in row k."""
-    pivots: list = []
+def _reduce(field, basis: dict, col: dict):
+    """Reduce col in place until its least row is no pivot; return that row,
+    or None when col is reduced to zero."""
     norm = field.of_int
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(A):
-            break
-        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = field.inv(A[r][c])
-        prow = A[r] = [norm(v * inv) for v in A[r]]
-        support = [k for k in range(c, len(prow)) if prow[k]]
-        for row in A[r + 1 :]:
-            f = row[c]
-            if f:
-                for k in support:
-                    row[k] = norm(row[k] - f * prow[k])
-        pivots.append(c)
-    return pivots
+    while col:
+        p = min(col)
+        b = basis.get(p)
+        if b is None:
+            return p
+        f = col[p]
+        for k, v in b.items():
+            if s := norm(col.get(k, 0) - f * v):
+                col[k] = s
+            else:
+                del col[k]
+    return None
+
+
+def echelon(field, columns: Iterable[dict], nrows: Optional[int] = None) -> dict:
+    """The echelon basis {pivot row: column} of the columns, reduced in place
+    in order; its size is their rank.  Rows from nrows on are never pivots."""
+    basis: dict = {}
+    norm = field.of_int
+    for col in columns:
+        p = _reduce(field, basis, col)
+        if p is not None and (nrows is None or p < nrows):
+            if (c := col[p]) != 1:
+                inv = field.inv(c)
+                col = {k: norm(v * inv) for k, v in col.items()}
+            basis[p] = col
+    return basis
+
+
+def _columns(field, ncols: int, entries: dict) -> list:
+    cols: list = [{} for _ in range(ncols)]
+    for (i, j), c in entries.items():
+        if c := field.of_int(c):
+            cols[j][i] = c
+    return cols
 
 
 def rank(field, nrows: int, ncols: int, entries: dict) -> int:
     """Rank of a sparse matrix given as {(i, j): field element}."""
-    if nrows == 0 or ncols == 0 or not entries:
-        return 0
-    return len(_eliminate(field, _matrix(field, nrows, ncols, entries), ncols))
+    return len(echelon(field, _columns(field, ncols, entries)))
 
 
 def solve(field, nrows: int, ncols: int, entries: dict, rhs: list) -> Optional[list]:
     """One solution of A x = rhs (free variables set to zero), or None."""
-    augmented = dict(entries)
-    augmented.update(((i, ncols), c) for i, c in enumerate(rhs))
-    rows = _matrix(field, nrows, ncols + 1, augmented)
-    pivots = _eliminate(field, rows, ncols)
-    if any(row[ncols] for row in rows[len(pivots) :]):
+    cols = _columns(field, ncols, entries)
+    for j, col in enumerate(cols):
+        col[nrows + j] = 1
+    basis = echelon(field, cols, nrows)
+    b = {i: s for i, c in enumerate(rhs) if (s := field.of_int(c))}
+    if (p := _reduce(field, basis, b)) is not None and p < nrows:
         return None  # inconsistent
-    x = [0] * ncols
-    for r in reversed(range(len(pivots))):
-        row = rows[r]
-        x[pivots[r]] = field.of_int(row[ncols] - sum(row[c] * x[c] for c in pivots[r + 1 :]))
-    return x
+    return [field.of_int(-b.get(nrows + j, 0)) for j in range(ncols)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -150,6 +151,11 @@ def monomials_of_degree(nvars: int, d: int) -> tuple:
 
 # -------------------------------------------------------------- polynomials
 
+def _scalar(F, c):
+    """An int, or a Fraction read through of_fraction, as an element of F."""
+    return F.of_fraction(c.numerator, c.denominator) if isinstance(c, Fraction) else F.of_int(c)
+
+
 class Polynomial:
     """Sparse polynomial: dict of exponent tuple -> nonzero field element."""
 
@@ -174,7 +180,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(ring: RingSpec, m: Monomial, coeff=1) -> "Polynomial":
-        c = ring.coeff_field.of_int(coeff)
+        c = _scalar(ring.coeff_field, coeff)
         if not c:
             return Polynomial(ring, {})
         if len(m) != ring.nvars or any(e < 0 for e in m):
@@ -235,7 +241,7 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         norm = self.ring.coeff_field.of_int
-        c = norm(c)
+        c = _scalar(self.ring.coeff_field, c)
         if not c:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {m: norm(v * c) for m, v in self.terms.items()})

@@ -113,10 +113,10 @@ def koszul_without_syzygy():
     return ChainComplex(ring, {0: (0,), 1: (1, 1)}, {1: d1}), MonomialIdeal.parse(["x", "y"], ring)
 
 
-def fiber_without_top_module():
+def fiber_without_top_module(coeff_field=None):
     """The 2+2 fiber resolution of I' = <x1^2, x2^2>, J' = <y1^2, y2^2> with
     its top module deleted, and the fiber ideal it no longer resolves."""
-    inst = block_instance(2, 2, ["x1^2", "x2^2"], ["y1^2", "y2^2"])
+    inst = block_instance(2, 2, ["x1^2", "x2^2"], ["y1^2", "y2^2"], coeff_field=coeff_field)
     res = build_fiber(inst).resolution
     top = res.max_degree()
     C = ChainComplex(res.ring, {n: res.twists(n) for n in res.support() if n < top},
@@ -138,16 +138,73 @@ def double_every_solve(monkeypatch):
     monkeypatch.setattr(linalg, "solve", doubled)
 
 
+def _dense_rows(F, nrows, ncols, entries):
+    """Dense rows of the sparse matrix {(i, j): c}, entries made canonical."""
+    rows = [[0] * ncols for _ in range(nrows)]
+    for (i, j), c in entries.items():
+        rows[i][j] = F.of_int(c)
+    return rows
+
+
+def _dense_eliminate(F, A, ncols):
+    """Row-reduce A in place over its first ncols columns (trailing columns
+    ride along): columns left to right, within a column the first nonzero
+    entry top-down, each pivot row scaled to a leading 1 and cleared below
+    only.  Returns the pivot columns, the k-th pivot in row k."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(A):
+            break
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = F.inv(A[r][c])
+        prow = A[r] = [F.of_int(v * inv) for v in A[r]]
+        support = [k for k in range(c, len(prow)) if prow[k]]
+        for row in A[r + 1:]:
+            f = row[c]
+            if f:
+                for k in support:
+                    row[k] = F.of_int(row[k] - f * prow[k])
+        pivots.append(c)
+    return pivots
+
+
+def dense_rank(F, nrows, ncols, entries):
+    """Reference for linalg.rank: Gaussian elimination on dense rows."""
+    return len(_dense_eliminate(F, _dense_rows(F, nrows, ncols, entries), ncols))
+
+
+def dense_solve(F, nrows, ncols, entries, rhs):
+    """Reference for linalg.solve: dense elimination of [A | rhs], then
+    back-substitution with the free variables set to zero; None when
+    inconsistent."""
+    augmented = dict(entries)
+    augmented.update(((i, ncols), c) for i, c in enumerate(rhs))
+    rows = _dense_rows(F, nrows, ncols + 1, augmented)
+    pivots = _dense_eliminate(F, rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    x = [0] * ncols
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        x[pivots[r]] = F.of_int(row[ncols] - sum(row[c] * x[c] for c in pivots[r + 1:]))
+    return x
+
+
 def dense_homology(C, d_max, modulo=None):
     """Oracle for homology_dims: one dense graded piece per (n, d), ranked
-    whole, with rank-nullity.  Returns (nonzero dims by (n, d), h0)."""
+    whole by dense_rank, with rank-nullity.  Shares no elimination with
+    homcheck.  Returns (nonzero dims by (n, d), h0)."""
     from starcone.homcheck import graded_piece
 
     F = C.ring.coeff_field
     dims, h0 = {}, []
     for d in range(d_max + 1):
         pieces = {n: graded_piece(C, n, d, modulo) for n in C.support()}
-        ranks = {n: piece.rank(F) for n, piece in pieces.items()}
+        ranks = {n: dense_rank(F, p.nrows, p.ncols, p.entries) for n, p in pieces.items()}
         for n, piece in pieces.items():
             h = piece.ncols - ranks[n] - ranks.get(n + 1, 0)
             assert h >= 0

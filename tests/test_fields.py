@@ -120,3 +120,29 @@ def test_rational_int_and_fraction_coefficients_agree(a, b):
         assert p == q
         assert hash(p) == hash(q)
         assert str(p) == str(q)
+
+
+def test_fraction_coefficient_is_reduced_over_a_prime_field():
+    ring = RingSpec(("x",))
+    F = ring.coeff_field
+    half = Polynomial.monomial(ring, (1,), Fraction(1, 2))
+    assert str(half) == "16002*x"
+    assert half.terms == {(1,): F.of_fraction(1, 2)}
+    assert half.scale(Fraction(1, 3)) == Polynomial.monomial(ring, (1,), F.of_fraction(1, 6))
+    assert_canonical(F, half.scale(Fraction(1, 3)))
+    assert Polynomial.constant(ring, Fraction(-4, 2)) == Polynomial.constant(ring, -2)
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.monomial(ring, (1,), Fraction(1, F.p))
+    with pytest.raises(ZeroDivisionError):
+        half.scale(Fraction(5, 2 * F.p))
+
+
+def test_rational_inverse_of_a_unit_stays_an_int():
+    Q = RationalField()
+    assert type(Q.inv(-1)) is int and Q.inv(-1) == -1
+    assert type(Q.inv(1)) is int
+    assert type(Q.inv(Fraction(1, 3))) is int and Q.inv(Fraction(1, 3)) == 3
+    assert Q.inv(2) == Fraction(1, 2)
+    assert Q.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        Q.inv(0)

@@ -193,9 +193,18 @@ def _oracle_corpus():
     yield "mutated fiber", _mutated_fiber()[1], 6, None
     # Not exact, without modulo; the homology sits above every twist.
     yield "koszul without its syzygy", koszul_without_syzygy()[0], 3, None
-    C = fiber_without_top_module()[0]
-    lcm = reduce(mono_lcm, [a for mdeg in multidegrees(C).values() for a in mdeg])
-    yield "fiber without its top module", C, mono_degree(lcm), None
+    for name, F in (("", None), (" over Q", RationalField())):
+        C = fiber_without_top_module(F)[0]
+        lcm = reduce(mono_lcm, [a for mdeg in multidegrees(C).values() for a in mdeg])
+        yield "fiber without its top module" + name, C, mono_degree(lcm), None
+    # Modulo the maximal ideal, the block at b is the generators of
+    # multidegree b.  I is the Stanley-Reisner ideal of a point and a
+    # 2-sphere, so b = abcde has generators in degrees 2 and 4 but none in 3.
+    ring = RingSpec(tuple("abcde"))
+    X = resolution_of(MonomialIdeal.parse(["a*e", "b*e", "c*e", "d*e", "a*b*c*d"], ring))
+    at_b = {n for n, mdeg in multidegrees(X).items() if (1, 1, 1, 1, 1) in mdeg}
+    assert at_b == {2, 4}
+    yield "tor of a point and a sphere by the maximal ideal", X, 5, MonomialIdeal.parse(list("abcde"), ring)
 
 
 def test_blocks_agree_with_dense_oracle():

@@ -11,6 +11,8 @@ import pytest
 
 from starcone import PrimeField, RationalField, linalg
 
+from helpers import dense_rank, dense_solve
+
 FIELDS = [PrimeField(32003), RationalField(), PrimeField(4294967311)]
 IDS = ["p32003", "Q", "p4294967311"]
 
@@ -29,6 +31,42 @@ def random_entries(rng, F, nrows, ncols):
         for j in range(ncols)
         if rng.random() < 0.5
     }
+
+
+def random_low_rank(rng, F, nrows, ncols):
+    """A product of random nrows x k and k x ncols matrices, k < both sides
+    at times, with some rows and columns left empty."""
+    k = rng.randint(0, max(nrows, ncols))
+    B = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+    C = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+    empty_rows = set(rng.sample(range(nrows), rng.randint(0, nrows // 3)))
+    empty_cols = set(rng.sample(range(ncols), rng.randint(0, ncols // 3)))
+    entries = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            v = F.of_int(sum(B[i][t] * C[t][j] for t in range(k)))
+            if v and i not in empty_rows and j not in empty_cols:
+                entries[(i, j)] = v
+    return entries
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=IDS)
+def test_agrees_with_dense_reference(F):
+    """rank and solve equal Gaussian elimination on dense rows, x entry for
+    entry, on full, rank-deficient and empty-row/column matrices with
+    consistent and inconsistent right sides, up to 40 x 40."""
+    rng = random.Random(15)
+    outcomes = set()
+    for t in range(20):
+        m, n = (40, 40) if t == 0 else (rng.randint(0, 40), rng.randint(0, 40))
+        entries = (random_entries if t % 2 else random_low_rank)(rng, F, m, n)
+        assert linalg.rank(F, m, n, entries) == dense_rank(F, m, n, entries)
+        image = apply(F, m, entries, [F.of_int(rng.randint(-5, 5)) for _ in range(n)])
+        for rhs in (image, [F.of_int(rng.randint(-5, 5)) for _ in range(m)], [0] * m):
+            x = linalg.solve(F, m, n, entries, rhs)
+            assert x == dense_solve(F, m, n, entries, rhs)
+            outcomes.add(x is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=IDS)
