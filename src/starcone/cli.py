@@ -6,7 +6,7 @@ Subcommands:
   fiber     build the cone resolution of R/(I' + IJ + J')
   betti     compare constructed Betti tables against the closed forms
   poincare  evaluate both Poincare-series identity residuals
-  verify    degreewise homology certification of a built or imported complex
+  verify    homology certification of a built or imported complex
   export    emit a constructed complex as JSON
 
 Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error
@@ -59,6 +59,7 @@ from .ring import (
     ideal_contains,
     ideal_product,
     ideal_sum,
+    mono_str,
     poly_parse,
 )
 from .star import star_product
@@ -128,29 +129,14 @@ def _parse_ideal(ring: RingSpec, text: str, flag: str) -> MonomialIdeal:
         raise UsageError(f"{flag}: {e}") from None
 
 
-def _block_ideal(ring: RingSpec, names: tuple) -> MonomialIdeal:
-    gens = []
-    for name in names:
-        e = [0] * ring.nvars
-        e[ring.var_index(name)] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal(ring, gens)
-
-
 def _ideals_of(job: argparse.Namespace) -> tuple:
     """The ring and the ideals (I', I, J', J) of a job: I and J default to
     the block ideals, I' and J' to zero."""
     ring = _ring_of(job)
-    I = (
-        _block_ideal(ring, job.vars_a)
-        if job.ideal_i is None
-        else _parse_ideal(ring, job.ideal_i, "--ideal-i")
-    )
-    J = (
-        _block_ideal(ring, job.vars_b)
-        if job.ideal_j is None
-        else _parse_ideal(ring, job.ideal_j, "--ideal-j")
-    )
+    I = (MonomialIdeal.parse(job.vars_a, ring) if job.ideal_i is None
+         else _parse_ideal(ring, job.ideal_i, "--ideal-i"))
+    J = (MonomialIdeal.parse(job.vars_b, ring) if job.ideal_j is None
+         else _parse_ideal(ring, job.ideal_j, "--ideal-j"))
     Ip = _parse_ideal(ring, job.iprime, "--iprime") if job.iprime else MonomialIdeal(ring, [])
     Jp = _parse_ideal(ring, job.jprime, "--jprime") if job.jprime else MonomialIdeal(ring, [])
     return ring, Ip, I, Jp, J
@@ -195,9 +181,9 @@ def _ranks(C: ChainComplex) -> list:
 
 
 def _verification(C: ChainComplex, Q: MonomialIdeal | None, bound: int) -> tuple:
-    """Certify C up to degree bound as a resolution of R/Q, or only as
-    exact in positive degrees when Q is None: (document fields, passed)."""
-    report = homology_dims(C, bound)
+    """Certify C as a resolution of R/Q, or only as exact in positive
+    degrees when Q is None, printing up to bound: (document fields, passed)."""
+    report = homology_dims(C, bound, against=Q)
     ok = report.exact_in_positive
     v = {
         "bound": bound,
@@ -208,8 +194,10 @@ def _verification(C: ChainComplex, Q: MonomialIdeal | None, bound: int) -> tuple
     }
     if Q is not None:
         v["h0_expected"] = hilbert_function(Q, bound)
-        v["h0_matches"] = report.h0 == v["h0_expected"]
+        v["h0_matches"] = report.h0_matches
         ok = ok and v["h0_matches"]
+    if at := report.homology_at:
+        v["homology_at"] = f"H_{at[0]} at {mono_str(at[1], C.ring)}"
     v["verdict"] = "exact" if ok else "FAILED"
     return v, ok
 
@@ -218,12 +206,16 @@ def _extent(v: dict) -> str:
     return " (complete)" if v["complete"] else " (bounded)"
 
 
+def _homology_at(v: dict) -> list:
+    return [f"homology: {v['homology_at']}"] if "homology_at" in v else []
+
+
 def _verify_into(doc: dict, lines: list, C: ChainComplex, Q: MonomialIdeal, bound: int) -> int:
     """Certify C as a resolution of R/Q, record the result in doc and
     lines, and return the exit code."""
     v, ok = _verification(C, Q, bound)
     doc["verification"] = {**v, "ok": ok}
-    lines.append(f"verification: {v['verdict']} up to degree {bound}" + _extent(v))
+    lines += [f"verification: {v['verdict']} up to degree {bound}" + _extent(v), *_homology_at(v)]
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -458,6 +450,7 @@ def cmd_verify(job: argparse.Namespace):
     lines = [
         f"verify: {subject}, degree bound {bound}" + _extent(v),
         "exact in positive degrees: " + ("yes" if v["exact_in_positive_degrees"] else "NO"),
+        *_homology_at(v),
         "H0 Hilbert: " + " ".join(str(x) for x in v["h0_hilbert"]),
         *against,
         f"verdict: {v['verdict']}",
@@ -495,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal-i", type=str, default=None, help="generators of I (default: block A variables)")
         p.add_argument("--ideal-j", type=str, default=None, help="generators of J (default: block B variables)")
         p.add_argument("--prime", type=int, default=32003, help="coefficient prime, 0 for the rationals")
-        p.add_argument("--degree-bound", type=int, default=None, help="internal degree bound for homology checks")
+        p.add_argument("--degree-bound", type=int, default=None, help="internal degree bound for printed homology")
         p.add_argument("--truncate", type=int, default=None, help="power series truncation")
         p.add_argument("--json", action="store_true", help="emit a JSON document instead of text")
         p.add_argument(

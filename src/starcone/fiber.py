@@ -279,7 +279,7 @@ def block_instance(m: int, n: int, ip_texts, jp_texts, coeff_field=None) -> Fibe
 def default_degree_bound(instance: FiberInstance, resolution: ChainComplex) -> int:
     """Max generator degree across the four ideals, plus homological
     length, plus 2, raised to the top twist of the resolution if that is
-    higher: every twist is covered, so certification is complete."""
+    higher.  It only limits printing: certification covers every degree."""
     return max(instance.max_gen_degree() + resolution.max_degree() + 2, resolution.max_twist())
 
 

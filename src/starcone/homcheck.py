@@ -2,23 +2,25 @@
 
 Every construction in this package can be audited here: slice a complex
 into finite-dimensional pieces over the coefficient field, compute ranks
-exactly, and read off homology dimensions degree by degree.  Nothing in this
-module reuses the structural shortcuts the constructions themselves rely on.
+exactly, and read off homology dimensions.  Nothing in this module reuses
+the structural shortcuts the constructions themselves rely on.
 
-dim H_n(C)_d = dim ker(d_n)_d - rank(d_{n+1})_d, with the kernel dimension
+dim H_n(C)_b = dim ker(d_n)_b - rank(d_{n+1})_b, with the kernel dimension
 coming from rank-nullity.  Reducing all matrix entries modulo a monomial
 ideal J (and restricting to standard monomials) computes H(C tensor R/J)
 instead, which for a resolution of R/I is Tor(R/I, R/J).
 
 Complexes of monomial ideals are Z^N-graded with single-term entries, so a
-degree-d piece splits into multidegree blocks: label (j, m) of C_n lies in
-block mdeg_j + m, and its matrix is d_n's scalar coefficients on the block's
+piece splits into multidegree blocks: label (j, m) of C_n lies in block
+mdeg_j + m, and its matrix is d_n's scalar coefficients on the block's
 generators (Miller-Sturmfels, ch. 1-4).  It is fixed by the generators with
 mdeg_j <= b (less, modulo J, those with mdeg_j + u <= b for a generator u of
-J), so the b are walked up one degree at a time with these sets as bitmasks,
-listing no labels; each distinct block is ranked once, counted once per b.
-The multidegrees are read off C, not taken from its construction; a complex
-without them is ranked one total-degree piece at a time.
+J).  These all lie below their lcm M, so the block at b is the one at
+min(b, M), and one walk over the box 0 <= b <= M decides every degree; a
+degree bound only limits the printed table.  The distinct blocks, each
+ranked once, are the points of the LCM lattice (Gasharov-Peeva-Welker, Math.
+Res. Lett. 6, 1999).  The multidegrees are read off C, not taken from its
+construction; a complex without them is ranked by total degree up to the bound.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
@@ -30,13 +32,15 @@ block no column left reduces to zero.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from math import comb, prod
+from operator import eq
 from typing import Optional
 
 from . import linalg
 from .complexes import ChainComplex, InvariantViolation, is_complex, multidegrees
-from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_support, monomials_of_degree
+from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
 
 
 @dataclass
@@ -90,60 +94,59 @@ def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal
     return GradedPiece(len(row_labels), len(col_labels), entries)
 
 
-def _piece_homology(size: dict, ranks: dict, d: int) -> dict:
-    """dim H_n = size_n - rank d_n - rank d_{n+1} on one piece of degree d,
+def _piece_homology(size: dict, ranks: dict, where) -> dict:
+    """dim H_n = size_n - rank d_n - rank d_{n+1} on the piece where() names,
     checked: no dimension is negative, and the Euler characteristics agree."""
     h = {n: s - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, s in sorted(size.items())}
     for n, v in h.items():
         if v < 0:
-            raise InvariantViolation(f"negative homology dimension at ({n},{d})")
+            raise InvariantViolation(f"negative homology dimension in H_{n} at {where()}")
     if sum((-1) ** n * (size[n] - v) for n, v in h.items()):
         raise InvariantViolation("rank-nullity bookkeeping broke")
     return h
 
 
 def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
-    """Per degree d <= d_max, the homology of the whole degree-d piece."""
+    """Per degree d <= d_max, (None, d, 0, homology of the degree-d piece)."""
     for d in range(d_max + 1):
         size = {n: len(_degree_basis(C, n, d, modulo)) for n in C.support()}
         ranks = {n: graded_piece(C, n, d, modulo).rank(C.ring.coeff_field)
                  for n in size if size[n]}
-        yield [(_piece_homology(size, ranks, d), 1)]
+        yield None, d, 0, _piece_homology(size, ranks, lambda: f"degree {d}")
 
 
-def _block_pieces(C: ChainComplex, mdegs: dict, d_max: int, modulo: Optional[MonomialIdeal]):
-    """Per degree d <= d_max, (homology, number of b) for each distinct block.
+def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
+    """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M.
     The block at b, the labels (g, x^(b - mdeg_g)) of _degree_basis, is the
     generators g with mdeg_g <= b less those with mdeg_g + u <= b for some u
-    in modulo.gens.  Both sets are bits of one mask per b, the OR of the masks
-    at every b - e_i and the bits seeded at b.  Each block is ranked once."""
-    base = d_max + 1  # no exponent of a degree-d multidegree exceeds d
-    steps = [base ** k for k in range(C.ring.nvars)]
+    in modulo.gens.  Both sets are bits of one mask per b, the OR of the
+    masks at every b - e_i, walked first, and the bits seeded at b.  M also
+    covers against's generators, so x^b is in against iff x^min(b, M) is."""
     gens = [(n, j, a) for n, mdeg in mdegs.items() for j, a in enumerate(mdeg)]
     G = len(gens)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
-    seeds = [defaultdict(int) for _ in range(base)]
-    for g, (_, _, a) in enumerate(gens):
-        for k, b in [(G + g, a)] + [(g, mono_mul(a, u)) for u in (modulo.gens if modulo else ())]:
-            if mono_degree(b) < base:
-                seeds[mono_degree(b)][sum(e * s for e, s in zip(b, steps))] |= 1 << k
+    seeds = [(G + g, a) for g, (_, _, a) in enumerate(gens)]
+    seeds += [(g, mono_mul(a, u)) for g, (_, _, a) in enumerate(gens) for u in (modulo.gens if modulo else ())]
+    top = tuple(map(max, zip((0,) * C.ring.nvars, *(b for _, b in seeds), *(against.gens if against else ()))))
+    steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
+    masks = [0] * prod(e + 1 for e in top)
+    for k, b in seeds:
+        masks[sum(e * s for e, s in zip(b, steps))] |= 1 << k
     columns = {n: [{i: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
                    for j in range(C.rank(n))] for n in mdegs}
     memo: dict = {}
-    masks: dict = {}
-    for d, seeded in enumerate(seeds):
-        below, masks = masks, seeded
-        for b, mask in below.items():
-            for s in steps:
-                masks[b + s] |= mask
-        counts = Counter(mask >> G & ~mask for mask in masks.values())
-        for block in counts:
-            if block not in memo:
-                gs = [gens[g][:2] for g in range(block.bit_length()) if block >> g & 1]
-                memo[block] = _block_homology(C.ring.coeff_field, columns, gs, d)
-        yield [(memo[block], count) for block, count in counts.items()]
+    for code in range(len(masks)):
+        b = tuple(code // s % (e + 1) for s, e in zip(steps, top))
+        for s, e in zip(steps, b):
+            if e:
+                masks[code] |= masks[code - s]
+        block = masks[code] >> G & ~masks[code]
+        if block not in memo:
+            gs = [gens[g][:2] for g in range(block.bit_length()) if block >> g & 1]
+            memo[block] = _block_homology(C.ring.coeff_field, columns, gs, lambda: mono_str(b, C.ring))
+        yield b, mono_degree(b), sum(map(eq, b, top)), memo[block]
 
 
-def _block_homology(F, columns: dict, block: list, d: int) -> dict:
+def _block_homology(F, columns: dict, block: list, where) -> dict:
     """Homology of d's scalar coefficients on one block's generators (n, j);
     columns[n][j] is column j of d_n as a {row: coefficient} dict.  Those
     cancelled are the pivot rows of d_{n+1}: none if n + 1 has no generators."""
@@ -157,52 +160,63 @@ def _block_homology(F, columns: dict, block: list, d: int) -> dict:
         cancelled = linalg.echelon(F, ({i: c for i, c in columns[n][j].items() if i in rows}
                                        for j in gens[n] if j not in cancelled))
         ranks[n] = len(cancelled)
-    return _piece_homology({n: len(cols) for n, cols in gens.items()}, ranks, d)
+    return _piece_homology({n: len(cols) for n, cols in gens.items()}, ranks, where)
 
 
 @dataclass
 class HomologyReport:
-    """Degreewise homology dimensions up to an internal degree bound."""
+    """Homology dimensions up to a printing bound, and verdicts on all of it."""
 
-    dims: dict            # (n, d) -> dim, nonzero cells only
+    dims: dict            # (n, d) -> dim for d <= degree_bound, nonzero cells only
     degree_bound: int
-    complete: bool        # bound covers every twist in the complex
+    complete: bool        # the box walk ran: the verdicts hold in every degree
     h0: list              # dim H_0 in degrees 0..degree_bound
     exact_in_positive: bool
-    modulo: Optional[str] = None
+    h0_matches: Optional[bool] = None    # H_0 is R/against, when that is given
+    homology_at: Optional[tuple] = None  # (n, b): least n >= 1, then |b|, with H_n at box point b
 
     def positive_cells(self) -> dict:
         return {(n, d): v for (n, d), v in self.dims.items() if n >= 1}
 
 
-def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] = None) -> HomologyReport:
-    """Dimensions of H_n(C (x) R/modulo)_d for every n and d <= d_max."""
+def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] = None,
+                  against: Optional[MonomialIdeal] = None) -> HomologyReport:
+    """Dimensions of H_n(C (x) R/modulo)_d for every n and d <= d_max, and
+    whether H_0 is R/against.  The b of degree d with min(b, M) = c are
+    C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
     if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
     mdegs = multidegrees(C)
-    pieces = (_dense_pieces(C, d_max, modulo) if mdegs is None
-              else _block_pieces(C, mdegs, d_max, modulo))
+    pieces = list(_dense_pieces(C, d_max, modulo) if mdegs is None
+                  else _box_pieces(C, mdegs, modulo, against))
+    weights = Counter((n, deg, free, v) for _, deg, free, h in pieces for n, v in h.items() if v)
     dims: Counter = Counter()
-    for d, homologies in enumerate(pieces):
-        for h, count in homologies:
-            dims.update({(n, d): v * count for n, v in h.items() if v})
+    for (n, deg, free, v), count in weights.items():
+        for d in range(deg, d_max + 1):
+            dims[n, d] += count * v * (comb(d - deg + free - 1, free - 1) if free else d == deg)
+    h0 = [dims[0, d] for d in range(d_max + 1)]
+    at = min(((n, deg, b) for b, deg, _, h in pieces for n, v in h.items() if n >= 1 and v), default=None)
+    h0_matches = None if against is None else (
+        h0 == hilbert_function(against, d_max) if mdegs is None
+        else all(h.get(0, 0) == (not against.contains_monomial(b)) for b, _, _, h in pieces))
     return HomologyReport(
-        dims=dict(dims),
+        dims={cell: v for cell, v in dims.items() if v},
         degree_bound=d_max,
-        complete=d_max >= C.max_twist(),
-        h0=[dims[0, d] for d in range(d_max + 1)],
-        exact_in_positive=not any(n >= 1 for (n, d) in dims),
-        modulo=str(modulo) if modulo is not None else None,
+        complete=mdegs is not None,
+        h0=h0,
+        exact_in_positive=at is None,
+        h0_matches=h0_matches,
+        homology_at=(at[0], at[2]) if at and mdegs is not None else None,
     )
 
 
 def certifies_resolution_of(C: ChainComplex, I: MonomialIdeal, d_max: int) -> bool:
-    """True when C is exact in positive degrees and H_0 agrees with R/I,
-    both checked degreewise up to d_max."""
-    report = homology_dims(C, d_max)
-    return report.exact_in_positive and report.h0 == hilbert_function(I, d_max)
+    """True when C is exact in positive degrees and H_0 agrees with R/I: in
+    every degree for a multigraded C, up to d_max otherwise."""
+    report = homology_dims(C, d_max, against=I)
+    return report.exact_in_positive and report.h0_matches
 
 
 def tor_dims(X: ChainComplex, J: MonomialIdeal, d_max: int) -> HomologyReport:
@@ -215,8 +229,7 @@ def tor_dims(X: ChainComplex, J: MonomialIdeal, d_max: int) -> HomologyReport:
 @dataclass
 class TorReport:
     independent: bool
-    mode: str                   # "structural" or "bounded"
-    degree_bound: Optional[int] = None
+    mode: str                   # "structural" or "complete"
     witness: Optional[tuple] = None  # first (n, d) with Tor_n nonzero, n >= 1
 
     def __bool__(self) -> bool:
@@ -228,25 +241,19 @@ def _entry_support(X: ChainComplex) -> frozenset:
                                for _, _, p in mat.nonzero_entries() for m in p.terms))
 
 
-def is_tor_independent(X: ChainComplex, J: MonomialIdeal, d_max: Optional[int] = None) -> TorReport:
+def is_tor_independent(X: ChainComplex, J: MonomialIdeal) -> TorReport:
     """Is H_0(X) Tor-independent from R/J?
 
     Structural fast path: if the variables appearing in X's differentials
     are disjoint from J's support, X stays a resolution after reduction
     (the two sides live in tensor-complementary subrings).  Otherwise
-    certify by bounded Tor computation up to d_max, by default
-    X.max_twist() + J.max_gen_degree() + 1.
+    compute Tor on the lcm box, which covers every degree; X must then be
+    multigraded with single-term entries, or ValueError is raised.
     """
     if not _entry_support(X) & J.support():
         return TorReport(independent=True, mode="structural")
-    if d_max is None:
-        d_max = X.max_twist() + J.max_gen_degree() + 1
-    report = tor_dims(X, J, d_max)
-    positive = {cell: v for cell, v in report.dims.items() if cell[0] >= 1}
-    witness = min(positive) if positive else None
-    return TorReport(
-        independent=not positive,
-        mode="bounded",
-        degree_bound=d_max,
-        witness=witness,
-    )
+    report = tor_dims(X, J, 0)
+    if not report.complete:
+        raise ValueError("Tor needs a complex multigraded with single-term entries")
+    at = report.homology_at
+    return TorReport(independent=at is None, mode="complete", witness=at and (at[0], mono_degree(at[1])))

@@ -113,15 +113,18 @@ def koszul_without_syzygy():
     return ChainComplex(ring, {0: (0,), 1: (1, 1)}, {1: d1}), MonomialIdeal.parse(["x", "y"], ring)
 
 
+def without_top_module(C):
+    """C with its top homological module and differential deleted."""
+    top = C.max_degree()
+    return ChainComplex(C.ring, {n: C.twists(n) for n in C.support() if n < top},
+                        {n: mat for n, mat in C.diffs.items() if n < top})
+
+
 def fiber_without_top_module(coeff_field=None):
     """The 2+2 fiber resolution of I' = <x1^2, x2^2>, J' = <y1^2, y2^2> with
     its top module deleted, and the fiber ideal it no longer resolves."""
     inst = block_instance(2, 2, ["x1^2", "x2^2"], ["y1^2", "y2^2"], coeff_field=coeff_field)
-    res = build_fiber(inst).resolution
-    top = res.max_degree()
-    C = ChainComplex(res.ring, {n: res.twists(n) for n in res.support() if n < top},
-                     {n: mat for n, mat in res.diffs.items() if n < top})
-    return C, inst.quotient_ideal()
+    return without_top_module(build_fiber(inst).resolution), inst.quotient_ideal()
 
 
 def double_every_solve(monkeypatch):

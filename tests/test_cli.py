@@ -328,21 +328,25 @@ def test_malformed_verify_input_is_usage(tmp_path, case):
 
 # ------------------------------------------- certificates above every twist
 
-# ROADMAP item 2: "(complete)" only says that the bound covers every twist,
-# but homology can sit at the join of generator multidegrees above them.
-# Each test pins a false "verdict: exact"; item 2 removes the markers.
+# Homology can sit at the join of generator multidegrees, above every twist
+# and above the printed bound; the walk over the lcm box still finds it and
+# names the first box point with homology.
 ABOVE_EVERY_TWIST = {
-    "koszul_without_syzygy": koszul_without_syzygy,
-    "fiber_without_top_module": fiber_without_top_module,
+    "koszul_without_syzygy": (koszul_without_syzygy, "H_1 at x*y"),
+    "fiber_without_top_module": (fiber_without_top_module, "H_3 at x1*x2*y1^2*y2^2"),
 }
 
 
-@pytest.mark.xfail(strict=True, reason="complete means only d_max >= max_twist (ROADMAP item 2)")
 @pytest.mark.parametrize("case", sorted(ABOVE_EVERY_TWIST))
 def test_homology_above_every_twist_is_verification_failure(tmp_path, case):
-    C, Q = ABOVE_EVERY_TWIST[case]()
+    build, where = ABOVE_EVERY_TWIST[case]
+    C, Q = build()
     path = tmp_path / "in.json"
     path.write_text(complex_to_json(C))
-    code, text = run_argv(["verify", "--in", str(path), "--against", ",".join(
-        mono_str(g, Q.ring) for g in Q.gens)])
+    argv = ["verify", "--in", str(path), "--against", ",".join(mono_str(g, Q.ring) for g in Q.gens)]
+    code, text = run_argv(argv)
     assert code == 3, text
+    assert "(complete)\n" in text and f"\nhomology: {where}\n" in text
+    code, text = run_argv(argv + ["--json"])
+    assert code == 3
+    assert json.loads(text)["homology_at"] == where

@@ -2,6 +2,8 @@
 from functools import reduce
 
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 import starcone.homcheck
 from starcone import (
@@ -36,6 +38,7 @@ from helpers import (
     instance_e_prime,
     koszul_without_syzygy,
     small_instances,
+    without_top_module,
 )
 
 RING = RingSpec(("x", "y"))
@@ -70,12 +73,18 @@ def test_nonexact_detected():
     assert rep.dims[(1, 1)] == 1
 
 
-def test_incomplete_bound_flagged():
+def test_bound_only_limits_printing():
+    """Below the top twist the verdicts still cover every degree, and the
+    table is the full one cut at the bound."""
     C = K(RING, "x^2", "y^3")
-    rep = homology_dims(C, 3)
-    assert not rep.complete
-    full = homology_dims(C, C.max_twist())
-    assert full.complete
+    rep, full = homology_dims(C, 3), homology_dims(C, 8)
+    assert rep.complete and rep.exact_in_positive
+    assert rep.dims == {cell: v for cell, v in full.dims.items() if cell[1] <= 3}
+    assert full.h0 == [1, 2, 2, 1, 0, 0, 0, 0, 0]
+    # H_1 = k sits at x*y, above the bound 1 and every twist
+    rep = homology_dims(koszul_without_syzygy()[0], 1)
+    assert rep.complete and not rep.exact_in_positive and not rep.positive_cells()
+    assert rep.homology_at == (1, (1, 1))
 
 
 def test_homology_rejects_non_complex():
@@ -121,23 +130,29 @@ def test_tor_disjoint_blocks_vanish():
     assert all(cell[0] == 0 for cell in dims)
 
 
-def test_tor_bounded_mode_detects_dependence():
+def test_tor_computed_mode_detects_dependence():
     X = resolution_of(MonomialIdeal.parse(["x*y"], RING))
     J = MonomialIdeal.parse(["y"], RING)
     rep = is_tor_independent(X, J)
     assert not rep
-    assert rep.mode == "bounded"
+    assert rep.mode == "complete"
     assert rep.witness is not None and rep.witness[0] >= 1
 
 
-def test_tor_bounded_mode_witness_location():
+def test_tor_computed_mode_witness_location():
     # Tor_1(R/<x^2>, R/<x*y^3>) = <x^2*y^3>/<x^3*y^3> first lives in degree 5
     X = resolution_of(MonomialIdeal.parse(["x^2"], RING))
     J = MonomialIdeal.parse(["x*y^3"], RING)
-    rep = is_tor_independent(X, J, d_max=8)
+    rep = is_tor_independent(X, J)
     assert not rep.independent
-    assert rep.mode == "bounded"
+    assert rep.mode == "complete"
     assert rep.witness == (1, 5)
+
+
+def test_tor_of_non_multigraded_complex_is_refused():
+    ring = RingSpec(("x", "y", "z"))
+    with pytest.raises(ValueError):
+        is_tor_independent(K(ring, "x + y", "z^2"), MonomialIdeal.parse(["x"], ring))
 
 
 def _mutated_fiber():
@@ -229,7 +244,7 @@ def test_non_multigraded_complex_falls_back_to_graded_pieces(monkeypatch):
     piece = starcone.homcheck.graded_piece
     monkeypatch.setattr(starcone.homcheck, "graded_piece", lambda *a: calls.append(a) or piece(*a))
     rep = homology_dims(C, 5)
-    assert rep.exact_in_positive and rep.complete
+    assert rep.exact_in_positive and not rep.complete  # checked up to the bound only
     assert rep.h0 == [1, 2, 2, 2, 2, 2]  # R/(x + y, z^2) = k[x, z]/(z^2)
     assert calls
 
@@ -270,3 +285,29 @@ def test_three_plus_three_rung_certifies_complete():
         rep = homology_dims(res, bound)
     assert rep.complete and rep.exact_in_positive
     assert rep.h0 == hilbert_function(inst.quotient_ideal(), bound)
+
+
+@st.composite
+def small_ideals(draw):
+    """Up to 4 generators of degree 1..3 in up to 3 variables."""
+    ring = RingSpec(("x", "y", "z")[:draw(st.integers(1, 3))])
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(lambda e: 1 <= sum(e) <= 3)
+    return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=4)))
+
+
+@seed(20261018)
+@given(small_ideals())
+def test_box_walk_certifies_every_degree_at_bound_zero(I):
+    """At bound 0 only degree 0 is printed, yet the verdicts cover all
+    degrees: a resolution certifies, and without its top module it fails."""
+    R = resolution_of(I)
+    rep = homology_dims(R, 0, against=I)
+    assert rep.complete and rep.exact_in_positive and rep.h0_matches
+    assert certifies_resolution_of(R, I, 0)
+    top, C = R.max_degree(), without_top_module(R)
+    rep = homology_dims(C, 0, against=I)
+    assert rep.complete and not certifies_resolution_of(C, I, 0)
+    if top >= 2:  # deleting F_top leaves H_(top - 1), its image
+        assert not rep.exact_in_positive and rep.homology_at[0] == top - 1
+    else:  # a principal ideal: H_0 is all of R
+        assert not rep.h0_matches
