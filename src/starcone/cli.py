@@ -586,8 +586,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     code, text = run(job)
     if job.out:
-        with open(job.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(job.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"usage error: cannot write {job.out}: {e.strerror or e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

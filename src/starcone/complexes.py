@@ -579,9 +579,16 @@ def complex_to_json_dict(C: ChainComplex) -> dict:
 
 def complex_from_json_dict(doc: dict) -> ChainComplex:
     ring = RingSpec.from_description(doc["ring"])
-    modules = {int(n): tuple(tw) for n, tw in doc["modules"].items()}
+    modules = {}
+    for n, tw in doc["modules"].items():
+        if not isinstance(tw, list) or any(type(w) is not int for w in tw):
+            raise ValueError(f"twists of module {n} are not a list of integers")
+        modules[int(n)] = tuple(tw)
     diffs = {}
     for n, rows in doc.get("differentials", {}).items():
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows):
+            raise ValueError(f"differential {n} is not a list of rows of polynomial strings")
         n = int(n)
         nrows = len(modules.get(n - 1, ()))
         ncols = len(modules.get(n, ()))

@@ -20,7 +20,9 @@ min(b, M), and one walk over the box 0 <= b <= M decides every degree; a
 degree bound only limits the printed table.  The distinct blocks, each
 ranked once, are the points of the LCM lattice (Gasharov-Peeva-Welker, Math.
 Res. Lett. 6, 1999).  The multidegrees are read off C, not taken from its
-construction; a complex without them is ranked by total degree up to the bound.
+construction.  A complex without them falls back to total degree: the piece
+of each degree d up to the bound, the labels (j, m) with twist_j + |m| = d,
+is ranked as one block by the same routine, so the verdicts are bounded.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
@@ -43,23 +45,6 @@ from .complexes import ChainComplex, InvariantViolation, is_complex, multidegree
 from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
 
 
-@dataclass
-class GradedPiece:
-    """Matrix of one differential in one internal degree, over the field.
-
-    Columns are the basis (generator index, monomial) of the source, rows
-    that of the target, ordered generator-major with monomials descending
-    lex within a generator.
-    """
-
-    nrows: int
-    ncols: int
-    entries: dict
-
-    def rank(self, coeff_field) -> int:
-        return linalg.rank(coeff_field, self.nrows, self.ncols, self.entries)
-
-
 def _degree_basis(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal]):
     labels = []
     for j, w in enumerate(C.twists(n)):
@@ -73,46 +58,31 @@ def _degree_basis(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdea
     return labels
 
 
-def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal] = None) -> GradedPiece:
-    """The matrix of d_n : (C_n)_d -> (C_{n-1})_d over the coefficient field."""
-    F = C.ring.coeff_field
-    col_labels = _degree_basis(C, n, d, modulo)
-    row_labels = _degree_basis(C, n - 1, d, modulo)
-    row_index = {lab: i for i, lab in enumerate(row_labels)}
-    entries: dict = {}
+def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal] = None) -> list:
+    """The columns of d_n : (C_n)_d -> (C_{n-1})_d over the coefficient field,
+    one {row: coefficient} dict per label (generator index, monomial) of the
+    source; labels are ordered generator-major, monomials descending lex."""
+    row_index = {lab: i for i, lab in enumerate(_degree_basis(C, n - 1, d, modulo))}
     mat = C.diff(n)
-    for col, (j, m) in enumerate(col_labels):
+    columns = []
+    for j, m in _degree_basis(C, n, d, modulo):
+        col = {}
         for i, p in mat.column(j).items():
             for me, c in p.terms.items():
-                prod = mono_mul(me, m)
-                if modulo is not None and modulo.contains_monomial(prod):
-                    continue
-                row = row_index[(i, prod)]
-                key = (row, col)
-                entries[key] = entries.get(key, 0) + c
-    entries = {k: s for k, v in entries.items() if (s := F.of_int(v))}
-    return GradedPiece(len(row_labels), len(col_labels), entries)
-
-
-def _piece_homology(size: dict, ranks: dict, where) -> dict:
-    """dim H_n = size_n - rank d_n - rank d_{n+1} on the piece where() names,
-    checked: no dimension is negative, and the Euler characteristics agree."""
-    h = {n: s - ranks.get(n, 0) - ranks.get(n + 1, 0) for n, s in sorted(size.items())}
-    for n, v in h.items():
-        if v < 0:
-            raise InvariantViolation(f"negative homology dimension in H_{n} at {where()}")
-    if sum((-1) ** n * (size[n] - v) for n, v in h.items()):
-        raise InvariantViolation("rank-nullity bookkeeping broke")
-    return h
+                mono = mono_mul(me, m)
+                if modulo is None or not modulo.contains_monomial(mono):
+                    col[row_index[i, mono]] = c
+        columns.append(col)
+    return columns
 
 
 def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
-    """Per degree d <= d_max, (None, d, 0, homology of the degree-d piece)."""
+    """Per degree d <= d_max, (None, d, 0, homology of the degree-d piece),
+    ranked as one block whose generators are the piece's labels."""
     for d in range(d_max + 1):
-        size = {n: len(_degree_basis(C, n, d, modulo)) for n in C.support()}
-        ranks = {n: graded_piece(C, n, d, modulo).rank(C.ring.coeff_field)
-                 for n in size if size[n]}
-        yield None, d, 0, _piece_homology(size, ranks, lambda: f"degree {d}")
+        columns = {n: graded_piece(C, n, d, modulo) for n in C.support()}
+        block = [(n, j) for n, cols in columns.items() for j in range(len(cols))]
+        yield None, d, 0, _block_homology(C.ring.coeff_field, columns, block, lambda: f"degree {d}")
 
 
 def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
@@ -149,7 +119,9 @@ def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], a
 def _block_homology(F, columns: dict, block: list, where) -> dict:
     """Homology of d's scalar coefficients on one block's generators (n, j);
     columns[n][j] is column j of d_n as a {row: coefficient} dict.  Those
-    cancelled are the pivot rows of d_{n+1}: none if n + 1 has no generators."""
+    cancelled are the pivot rows of d_{n+1}: none if n + 1 has no generators.
+    dim H_n = size_n - rank d_n - rank d_{n+1}, checked: no dimension is
+    negative at the point where() names, and the Euler characteristics agree."""
     gens: dict = {}
     for n, j in block:
         gens.setdefault(n, []).append(j)
@@ -160,7 +132,13 @@ def _block_homology(F, columns: dict, block: list, where) -> dict:
         cancelled = linalg.echelon(F, ({i: c for i, c in columns[n][j].items() if i in rows}
                                        for j in gens[n] if j not in cancelled))
         ranks[n] = len(cancelled)
-    return _piece_homology({n: len(cols) for n, cols in gens.items()}, ranks, where)
+    h = {n: len(js) - ranks[n] - ranks.get(n + 1, 0) for n, js in sorted(gens.items())}
+    for n, v in h.items():
+        if v < 0:
+            raise InvariantViolation(f"negative homology dimension in H_{n} at {where()}")
+    if sum((-1) ** n * (len(gens[n]) - v) for n, v in h.items()):
+        raise InvariantViolation("rank-nullity bookkeeping broke")
+    return h
 
 
 @dataclass

@@ -56,7 +56,8 @@ def _columns(field, ncols: int, entries: dict) -> list:
 
 
 def rank(field, nrows: int, ncols: int, entries: dict) -> int:
-    """Rank of a sparse matrix given as {(i, j): field element}."""
+    """Rank of a sparse matrix given as {(i, j): field element}.  The package
+    ranks through `echelon`; this entry point is kept for outside callers."""
     return len(echelon(field, _columns(field, ncols, entries)))
 
 

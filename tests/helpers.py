@@ -198,18 +198,24 @@ def dense_solve(F, nrows, ncols, entries, rhs):
 
 
 def dense_homology(C, d_max, modulo=None):
-    """Oracle for homology_dims: one dense graded piece per (n, d), ranked
-    whole by dense_rank, with rank-nullity.  Shares no elimination with
-    homcheck.  Returns (nonzero dims by (n, d), h0)."""
+    """Oracle for homology_dims: the columns of each graded piece (n, d),
+    read into a dense {(row, column): c} matrix and ranked whole by
+    dense_rank, with rank-nullity.  Shares no elimination with homcheck,
+    which ranks multidegree blocks on the box walk and, for a complex that
+    is not multigraded, each degree's piece as one block by the same routine
+    (a bounded verdict).  Returns (nonzero dims by (n, d), h0)."""
     from starcone.homcheck import graded_piece
 
     F = C.ring.coeff_field
     dims, h0 = {}, []
     for d in range(d_max + 1):
         pieces = {n: graded_piece(C, n, d, modulo) for n in C.support()}
-        ranks = {n: dense_rank(F, p.nrows, p.ncols, p.entries) for n, p in pieces.items()}
-        for n, piece in pieces.items():
-            h = piece.ncols - ranks[n] - ranks.get(n + 1, 0)
+        ranks = {}
+        for n, cols in pieces.items():
+            entries = {(i, j): c for j, col in enumerate(cols) for i, c in col.items()}
+            ranks[n] = dense_rank(F, len(pieces.get(n - 1, ())), len(cols), entries)
+        for n, cols in pieces.items():
+            h = len(cols) - ranks[n] - ranks.get(n + 1, 0)
             assert h >= 0
             if h:
                 dims[n, d] = h

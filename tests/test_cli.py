@@ -222,6 +222,19 @@ def test_main_writes_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_unwritable_out_file_is_usage(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    rc = main(
+        ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--jprime", "y^2",
+         "--out", str(path)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_unconstrained_flag_allows_degenerate():
     code, text = run_argv(
         ["fiber", "--vars-a", "x", "--vars-b", "y", "--ideal-i", "x", "--ideal-j", "y",
@@ -313,6 +326,11 @@ MALFORMED = {
         lambda d: d["ring"].update(field={"prime": 318665857834031151167461})),
     "uncertifiable_prime": lambda: _broken_export(
         lambda d: d["ring"].update(field={"prime": 3317044064679887385961983})),
+    "twist_not_int": lambda: _broken_export(lambda d: d["modules"].update({"9": ["a"]})),
+    "twist_bool": lambda: _broken_export(
+        lambda d: d.update(modules={"0": [0], "1": [True]}, differentials={"1": [["x"]]})),
+    "differential_string": lambda: _broken_export(
+        lambda d: d.update(modules={"0": [0], "1": [1]}, differentials={"1": "x"})),
 }
 
 

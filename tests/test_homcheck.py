@@ -1,5 +1,8 @@
 """Degreewise homology computation, Tor independence, mutation detection."""
+import importlib.util
+import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed
@@ -220,6 +223,11 @@ def _oracle_corpus():
     at_b = {n for n, mdeg in multidegrees(X).items() if (1, 1, 1, 1, 1) in mdeg}
     assert at_b == {2, 4}
     yield "tor of a point and a sphere by the maximal ideal", X, 5, MonomialIdeal.parse(list("abcde"), ring)
+    # Ranked by total degree up to the bound, one block per degree.  The
+    # first has H_1 != 0: both generators are multiples of x + y.
+    ring = RingSpec(("x", "y", "z"))
+    yield "non-multigraded koszul with homology", K(ring, "x + y", "x*z + y*z"), 5, None
+    yield "non-multigraded koszul modulo z", K(ring, "x + y", "z^2"), 5, MonomialIdeal.parse(["z"], ring)
 
 
 def test_blocks_agree_with_dense_oracle():
@@ -232,8 +240,33 @@ def test_blocks_agree_with_dense_oracle():
         dims, h0 = dense_homology(C, bound, J)
         assert (rep.dims, rep.h0) == (dims, h0), name
         assert rep.exact_in_positive == (not any(n >= 1 for n, _ in dims)), name
-        if not name.startswith("mutated"):
+        if name.startswith("non-multigraded"):
+            assert multidegrees(C) is None and not rep.complete, name
+        elif not name.startswith("mutated"):
             assert multidegrees(C) is not None, name
+
+
+def _survey_sampler():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "survey_random_instances.py"
+    spec = importlib.util.spec_from_file_location("survey_random_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sample_instance
+
+
+def test_survey_replay_agrees_with_dense_oracle():
+    """Seed 1 of the survey sampler, as tests/test_scripts.py runs it: the
+    box walk and the dense oracle agree on homology and on Tor by I, J, J'."""
+    sample, rng = _survey_sampler(), random.Random(1)
+    for k in range(8):
+        inst, _ = sample(rng, max_vars=2, max_gens=4, max_deg=4)  # the script's defaults but max_vars
+        res = build_fiber(inst).resolution
+        bound = default_degree_bound(inst, res)
+        rep = homology_dims(res, bound)
+        assert (rep.dims, rep.h0) == dense_homology(res, bound), k
+        for name in ("I", "J", "Jp"):
+            J = getattr(inst, name)
+            assert tor_dims(res, J, bound).dims == dense_homology(res, bound, J)[0], (k, name)
 
 
 def test_non_multigraded_complex_falls_back_to_graded_pieces(monkeypatch):
@@ -247,6 +280,20 @@ def test_non_multigraded_complex_falls_back_to_graded_pieces(monkeypatch):
     assert rep.exact_in_positive and not rep.complete  # checked up to the bound only
     assert rep.h0 == [1, 2, 2, 2, 2, 2]  # R/(x + y, z^2) = k[x, z]/(z^2)
     assert calls
+
+
+def test_both_walks_rank_without_linalg_rank(monkeypatch):
+    """The box walk and the total-degree fallback rank through one routine,
+    which calls linalg.echelon and never linalg.rank."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology was ranked through linalg.rank")
+
+    monkeypatch.setattr(starcone.linalg, "rank", refuse)
+    ring = RingSpec(("x", "y", "z"))
+    for C in (K(ring, "x", "y*z"), K(ring, "x + y", "x*z + y*z")):
+        rep = homology_dims(C, 4)
+        assert rep.complete == (multidegrees(C) is not None)
+    assert not rep.complete and rep.dims[1, 2] == 1  # H_1 is k(-2), spanned by (z, -1)
 
 
 def test_multigraded_certification_forms_no_graded_piece(monkeypatch):
