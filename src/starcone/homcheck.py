@@ -27,10 +27,15 @@ is ranked as one block by the same routine, so the verdicts are bounded.
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
 entry d_n[h, g] != 0 keeps homology, deleting row g of d_{n+1} and column h
-of d_{n-1}.  The columns of d_{n-1} that are pivot rows of d_n are dropped;
+of d_{n-1}.  Columns of d_{n-1} that are pivot rows of d_n are skipped:
 d_{n-1} d_n = 0, which `is_complex` checks first (and which holds modulo J),
-makes them combinations of the rest, so the rank is kept and in an exact
-block no column left reduces to zero.
+makes them combinations of the rest, so every column set between "not
+cancelled" and "all" has the same rank.  Without J a column's entries lie in
+rows of multidegree <= its own, so the block at b - e_i is a subcomplex of
+the one at b (Bayer-Sturmfels's X_{<=b}), and b only adds the columns of
+its new generators to the bases of its largest such block: pivot rows only
+accumulate, so the set reduced stays in that range.  Modulo J a generator
+leaves the block once mdeg_j + u <= b, so each block is ranked on its own.
 """
 from __future__ import annotations
 
@@ -82,7 +87,8 @@ def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
     for d in range(d_max + 1):
         columns = {n: graded_piece(C, n, d, modulo) for n in C.support()}
         block = [(n, j) for n, cols in columns.items() for j in range(len(cols))]
-        yield None, d, 0, _block_homology(C.ring.coeff_field, columns, block, lambda: f"degree {d}")
+        _, h = _block_homology(C.ring.coeff_field, lambda n, j: columns[n][j], {}, block, lambda: f"degree {d}")
+        yield None, d, 0, h
 
 
 def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
@@ -101,44 +107,62 @@ def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], a
     masks = [0] * prod(e + 1 for e in top)
     for k, b in seeds:
         masks[sum(e * s for e, s in zip(b, steps))] |= 1 << k
-    columns = {n: [{i: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
-                   for j in range(C.rank(n))] for n in mdegs}
-    memo: dict = {}
+    walk, last = [], {}  # last[p]: the last point that extends p's state
     for code in range(len(masks)):
         b = tuple(code // s % (e + 1) for s, e in zip(steps, top))
-        for s, e in zip(steps, b):
-            if e:
-                masks[code] |= masks[code - s]
+        preds = [code - s for s, e in zip(steps, b) if e]
+        for p in preds:
+            masks[code] |= masks[p]
+        walk.append((b, None if modulo else max(preds, key=lambda p: masks[p].bit_count(), default=None)))
+        last[walk[-1][1]] = code
+    index = {(n, j): g for g, (n, j, _) in enumerate(gens)}
+    columns = [{index[n - 1, i]: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
+               for n, j, _ in gens]  # column g of d, its rows indexed as generators
+    F, memo, kept = C.ring.coeff_field, {}, {None: (0, {}, {})}
+    copy = lambda n, g: dict(columns[g])
+    for code, (b, p) in enumerate(walk):
         block = masks[code] >> G & ~masks[code]
-        if block not in memo:
-            gs = [gens[g][:2] for g in range(block.bit_length()) if block >> g & 1]
-            memo[block] = _block_homology(C.ring.coeff_field, columns, gs, lambda: mono_str(b, C.ring))
-        yield b, mono_degree(b), sum(map(eq, b, top)), memo[block]
+        if modulo:
+            if block not in memo:
+                on_rows = lambda n, g: {i: c for i, c in columns[g].items() if block >> i & 1}
+                memo[block] = _block_homology(F, on_rows, {}, _bits(gens, block), lambda: mono_str(b, C.ring))[1]
+            h = memo[block]
+        else:
+            base, state, h = kept.pop(p) if last[p] == code else kept[p]
+            if block != base:
+                state, h = _block_homology(F, copy, state, _bits(gens, block & ~base), lambda: mono_str(b, C.ring))
+            if code in last:
+                kept[code] = block, state, h
+        yield b, mono_degree(b), sum(map(eq, b, top)), h
 
 
-def _block_homology(F, columns: dict, block: list, where) -> dict:
-    """Homology of d's scalar coefficients on one block's generators (n, j);
-    columns[n][j] is column j of d_n as a {row: coefficient} dict.  Those
-    cancelled are the pivot rows of d_{n+1}: none if n + 1 has no generators.
-    dim H_n = size_n - rank d_n - rank d_{n+1}, checked: no dimension is
-    negative at the point where() names, and the Euler characteristics agree."""
-    gens: dict = {}
-    for n, j in block:
-        gens.setdefault(n, []).append(j)
-    ranks = {}
-    cancelled: dict = {}
-    for n in sorted(gens, reverse=True):
-        rows = set(gens.get(n - 1, ()))
-        cancelled = linalg.echelon(F, ({i: c for i, c in columns[n][j].items() if i in rows}
-                                       for j in gens[n] if j not in cancelled))
-        ranks[n] = len(cancelled)
-    h = {n: len(js) - ranks[n] - ranks.get(n + 1, 0) for n, js in sorted(gens.items())}
+def _bits(gens: list, mask: int):
+    while mask:
+        yield gens[(g := (mask & -mask).bit_length() - 1)][0], g
+        mask &= mask - 1
+
+
+def _block_homology(F, column, state: dict, new, where) -> tuple:
+    """Extend state, a block's {n: (size, echelon basis of d_n)} (never
+    modified, so blocks share it), by the generators (n, j) in new, j also
+    their row in d_{n+1}: top degree down, column(n, j), a fresh {row: c}
+    dict of d_n on the block's rows, is reduced unless j is a pivot row of
+    d_{n+1}'s new basis.  Returns the new state and dim H_n = size_n - rank
+    d_n - rank d_{n+1}, checked: none is negative at where(), Euler sums agree."""
+    state, fresh = dict(state), {}
+    for n, j in new:
+        fresh.setdefault(n, []).append(j)
+    for n in sorted(fresh, reverse=True):
+        size, basis = state.get(n, (0, None))
+        cols = (column(n, j) for j in fresh[n] if j not in state.get(n + 1, (0, ()))[1])
+        state[n] = size + len(fresh[n]), linalg.echelon(F, cols, basis=basis)
+    h = {n: s - len(r) - len(state.get(n + 1, (0, ()))[1]) for n, (s, r) in sorted(state.items())}
     for n, v in h.items():
         if v < 0:
             raise InvariantViolation(f"negative homology dimension in H_{n} at {where()}")
-    if sum((-1) ** n * (len(gens[n]) - v) for n, v in h.items()):
+    if sum((-1) ** n * (state[n][0] - v) for n, v in h.items()):
         raise InvariantViolation("rank-nullity bookkeeping broke")
-    return h
+    return state, h
 
 
 @dataclass

@@ -32,10 +32,11 @@ def _reduce(field, basis: dict, col: dict):
     return None
 
 
-def echelon(field, columns: Iterable[dict], nrows: Optional[int] = None) -> dict:
-    """The echelon basis {pivot row: column} of the columns, reduced in place
-    in order; its size is their rank.  Rows from nrows on are never pivots."""
-    basis: dict = {}
+def echelon(field, columns: Iterable[dict], nrows: Optional[int] = None, basis: Optional[dict] = None) -> dict:
+    """The echelon basis {pivot row: column} of a copy of basis, if given, and
+    the columns, reduced in place in order; its size is their rank.  Rows
+    from nrows on are never pivots."""
+    basis = dict(basis or {})
     norm = field.of_int
     for col in columns:
         p = _reduce(field, basis, col)

@@ -69,6 +69,25 @@ def test_agrees_with_dense_reference(F):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("F", FIELDS[:2], ids=IDS[:2])
+def test_echelon_extends_a_basis_without_modifying_it(F):
+    """Extending echelon(A) by B reaches the pivot rows and rank of
+    echelon(A + B); the starting basis and its columns are left as they were."""
+    rng = random.Random(16)
+    for t in range(20):
+        m, n = rng.randint(0, 30), rng.randint(0, 40)
+        entries = (random_entries if t % 2 else random_low_rank)(rng, F, m, n)
+        cols = linalg._columns(F, n, entries)
+        k = rng.randint(0, n)
+        start = linalg.echelon(F, [dict(c) for c in cols[:k]])
+        before = {p: (col, dict(col)) for p, col in start.items()}
+        extended = linalg.echelon(F, [dict(c) for c in cols[k:]], basis=start)
+        whole = linalg.echelon(F, [dict(c) for c in cols])
+        assert sorted(extended) == sorted(whole) and len(extended) == dense_rank(F, m, n, entries)
+        assert start.keys() == before.keys()
+        assert all(start[p] is col and col == copy for p, (col, copy) in before.items())
+
+
 @pytest.mark.parametrize("F", FIELDS, ids=IDS)
 def test_solve_consistent(F):
     rng = random.Random(11)
