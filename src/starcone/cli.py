@@ -70,6 +70,11 @@ EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 EXIT_RESOURCE = 4
 
+# The largest degree bound a homology table is filled and printed up to:
+# its cells and the H_0 row grow with the bound, so a bound such as 10^30
+# would never finish.
+MAX_DEGREE_BOUND = 1000
+
 
 class UsageError(ValueError):
     pass
@@ -182,7 +187,11 @@ def _ranks(C: ChainComplex) -> list:
 
 def _verification(C: ChainComplex, Q: MonomialIdeal | None, bound: int) -> tuple:
     """Certify C as a resolution of R/Q, or only as exact in positive
-    degrees when Q is None, printing up to bound: (document fields, passed)."""
+    degrees when Q is None, printing up to bound: (document fields, passed).
+    A bound above MAX_DEGREE_BOUND, such as a default taken from a huge
+    twist, is a usage error."""
+    if bound > MAX_DEGREE_BOUND:
+        raise UsageError(f"degree bound {bound} is above {MAX_DEGREE_BOUND}, the largest table printed")
     report = homology_dims(C, bound, against=Q)
     ok = report.exact_in_positive
     v = {
@@ -426,6 +435,8 @@ def cmd_verify(job: argparse.Namespace):
         bound = job.degree_bound if job.degree_bound is not None else C.max_twist()
         try:
             v, ok = _verification(C, Q, bound)
+        except UsageError:
+            raise
         except ValueError as e:
             doc = {
                 "command": "verify",
@@ -488,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal-i", type=str, default=None, help="generators of I (default: block A variables)")
         p.add_argument("--ideal-j", type=str, default=None, help="generators of J (default: block B variables)")
         p.add_argument("--prime", type=int, default=32003, help="coefficient prime, 0 for the rationals")
-        p.add_argument("--degree-bound", type=int, default=None, help="internal degree bound for printed homology")
+        p.add_argument("--degree-bound", type=int, default=None,
+                       help=f"internal degree bound for printed homology, at most {MAX_DEGREE_BOUND}")
         p.add_argument("--truncate", type=int, default=None, help="power series truncation")
         p.add_argument("--json", action="store_true", help="emit a JSON document instead of text")
         p.add_argument(
@@ -538,6 +550,8 @@ def job_from_args(args: argparse.Namespace) -> argparse.Namespace:
     command line, which is then the job that run executes."""
     if args.degree_bound is not None and args.degree_bound < 0:
         raise UsageError("--degree-bound must be nonnegative")
+    if args.degree_bound is not None and args.degree_bound > MAX_DEGREE_BOUND:
+        raise UsageError(f"--degree-bound {args.degree_bound} is above {MAX_DEGREE_BOUND}, the largest table printed")
     if args.truncate is not None and args.truncate < 0:
         raise UsageError("--truncate must be nonnegative")
     args.vars_a = _split_names(args.vars_a) if args.vars_a else ()

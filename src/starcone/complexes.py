@@ -35,8 +35,8 @@ class PolyMatrix:
 
     Column j is a dict {row: nonzero Polynomial}; zero entries are never
     stored, so equal matrices have equal columns.  Callers read entries
-    through column(j), entry(i, j) and nonzero_entries(); rows is a
-    derived dense view for rendering.
+    through column(j), columns(), entry(i, j) and nonzero_entries(); rows
+    is a derived dense view for rendering.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "_cols")
@@ -77,6 +77,10 @@ class PolyMatrix:
     def column(self, j: int) -> dict:
         """Column j as {row: nonzero entry}; callers must not modify it."""
         return self._cols[j]
+
+    def columns(self) -> list:
+        """Every column, in order, as column(j) gives it."""
+        return self._cols
 
     def entry(self, i: int, j: int) -> Polynomial:
         p = self._cols[j].get(i)
@@ -326,11 +330,34 @@ class ChainMap:
         return PolyMatrix.zero(self.source.ring, self.target.rank(n), self.source.rank(n))
 
 
+def _products_vanish(F, pairs, ncols: int) -> bool:
+    """Whether the sum of sign * A B over (A, B, sign) in pairs is zero.
+    Column by column, every term of every a_ik b_kj goes into one
+    {(i, monomial): coefficient} dict, and each sum must normalize to 0:
+    no product polynomial or matrix is formed."""
+    for j in range(ncols):
+        acc: dict = {}
+        for A, B, sign in pairs:
+            for k, b in B.column(j).items():
+                for i, a in A.column(k).items():
+                    for mb, cb in b.terms.items():
+                        cb *= sign
+                        for ma, ca in a.terms.items():
+                            key = i, mono_mul(ma, mb)
+                            acc[key] = acc.get(key, 0) + ca * cb
+        if any(map(F.of_int, acc.values())):
+            return False
+    return True
+
+
 def chain_map_defect(f: ChainMap):
-    """First degree where the square d_target f - f d_source fails, or None."""
-    degrees = set(f.source.modules) | set(f.target.modules)
-    for n in sorted(degrees):
-        if f.target.diff(n).mul(f.mat(n)) != f.mat(n - 1).mul(f.source.diff(n)):
+    """First degree where f's matrix has the wrong shape or the square
+    d_target f - f d_source fails, or None."""
+    S, T = f.source, f.target
+    for n in sorted(set(S.modules) | set(T.modules)):
+        fn = f.mat(n)
+        if (fn.nrows, fn.ncols) != (T.rank(n), S.rank(n)) or not _products_vanish(
+                T.ring.coeff_field, ((T.diff(n), fn, 1), (f.mat(n - 1), S.diff(n), -1)), S.rank(n)):
             return n
     return None
 
@@ -361,12 +388,8 @@ def cone(f: ChainMap) -> ChainComplex:
 
 def is_complex(C: ChainComplex) -> bool:
     """d_{n-1} d_n = 0 for all n."""
-    for n in C.support():
-        if C.rank(n - 1) == 0 or C.rank(n - 2) == 0:
-            continue
-        if not C.diff(n - 1).mul(C.diff(n)).is_zero():
-            return False
-    return True
+    return all(_products_vanish(C.ring.coeff_field, ((C.diffs[n - 1], mat, 1),), mat.ncols)
+               for n, mat in C.diffs.items() if n - 1 in C.diffs)
 
 
 def multidegrees(C: ChainComplex) -> Optional[dict]:
@@ -391,8 +414,8 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
 
 def is_minimal(C: ChainComplex) -> bool:
     """No differential entry has a nonzero constant term."""
-    return not any(p.constant_coeff() for mat in C.diffs.values()
-                   for _, _, p in mat.nonzero_entries())
+    one = mono_one(C.ring.nvars)
+    return not any(one in p.terms for mat in C.diffs.values() for col in mat.columns() for p in col.values())
 
 
 # ------------------------------------------------------------ power series

@@ -28,12 +28,14 @@ Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
 entry d_n[h, g] != 0 keeps homology, deleting row g of d_{n+1} and column h
 of d_{n-1}.  Columns of d_{n-1} that are pivot rows of d_n are skipped:
-d_{n-1} d_n = 0, which `is_complex` checks first (and which holds modulo J),
-makes them combinations of the rest, so every column set between "not
-cancelled" and "all" has the same rank.  Without J a column's entries lie in
-rows of multidegree <= its own, so the block at b - e_i is a subcomplex of
-the one at b (Bayer-Sturmfels's X_{<=b}), and b only adds the columns of
-its new generators to the bases of its largest such block: pivot rows only
+d_{n-1} d_n = 0 (which holds modulo J too) makes them combinations of the
+rest, so every column set between "not cancelled" and "all" has the same
+rank.  So d^2 = 0 is checked before any block is ranked: on a multigraded
+C by scalar sums over its generator columns, on the fallback by polynomial
+products (`is_complex`).  Without J a column's entries lie in rows of
+multidegree <= its own, so the block at b - e_i is a subcomplex of the one
+at b (Bayer-Sturmfels's X_{<=b}), and b only adds the columns of its new
+generators to the bases of its largest such block: pivot rows only
 accumulate, so the set reduced stays in that range.  Modulo J a generator
 leaves the block once mdeg_j + u <= b, so each block is ranked on its own.
 """
@@ -91,14 +93,36 @@ def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
         yield None, d, 0, h
 
 
-def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
+def _generator_columns(C: ChainComplex, mdegs: dict) -> tuple:
+    """The generators (n, j, mdeg_j) of a multigraded C, and column g of d
+    as {row generator: c}: entry (i, g) is c x^(mdeg_g - mdeg_i)."""
+    gens = [(n, j, a) for n, mdeg in mdegs.items() for j, a in enumerate(mdeg)]
+    index = {(n, j): g for g, (n, j, _) in enumerate(gens)}
+    return gens, [{index[n - 1, i]: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
+                  for n, j, _ in gens]
+
+
+def _squares_to_zero(F, columns: list) -> bool:
+    """d^2 = 0 on generator columns: entry (k, g) of d d is
+    (sum_i c_ig c_ki) x^(mdeg_g - mdeg_k), so each scalar sum must vanish."""
+    for col in columns:
+        acc: dict = {}
+        for i, c in col.items():
+            for k, e in columns[i].items():
+                acc[k] = acc.get(k, 0) + c * e
+        if any(map(F.of_int, acc.values())):
+            return False
+    return True
+
+
+def _box_pieces(C: ChainComplex, gens: list, columns: list, modulo: Optional[MonomialIdeal],
+                against: Optional[MonomialIdeal]):
     """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M.
     The block at b, the labels (g, x^(b - mdeg_g)) of _degree_basis, is the
     generators g with mdeg_g <= b less those with mdeg_g + u <= b for some u
     in modulo.gens.  Both sets are bits of one mask per b, the OR of the
     masks at every b - e_i, walked first, and the bits seeded at b.  M also
     covers against's generators, so x^b is in against iff x^min(b, M) is."""
-    gens = [(n, j, a) for n, mdeg in mdegs.items() for j, a in enumerate(mdeg)]
     G = len(gens)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
     seeds = [(G + g, a) for g, (_, _, a) in enumerate(gens)]
     seeds += [(g, mono_mul(a, u)) for g, (_, _, a) in enumerate(gens) for u in (modulo.gens if modulo else ())]
@@ -115,9 +139,6 @@ def _box_pieces(C: ChainComplex, mdegs: dict, modulo: Optional[MonomialIdeal], a
             masks[code] |= masks[p]
         walk.append((b, None if modulo else max(preds, key=lambda p: masks[p].bit_count(), default=None)))
         last[walk[-1][1]] = code
-    index = {(n, j): g for g, (n, j, _) in enumerate(gens)}
-    columns = [{index[n - 1, i]: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
-               for n, j, _ in gens]  # column g of d, its rows indexed as generators
     F, memo, kept = C.ring.coeff_field, {}, {None: (0, {}, {})}
     copy = lambda n, g: dict(columns[g])
     for code, (b, p) in enumerate(walk):
@@ -188,11 +209,16 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    if not is_complex(C):
-        raise ValueError("d^2 != 0: homology dimensions are undefined")
     mdegs = multidegrees(C)
+    if mdegs is None:
+        squares_to_zero = is_complex(C)
+    else:
+        gens, columns = _generator_columns(C, mdegs)
+        squares_to_zero = _squares_to_zero(C.ring.coeff_field, columns)
+    if not squares_to_zero:
+        raise ValueError("d^2 != 0: homology dimensions are undefined")
     pieces = list(_dense_pieces(C, d_max, modulo) if mdegs is None
-                  else _box_pieces(C, mdegs, modulo, against))
+                  else _box_pieces(C, gens, columns, modulo, against))
     weights = Counter((n, deg, free, v) for _, deg, free, h in pieces for n, v in h.items() if v)
     dims: Counter = Counter()
     for (n, deg, free, v), count in weights.items():
@@ -240,7 +266,7 @@ class TorReport:
 
 def _entry_support(X: ChainComplex) -> frozenset:
     return frozenset().union(*(mono_support(m) for mat in X.diffs.values()
-                               for _, _, p in mat.nonzero_entries() for m in p.terms))
+                               for col in mat.columns() for p in col.values() for m in p.terms))
 
 
 def is_tor_independent(X: ChainComplex, J: MonomialIdeal) -> TorReport:

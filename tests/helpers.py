@@ -7,6 +7,8 @@ import random
 import resource
 from contextlib import contextmanager
 
+from hypothesis import strategies as st
+
 from starcone import (
     ChainComplex,
     FiberInstance,
@@ -19,6 +21,7 @@ from starcone import (
     make_instance,
     poly_parse,
 )
+from starcone.ring import Polynomial, monomials_of_degree
 
 
 def random_exponents(rng: random.Random, nvars: int, degree: int) -> list:
@@ -125,6 +128,55 @@ def fiber_without_top_module(coeff_field=None):
     its top module deleted, and the fiber ideal it no longer resolves."""
     inst = block_instance(2, 2, ["x1^2", "x2^2"], ["y1^2", "y2^2"], coeff_field=coeff_field)
     return without_top_module(build_fiber(inst).resolution), inst.quotient_ideal()
+
+
+@st.composite
+def small_ideals(draw):
+    """Up to 4 generators of degree 1..3 in up to 3 variables."""
+    ring = RingSpec(("x", "y", "z")[:draw(st.integers(1, 3))])
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(lambda e: 1 <= sum(e) <= 3)
+    return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=4)))
+
+
+def perturbed(mats: dict, pick: int, k: int, how: int, c: int) -> dict:
+    """mats ({n: PolyMatrix}) with one nonzero entry changed: the k-th, in
+    row-major order, of the pick-th nonzero matrix (both taken modulo their
+    number).  how 0 adds c times the entry's first monomial (a coefficient
+    change), how 1 deletes the entry, how 2 adds c times the first monomial
+    of its degree in descending lex (a second term, unless that is the
+    same).  Entries stay homogeneous."""
+    ns = [n for n in sorted(mats) if not mats[n].is_zero()]
+    n = ns[pick % len(ns)]
+    mat = mats[n]
+    entries = {(i, j): p for i, j, p in mat.nonzero_entries()}
+    (i, j), p = list(entries.items())[k % len(entries)]
+    first = next(iter(p.terms))
+    if how == 1:
+        del entries[i, j]
+    else:
+        m = first if how == 0 else monomials_of_degree(len(first), sum(first))[0]
+        entries[i, j] = p + Polynomial.monomial(mat.ring, m, c)
+    return {**mats, n: PolyMatrix.from_entries(mat.ring, mat.nrows, mat.ncols, entries)}
+
+
+def product_is_complex(C) -> bool:
+    """Reference for the d^2 = 0 checks: every d_{n-1} d_n formed by
+    PolyMatrix.mul and tested for zero."""
+    return all(C.diff(n - 1).mul(C.diff(n)).is_zero() for n in C.support())
+
+
+def product_chain_map_defect(f):
+    """Reference for chain_map_defect: both sides of each square formed by
+    PolyMatrix.mul and compared."""
+    for n in sorted(set(f.source.modules) | set(f.target.modules)):
+        if f.target.diff(n).mul(f.mat(n)) != f.mat(n - 1).mul(f.source.diff(n)):
+            return n
+    return None
+
+
+def scan_is_minimal(C) -> bool:
+    """Reference for is_minimal: the sorted scan of every nonzero entry."""
+    return not any(p.constant_coeff() for mat in C.diffs.values() for _, _, p in mat.nonzero_entries())
 
 
 def double_every_solve(monkeypatch):

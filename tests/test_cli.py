@@ -1,10 +1,11 @@
 """CLI contract: subcommands, exit codes, determinism, JSON documents."""
 import json
+import time
 
 import pytest
 
-from starcone import complex_to_json
-from starcone.cli import build_parser, job_from_args, main, run
+from starcone import RingSpec, complex_to_json
+from starcone.cli import MAX_DEGREE_BOUND, build_parser, job_from_args, main, run
 from starcone.ring import mono_str
 
 from helpers import double_every_solve, fiber_without_top_module, koszul_without_syzygy
@@ -78,6 +79,28 @@ def test_negative_truncate_is_usage(capsys):
                "--truncate", "-1"])
     assert rc == 2
     assert capsys.readouterr().err == "usage error: --truncate must be nonnegative\n"
+
+
+def test_bound_above_the_printed_table_is_usage(tmp_path, capsys):
+    """A bound the table cannot print, explicit or the default read off a
+    huge twist, exits 2 at once with one line naming it."""
+    huge = 10 ** 30
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"ring": RingSpec(("x",)).describe(), "modules": {"0": [0], "1": [huge]}}))
+    start = time.perf_counter()
+    code, text = run_argv(["verify", "--in", str(path)])
+    assert (code, text) == (2, f"usage error: degree bound {huge} is above {MAX_DEGREE_BOUND}, "
+                               "the largest table printed\n")
+    rc = main(["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--degree-bound", str(huge)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"usage error: --degree-bound {huge} is above {MAX_DEGREE_BOUND}, "
+                                       "the largest table printed\n")
+    assert time.perf_counter() - start < 1
+    code, text = run_argv(["verify", "--in", str(path), "--degree-bound", str(MAX_DEGREE_BOUND)])
+    assert code == 0 and f"degree bound {MAX_DEGREE_BOUND} (bounded)" in text
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"at most {MAX_DEGREE_BOUND}" in " ".join(capsys.readouterr().out.split())
 
 
 BAD_RING_OR_IDEAL = {

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, seed
-from hypothesis import strategies as st
 
 import starcone.homcheck
 from starcone import (
@@ -41,6 +40,7 @@ from helpers import (
     instance_e,
     instance_e_prime,
     koszul_without_syzygy,
+    small_ideals,
     small_instances,
     without_top_module,
 )
@@ -333,14 +333,6 @@ def test_three_plus_three_rung_certifies_complete():
         rep = homology_dims(res, bound)
     assert rep.complete and rep.exact_in_positive
     assert rep.h0 == hilbert_function(inst.quotient_ideal(), bound)
-
-
-@st.composite
-def small_ideals(draw):
-    """Up to 4 generators of degree 1..3 in up to 3 variables."""
-    ring = RingSpec(("x", "y", "z")[:draw(st.integers(1, 3))])
-    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(lambda e: 1 <= sum(e) <= 3)
-    return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=4)))
 
 
 @seed(20261018)

@@ -1,0 +1,136 @@
+"""The d^2 = 0, chain-map and minimality checks form no polynomial products:
+each one agrees with its PolyMatrix.mul reference on perturbed complexes and
+maps, and the certifier runs with PolyMatrix.mul switched off."""
+from functools import lru_cache
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
+
+import starcone.homcheck
+from starcone import (
+    ChainComplex,
+    ChainMap,
+    MonomialIdeal,
+    PolyMatrix,
+    block_instance,
+    build_fiber,
+    homology_dims,
+    is_complex,
+    is_minimal,
+    resolution_of,
+    taylor,
+    tor_dims,
+)
+from starcone.complexes import chain_map_defect, multidegrees
+from starcone.fiber import omega
+from starcone.ring import Polynomial
+
+from helpers import (
+    perturbed,
+    product_chain_map_defect,
+    product_is_complex,
+    scan_is_minimal,
+    small_ideals,
+    small_instances,
+)
+
+PERTURBATIONS = st.tuples(st.integers(0, 9), st.integers(0, 99), st.integers(0, 2), st.integers(1, 4))
+
+
+@lru_cache(maxsize=None)
+def _builds() -> tuple:
+    return tuple(build_fiber(inst) for inst in small_instances(3))
+
+
+def _with_diffs(C: ChainComplex, diffs: dict) -> ChainComplex:
+    return ChainComplex(C.ring, C.modules, diffs)
+
+
+@st.composite
+def complexes(draw):
+    """A Taylor complex, a minimal resolution or a built fiber resolution."""
+    kind = draw(st.sampled_from(["taylor", "resolution", "fiber"]))
+    if kind == "fiber":
+        return draw(st.sampled_from(_builds())).resolution
+    I = draw(small_ideals())
+    return taylor(I) if kind == "taylor" else resolution_of(I)
+
+
+def _assert_d2_check_agrees(C: ChainComplex, modulo):
+    squares_to_zero = product_is_complex(C)
+    assert is_complex(C) == squares_to_zero
+    if squares_to_zero:
+        homology_dims(C, 1, modulo=modulo)
+        return
+    refuse = AssertionError("a block was ranked before d^2 was checked")
+    with patch.object(starcone.homcheck, "_block_homology", side_effect=refuse), \
+            pytest.raises(ValueError, match=r"^d\^2 != 0: homology dimensions are undefined$"):
+        homology_dims(C, 1, modulo=modulo)
+
+
+@seed(20261020)
+@given(complexes(), PERTURBATIONS, st.booleans())
+def test_d2_check_agrees_with_products(C, perturbation, reduce_mod):
+    """homology_dims raises the d^2 error, before ranking any block, iff the
+    reference product d_{n-1} d_n is nonzero, with and without modulo; the
+    perturbed complex is multigraded or falls back to total degree."""
+    if not C.diffs:
+        return
+    modulo = MonomialIdeal(C.ring, [(0,) * (C.ring.nvars - 1) + (1,)]) if reduce_mod else None
+    _assert_d2_check_agrees(C, modulo)
+    _assert_d2_check_agrees(_with_diffs(C, perturbed(C.diffs, *perturbation)), modulo)
+
+
+def test_d2_check_covers_both_paths():
+    """A coefficient change keeps the scalar path; a second term in an entry
+    sends the complex to the polynomial fallback; both are refused."""
+    res = _builds()[0].resolution
+    for how, graded in ((0, True), (2, False)):
+        bad = _with_diffs(res, perturbed(res.diffs, 1, 0, how, 1))
+        assert (multidegrees(bad) is not None) == graded
+        assert not product_is_complex(bad)
+        with pytest.raises(ValueError, match=r"d\^2 != 0"):
+            homology_dims(bad, 1)
+
+
+@seed(20261021)
+@given(st.integers(0, 2), st.sampled_from(["phi", "psi", "omega"]), PERTURBATIONS)
+def test_chain_map_defect_agrees_with_products(which, side, perturbation):
+    """On the comparison lifts and on omega(Phi, Psi), perturbed in one
+    entry, chain_map_defect names the degree the product comparison names."""
+    build = _builds()[which]
+    f = {"phi": build.phi_lift.map, "psi": build.psi_lift.map}.get(side) or omega(build.Phi, build.Psi)
+    assert chain_map_defect(f) is None and product_chain_map_defect(f) is None
+    g = ChainMap(f.source, f.target, perturbed(f.mats, *perturbation))
+    assert chain_map_defect(g) == product_chain_map_defect(g)
+
+
+@seed(20261022)
+@given(small_ideals(), PERTURBATIONS)
+def test_is_minimal_agrees_with_sorted_scan(I, perturbation):
+    """Unminimized Taylor complexes have unit entries; minimal resolutions
+    have none; a perturbation can add or remove one."""
+    T, R = taylor(I), resolution_of(I)
+    for C in (T, R, _with_diffs(T, perturbed(T.diffs, *perturbation)) if T.diffs else T):
+        assert is_minimal(C) == scan_is_minimal(C)
+
+
+def test_checks_form_no_products():
+    """The certifier, is_complex and chain_map_defect run with PolyMatrix.mul
+    and polynomial arithmetic switched off, on a multigraded 3+2 resolution."""
+    inst = block_instance(3, 2, ["x1^2", "x2^2", "x3^2", "x1*x2*x3"], ["y1^2", "y2^2"])
+    build = build_fiber(inst)
+    res, f = build.resolution, omega(build.Phi, build.Psi)
+
+    def refuse(*args):
+        raise AssertionError("formed a polynomial product")
+
+    with patch.object(PolyMatrix, "mul", refuse), patch.object(Polynomial, "__mul__", refuse), \
+            patch.object(Polynomial, "__add__", refuse):
+        rep = homology_dims(res, 6, against=inst.quotient_ideal())
+        assert rep.complete and rep.exact_in_positive and rep.h0_matches
+        assert tor_dims(res, inst.J, 6).complete
+        assert is_complex(res) and is_minimal(res)
+        assert chain_map_defect(f) is None
