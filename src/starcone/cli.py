@@ -10,9 +10,10 @@ Subcommands:
   export    emit a constructed complex as JSON
 
 Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error
-(a malformed `verify --in` file included), 3 verification failure (a broken
-internal invariant included), 4 resource error (out of memory).  Output is
-deterministic: the same invocation produces byte-identical documents.
+(a malformed `verify --in` file and an lcm box too large to walk included),
+3 verification failure (a broken internal invariant included), 4 resource
+error (out of memory).  Output is deterministic: the same invocation
+produces byte-identical documents.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .formulas import (
     poincare_identity_2,
     series_of_ideal,
 )
-from .homcheck import homology_dims
+from .homcheck import BoxTooLarge, homology_dims
 from .resolutions import minimize, resolution_of
 from .ring import (
     MonomialIdeal,
@@ -435,7 +436,7 @@ def cmd_verify(job: argparse.Namespace):
         bound = job.degree_bound if job.degree_bound is not None else C.max_twist()
         try:
             v, ok = _verification(C, Q, bound)
-        except UsageError:
+        except (UsageError, BoxTooLarge):
             raise
         except ValueError as e:
             doc = {
@@ -573,7 +574,7 @@ def run(job: argparse.Namespace) -> tuple:
     """Execute one job; returns (exit code, output text)."""
     try:
         code, doc, text = _COMMANDS[job.command](job)
-    except UsageError as e:
+    except (UsageError, BoxTooLarge) as e:
         return EXIT_USAGE, f"usage error: {e}\n"
     except PolyParseError as e:
         return EXIT_USAGE, f"parse error: {e}\n"

@@ -99,19 +99,6 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return not any(self._cols)
 
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions disagree")
-        cols = []
-        for col in other._cols:
-            acc: dict = {}
-            for k, b in col.items():
-                for i, a in self._cols[k].items():
-                    prod = a * b
-                    acc[i] = acc[i] + prod if i in acc else prod
-            cols.append({i: p for i, p in acc.items() if p.terms})
-        return PolyMatrix._of_columns(self.ring, self.nrows, other.ncols, cols)
-
     def neg(self) -> "PolyMatrix":
         cols = [{i: -p for i, p in col.items()} for col in self._cols]
         return PolyMatrix._of_columns(self.ring, self.nrows, self.ncols, cols)
@@ -351,10 +338,10 @@ def _products_vanish(F, pairs, ncols: int) -> bool:
 
 
 def chain_map_defect(f: ChainMap):
-    """First degree where f's matrix has the wrong shape or the square
-    d_target f - f d_source fails, or None."""
+    """First degree, of either complex or of f's matrices, where f's matrix
+    has the wrong shape or the square d_target f - f d_source fails, or None."""
     S, T = f.source, f.target
-    for n in sorted(set(S.modules) | set(T.modules)):
+    for n in sorted(set(S.modules) | set(T.modules) | set(f.mats)):
         fn = f.mat(n)
         if (fn.nrows, fn.ncols) != (T.rank(n), S.rank(n)) or not _products_vanish(
                 T.ring.coeff_field, ((T.diff(n), fn, 1), (f.mat(n - 1), S.diff(n), -1)), S.rank(n)):
@@ -363,9 +350,6 @@ def chain_map_defect(f: ChainMap):
 
 
 def is_chain_map(f: ChainMap) -> bool:
-    for n, mat in f.mats.items():
-        if mat.nrows != f.target.rank(n) or mat.ncols != f.source.rank(n):
-            return False
     return chain_map_defect(f) is None
 
 

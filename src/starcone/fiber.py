@@ -10,9 +10,10 @@ S, X, T, Y of the four quotients:
   4. take the cone on (Phi  Psi).
 
 Every complex resolution_of builds is Z^n-multigraded with single-term
-entries, so step 1 solves one small linear system per column of each lift
-degree: in the column's multidegree b, over the generators whose
-multidegrees divide b.
+entries, so step 1 runs on scalars: entry (i, g) of phi_j is c x^(mdeg_g -
+mdeg_i), and each column g is one small linear system in its multidegree
+b = mdeg_g, over the generators whose multidegrees divide b.  No
+polynomial is multiplied.
 
 On basis pairs, with i = |alpha| and j = |beta|:
 
@@ -59,7 +60,6 @@ from .ring import (
     ideal_sum,
     mono_div,
     mono_divides,
-    mono_mul,
 )
 from .star import star_basis, star_product
 
@@ -84,72 +84,52 @@ class LiftReport:
 
 # ----------------------------------------------------------------- lifting
 
-def _lift_column(X: ChainComplex, j: int, mdegs: dict, w_col: dict,
-                 constrain_to: Optional[MonomialIdeal]) -> Optional[list]:
-    """A column v with d_j v = w_col ({row: nonzero entry}), or None.  Each
-    multidegree b of w_col (there is one when the source is multigraded
-    too) is one solve over the generators of X_j and X_{j-1} whose
-    multidegrees divide b, with unknowns x^(b - mdeg) optionally kept
-    inside an ideal."""
-    ring, F = X.ring, X.ring.coeff_field
-    v = [Polynomial.zero(ring)] * X.rank(j)
-    d = X.diff(j)
-    for b in {mono_mul(mdegs[j - 1][i], m) for i, p in w_col.items() for m in p.terms}:
-        rows = [(i, mono_div(b, a)) for i, a in enumerate(mdegs[j - 1]) if mono_divides(a, b)]
-        cols = [(g, mono_div(b, a)) for g, a in enumerate(mdegs.get(j, ())) if mono_divides(a, b)]
-        if constrain_to is not None:
-            cols = [(g, m) for g, m in cols if constrain_to.contains_monomial(m)]
-        row_of = {i: r for r, (i, _) in enumerate(rows)}
-        entries = {
-            (row_of[i], k): c
-            for k, (g, _) in enumerate(cols)
-            for i, p in d.column(g).items() if i in row_of
-            for c in p.terms.values()
-        }
-        rhs = [w_col[i].terms.get(m, 0) if i in w_col else 0 for i, m in rows]
-        sol = linalg.solve(F, len(rows), len(cols), entries, rhs)
-        if sol is None:
-            return None
-        for (g, m), c in zip(cols, sol):
-            v[g] = v[g] + Polynomial.monomial(ring, m, c)
-    return v
-
-
 def lift_chain_map(S: ChainComplex, X: ChainComplex,
                    constrain_to: Optional[MonomialIdeal] = None) -> LiftReport:
     """Lift the identity of R to a chain map S -> X, degree by degree.
 
-    Both complexes must start with a single twist-0 generator, and X must be
+    Both complexes must start with a single twist-0 generator and be
     multigraded with single-term entries, as every complex resolution_of
-    builds is; other targets raise ValueError.  Each column of each lift
-    step is one small linear solve inside its multidegree.  With
-    constrain_to given, every positive-degree matrix entry is required to
-    lie in that ideal (feasible whenever H_0(S)'s defining ideal sits in
-    the square of X's); violations raise LiftError.  A result that is not a
-    chain map raises InvariantViolation.
+    builds is; others raise ValueError.  phi_j is kept as scalar columns
+    {i: c}, entry c x^(mdeg_g - mdeg_i), and its column g is one solve of
+    d_j v = phi_{j-1} d_j e_g over the generators whose multidegrees divide
+    mdeg_g.  With constrain_to given, every positive-degree entry must lie
+    in that ideal (feasible whenever H_0(S)'s defining ideal sits in the
+    square of X's), or LiftError is raised.  A result that is not a chain
+    map raises InvariantViolation.
     """
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
-    ring = X.ring
-    mdegs = multidegrees(X)
-    if mdegs is None:
-        raise ValueError("lift target is not multigraded with single-term entries")
-    mats = {0: PolyMatrix.identity(ring, 1)}
+    src, tgt = multidegrees(S), multidegrees(X)
+    if src is None or tgt is None:
+        raise ValueError("lift source and target must be multigraded with single-term entries")
+    ring, F = X.ring, X.ring.coeff_field
+    scalars = lambda C, j: [{i: c for i, p in col.items() for c in p.terms.values()}
+                            for col in C.diff(j).columns()]
+    phi = {0: [{0: 1}]}
     for j in range(1, S.max_degree() + 1):
-        if S.rank(j) == 0:
-            continue
-        W = mats.get(j - 1)
-        if W is None:
-            W = PolyMatrix.zero(ring, X.rank(j - 1), S.rank(j - 1))
-        W = W.mul(S.diff(j))
-        entries = {}
-        for g in range(S.rank(j)):
-            v = _lift_column(X, j, mdegs, W.column(g), constrain_to)
-            if v is None:
+        phi[j], d = [], scalars(X, j)
+        for b, col in zip(src.get(j, ()), scalars(S, j)):
+            acc: dict = {}
+            for k, c in col.items():
+                for i, e in phi[j - 1][k].items():
+                    acc[i] = acc.get(i, 0) + c * e
+            if not any(map(F.of_int, acc.values())):  # v = 0, with no solve
+                phi[j].append({})
+                continue
+            rows = [i for i, a in enumerate(tgt.get(j - 1, ())) if mono_divides(a, b)]
+            cols = [g for g, a in enumerate(tgt.get(j, ())) if mono_divides(a, b) and (
+                constrain_to is None or constrain_to.contains_monomial(mono_div(b, a)))]
+            row_of = {i: r for r, i in enumerate(rows)}
+            entries = {(row_of[i], k): c for k, g in enumerate(cols) for i, c in d[g].items()}
+            sol = linalg.solve(F, len(rows), len(cols), entries, [acc.get(i, 0) for i in rows])
+            if sol is None:
                 inside = "" if constrain_to is None else f" with entries inside {constrain_to}"
                 raise LiftError(j, "no solution" + inside)
-            entries.update(((i, g), p) for i, p in enumerate(v) if p.terms)
-        mats[j] = PolyMatrix.from_entries(ring, X.rank(j), S.rank(j), entries)
+            phi[j].append({g: c for g, c in zip(cols, sol) if c})
+    mats = {j: PolyMatrix.from_entries(ring, X.rank(j), S.rank(j), {
+        (i, g): Polynomial.monomial(ring, mono_div(src[j][g], tgt[j][i]), c)
+        for g, col in enumerate(phi_j) for i, c in col.items()}) for j, phi_j in phi.items() if phi_j}
     out = ChainMap(source=S, target=X, mats=mats)
     if not is_chain_map(out):
         raise InvariantViolation("lift produced a non-chain-map")

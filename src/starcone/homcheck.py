@@ -51,6 +51,16 @@ from . import linalg
 from .complexes import ChainComplex, InvariantViolation, is_complex, multidegrees
 from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
 
+# The most points of an lcm box that one certification walks: the walk keeps
+# a mask per point, so a box such as that of x^(10^30) would never finish.
+# Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
+# the tests and the benchmark walk, and 531441 at 6+6.
+MAX_BOX_POINTS = 1_000_000
+
+
+class BoxTooLarge(ValueError):
+    """The lcm box has more than MAX_BOX_POINTS points."""
+
 
 def _degree_basis(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal]):
     labels = []
@@ -127,8 +137,10 @@ def _box_pieces(C: ChainComplex, gens: list, columns: list, modulo: Optional[Mon
     seeds = [(G + g, a) for g, (_, _, a) in enumerate(gens)]
     seeds += [(g, mono_mul(a, u)) for g, (_, _, a) in enumerate(gens) for u in (modulo.gens if modulo else ())]
     top = tuple(map(max, zip((0,) * C.ring.nvars, *(b for _, b in seeds), *(against.gens if against else ()))))
+    if (points := prod(e + 1 for e in top)) > MAX_BOX_POINTS:
+        raise BoxTooLarge(f"lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked")
     steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
-    masks = [0] * prod(e + 1 for e in top)
+    masks = [0] * points
     for k, b in seeds:
         masks[sum(e * s for e, s in zip(b, steps))] |= 1 << k
     walk, last = [], {}  # last[p]: the last point that extends p's state

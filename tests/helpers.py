@@ -3,25 +3,35 @@
 Everything here uses explicit random.Random seeds so the sampled suites
 are frozen: reruns exercise the identical instances.
 """
+import importlib.util
 import random
 import resource
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from starcone import (
     ChainComplex,
+    ChainMap,
     FiberInstance,
+    InvariantViolation,
+    LiftError,
     MonomialIdeal,
     PolyMatrix,
     PrimeField,
     RingSpec,
     block_instance,
     build_fiber,
+    is_chain_map,
+    linalg,
     make_instance,
     poly_parse,
 )
-from starcone.ring import Polynomial, monomials_of_degree
+from starcone.complexes import multidegrees
+from starcone.fiber import LiftReport
+from starcone.ring import Polynomial, mono_div, mono_divides, mono_mul, monomials_of_degree
 
 
 def random_exponents(rng: random.Random, nvars: int, degree: int) -> list:
@@ -159,19 +169,94 @@ def perturbed(mats: dict, pick: int, k: int, how: int, c: int) -> dict:
     return {**mats, n: PolyMatrix.from_entries(mat.ring, mat.nrows, mat.ncols, entries)}
 
 
+def mat_mul(A, B):
+    """The product A B of two PolyMatrix, column by column: the reference
+    behind product_is_complex and product_chain_map_defect."""
+    if A.ncols != B.nrows:
+        raise ValueError("inner dimensions disagree")
+    entries: dict = {}
+    for j, col in enumerate(B.columns()):
+        for k, b in col.items():
+            for i, a in A.column(k).items():
+                prod = a * b
+                entries[i, j] = entries[i, j] + prod if (i, j) in entries else prod
+    return PolyMatrix.from_entries(A.ring, A.nrows, B.ncols, entries)
+
+
 def product_is_complex(C) -> bool:
     """Reference for the d^2 = 0 checks: every d_{n-1} d_n formed by
-    PolyMatrix.mul and tested for zero."""
-    return all(C.diff(n - 1).mul(C.diff(n)).is_zero() for n in C.support())
+    mat_mul and tested for zero."""
+    return all(mat_mul(C.diff(n - 1), C.diff(n)).is_zero() for n in C.support())
 
 
 def product_chain_map_defect(f):
     """Reference for chain_map_defect: both sides of each square formed by
-    PolyMatrix.mul and compared."""
+    mat_mul and compared."""
     for n in sorted(set(f.source.modules) | set(f.target.modules)):
-        if f.target.diff(n).mul(f.mat(n)) != f.mat(n - 1).mul(f.source.diff(n)):
+        if mat_mul(f.target.diff(n), f.mat(n)) != mat_mul(f.mat(n - 1), f.source.diff(n)):
             return n
     return None
+
+
+def _reference_lift_column(X, j: int, mdegs: dict, w_col: dict, constrain_to):
+    """A column v with d_j v = w_col ({row: nonzero entry}), or None: one
+    solve per multidegree b of w_col, over the generators of X_j and X_{j-1}
+    whose multidegrees divide b, with unknowns x^(b - mdeg) optionally kept
+    inside an ideal."""
+    ring, F = X.ring, X.ring.coeff_field
+    v = [Polynomial.zero(ring)] * X.rank(j)
+    d = X.diff(j)
+    for b in {mono_mul(mdegs[j - 1][i], m) for i, p in w_col.items() for m in p.terms}:
+        rows = [(i, mono_div(b, a)) for i, a in enumerate(mdegs[j - 1]) if mono_divides(a, b)]
+        cols = [(g, mono_div(b, a)) for g, a in enumerate(mdegs.get(j, ())) if mono_divides(a, b)]
+        if constrain_to is not None:
+            cols = [(g, m) for g, m in cols if constrain_to.contains_monomial(m)]
+        row_of = {i: r for r, (i, _) in enumerate(rows)}
+        entries = {
+            (row_of[i], k): c
+            for k, (g, _) in enumerate(cols)
+            for i, p in d.column(g).items() if i in row_of
+            for c in p.terms.values()
+        }
+        rhs = [w_col[i].terms.get(m, 0) if i in w_col else 0 for i, m in rows]
+        sol = linalg.solve(F, len(rows), len(cols), entries, rhs)
+        if sol is None:
+            return None
+        for (g, m), c in zip(cols, sol):
+            v[g] = v[g] + Polynomial.monomial(ring, m, c)
+    return v
+
+
+def reference_lift(S, X, constrain_to=None):
+    """Reference for lift_chain_map: each step forms phi_{j-1} d_j by
+    mat_mul and solves its columns one multidegree of their terms at a
+    time.  Only X need be multigraded."""
+    if S.rank(0) != 1 or X.rank(0) != 1:
+        raise ValueError("both complexes need rank-one degree-0 pieces")
+    ring = X.ring
+    mdegs = multidegrees(X)
+    if mdegs is None:
+        raise ValueError("lift target is not multigraded with single-term entries")
+    mats = {0: PolyMatrix.identity(ring, 1)}
+    for j in range(1, S.max_degree() + 1):
+        if S.rank(j) == 0:
+            continue
+        W = mats.get(j - 1)
+        if W is None:
+            W = PolyMatrix.zero(ring, X.rank(j - 1), S.rank(j - 1))
+        W = mat_mul(W, S.diff(j))
+        entries = {}
+        for g in range(S.rank(j)):
+            v = _reference_lift_column(X, j, mdegs, W.column(g), constrain_to)
+            if v is None:
+                inside = "" if constrain_to is None else f" with entries inside {constrain_to}"
+                raise LiftError(j, "no solution" + inside)
+            entries.update(((i, g), p) for i, p in enumerate(v) if p.terms)
+        mats[j] = PolyMatrix.from_entries(ring, X.rank(j), S.rank(j), entries)
+    out = ChainMap(source=S, target=X, mats=mats)
+    if not is_chain_map(out):
+        raise InvariantViolation("lift produced a non-chain-map")
+    return LiftReport(map=out, constrained=constrain_to is not None)
 
 
 def scan_is_minimal(C) -> bool:
@@ -273,6 +358,17 @@ def dense_homology(C, d_max, modulo=None):
                 dims[n, d] = h
         h0.append(dims.get((0, d), 0))
     return dims, h0
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, imported from outside src/ as the benchmark
+    imports it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextmanager

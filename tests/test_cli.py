@@ -1,11 +1,13 @@
 """CLI contract: subcommands, exit codes, determinism, JSON documents."""
 import json
 import time
+from math import prod
 
 import pytest
 
 from starcone import RingSpec, complex_to_json
 from starcone.cli import MAX_DEGREE_BOUND, build_parser, job_from_args, main, run
+from starcone.homcheck import MAX_BOX_POINTS
 from starcone.ring import mono_str
 
 from helpers import double_every_solve, fiber_without_top_module, koszul_without_syzygy
@@ -101,6 +103,25 @@ def test_bound_above_the_printed_table_is_usage(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert f"at most {MAX_DEGREE_BOUND}" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("exponents", [(10 ** 30,), (200, 200, 200)], ids=["x_10_30", "xyz_200"])
+def test_box_too_large_to_walk_is_usage(tmp_path, capsys, exponents):
+    """d_1 = (x^(10^30)) once overflowed allocating its lcm box, and
+    (x^200, y^200, z^200), 201^3 points, never finished: both exit 2 at once
+    with one line naming the box size and the limit."""
+    names = ("x", "y", "z")[:len(exponents)]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "ring": RingSpec(names).describe(), "modules": {"0": [0], "1": list(exponents)},
+        "differentials": {"1": [[f"{v}^{e}" for v, e in zip(names, exponents)]]}}))
+    start = time.perf_counter()
+    rc = main(["verify", "--in", str(path), "--degree-bound", "3"])
+    assert time.perf_counter() - start < 1
+    points = prod(e + 1 for e in exponents)
+    assert rc == 2
+    assert capsys.readouterr() == (
+        f"usage error: lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked\n", "")
 
 
 BAD_RING_OR_IDEAL = {

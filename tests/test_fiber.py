@@ -1,4 +1,6 @@
 """Lifts, comparison maps, cones, and the minimality certificate."""
+import re
+
 import pytest
 
 from starcone import (
@@ -33,7 +35,16 @@ from starcone import (
 )
 from starcone.fiber import omega
 
-from helpers import double_every_solve, instance_e, instance_e_prime, small_instances, suite_instances
+from helpers import (
+    double_every_solve,
+    explicit_instance,
+    instance_e,
+    instance_e_prime,
+    load_perfbench,
+    reference_lift,
+    small_instances,
+    suite_instances,
+)
 
 
 def quadratic():
@@ -72,6 +83,56 @@ def test_lift_refuses_target_without_single_term_entries():
     S = resolution_of(MonomialIdeal.parse(["x^2"], ring))
     with pytest.raises(ValueError):
         lift_chain_map(S, koszul(ring, [poly_parse("x + y", ring)]))
+
+
+def test_lift_refuses_source_without_single_term_entries():
+    ring = RingSpec(("x", "y"))
+    X = resolution_of(MonomialIdeal.parse(["x"], ring))
+    with pytest.raises(ValueError, match="multigraded"):
+        lift_chain_map(koszul(ring, [poly_parse("x + y", ring)]), X)
+
+
+def test_lift_source_longer_than_target_frozen():
+    """S resolves <x1^2, x1*x2, x1*x3> in three steps, X resolves <x1> in
+    one: phi is zero, with no rows, from degree 2 on."""
+    ring = RingSpec(("x1", "x2", "x3"))
+    S = resolution_of(MonomialIdeal.parse(["x1^2", "x1*x2", "x1*x3"], ring))
+    I = MonomialIdeal.parse(["x1"], ring)
+    X = resolution_of(I)
+    phi = lift_chain_map(S, X).map
+    assert {n: (M.nrows, M.ncols, str(M)) for n, M in phi.mats.items()} == {
+        0: (1, 1, "[1]"), 1: (1, 3, "[x1, x2, x3]"), 2: (0, 3, "[]"), 3: (0, 1, "[]")}
+    with pytest.raises(LiftError, match="degree 1"):
+        lift_chain_map(S, X, constrain_to=I)
+
+
+def _assert_lift_matches_reference(S, X, ideal):
+    """Every phi_j, shape and entries, or the LiftError, as reference_lift
+    gives them, constrained to ideal and unconstrained."""
+    for constrain_to in (ideal, None):
+        try:
+            want = reference_lift(S, X, constrain_to).map.mats
+        except LiftError as e:
+            with pytest.raises(LiftError, match=re.escape(str(e))):
+                lift_chain_map(S, X, constrain_to)
+            continue
+        got = lift_chain_map(S, X, constrain_to).map.mats
+        assert {n: (M.nrows, M.ncols, str(M)) for n, M in got.items()} == \
+            {n: (M.nrows, M.ncols, str(M)) for n, M in want.items()}
+
+
+def test_lift_matches_reference_on_small_survey_and_explicit_instances():
+    """Survey seed 1 has Koszul targets; the explicit specs have
+    non-regular ones; I' = I makes the constrained lift fail."""
+    workloads = load_perfbench("workloads")
+    ring = RingSpec(("x", "y"), partition=(("x",), ("y",)))
+    mk = lambda ts: MonomialIdeal.parse(ts, ring)
+    instances = small_instances() + [make_instance(ring, mk(["x"]), mk(["x"]), mk(["y^2"]), mk(["y"]))]
+    instances += [block_instance(*spec) for spec in workloads.survey_blocks(1, 128)]
+    instances += [explicit_instance(*spec) for spec in workloads.explicit_specs(1, 6)]
+    for inst in instances:
+        _assert_lift_matches_reference(inst.S, inst.X, inst.I)
+        _assert_lift_matches_reference(inst.T, inst.Y, inst.J)
 
 
 def test_lift_check_is_not_an_assert(monkeypatch):

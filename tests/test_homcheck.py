@@ -31,6 +31,7 @@ from starcone import (
     tor_dims,
 )
 from starcone.complexes import multidegrees
+from starcone.homcheck import MAX_BOX_POINTS, BoxTooLarge
 from starcone.ring import mono_degree, mono_lcm
 
 from helpers import (
@@ -364,3 +365,18 @@ def test_box_walk_agrees_with_dense_oracle_off_minimal_complexes(I):
         bound = C.max_twist()
         rep = homology_dims(C, bound)
         assert rep.complete and (rep.dims, rep.h0) == dense_homology(C, bound)
+
+
+def test_box_limit_is_inclusive(monkeypatch):
+    """A box of MAX_BOX_POINTS points is walked and one more is refused; the
+    box modulo J also covers mdeg + u for u in J.  The limit sits above the
+    6+6 block instances' box of 3^12 points."""
+    assert MAX_BOX_POINTS >= 3 ** 12
+    monkeypatch.setattr(starcone.homcheck, "MAX_BOX_POINTS", 8)
+    ring = RingSpec(("x", "y"))
+    fits = resolution_of(MonomialIdeal.parse(["x^3", "y"], ring))
+    assert homology_dims(fits, 3).exact_in_positive
+    with pytest.raises(BoxTooLarge, match=r"^lcm box of 10 points is above 8, the largest walked$"):
+        homology_dims(resolution_of(MonomialIdeal.parse(["x^4", "y"], ring)), 3)
+    with pytest.raises(BoxTooLarge, match=r"^lcm box of 12 points is above 8"):
+        tor_dims(fits, MonomialIdeal.parse(["y"], ring), 3)

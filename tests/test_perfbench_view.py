@@ -1,24 +1,16 @@
 """The benchmark's tracer reads starcone from outside ``src/``: it rebinds
 traced functions by name and sizes matrices through ``rows`` and ``terms``.
 This runs it, unedited, on the warm-up op."""
-import importlib.util
 import json
-import sys
 from pathlib import Path
+
+from helpers import load_perfbench
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_reports_every_per_layer_metric():
-    tracing, workloads = _load("tracing"), _load("workloads")
+    tracing, workloads = load_perfbench("tracing"), load_perfbench("workloads")
     tracer = tracing.Tracer()
     tracer.install()
     try:

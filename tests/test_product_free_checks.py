@@ -1,6 +1,6 @@
 """The d^2 = 0, chain-map and minimality checks form no polynomial products:
-each one agrees with its PolyMatrix.mul reference on perturbed complexes and
-maps, and the certifier runs with PolyMatrix.mul switched off."""
+each one agrees with its mat_mul reference on perturbed complexes and maps,
+and the certifier runs with polynomial arithmetic switched off."""
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -14,11 +14,14 @@ from starcone import (
     ChainMap,
     MonomialIdeal,
     PolyMatrix,
+    RingSpec,
     block_instance,
     build_fiber,
     homology_dims,
     is_complex,
     is_minimal,
+    lift_chain_map,
+    poly_parse,
     resolution_of,
     taylor,
     tor_dims,
@@ -28,6 +31,8 @@ from starcone.fiber import omega
 from starcone.ring import Polynomial
 
 from helpers import (
+    instance_e,
+    mat_mul,
     perturbed,
     product_chain_map_defect,
     product_is_complex,
@@ -118,19 +123,35 @@ def test_is_minimal_agrees_with_sorted_scan(I, perturbation):
 
 
 def test_checks_form_no_products():
-    """The certifier, is_complex and chain_map_defect run with PolyMatrix.mul
-    and polynomial arithmetic switched off, on a multigraded 3+2 resolution."""
+    """The certifier, is_complex, chain_map_defect and the comparison lifts
+    run with polynomial arithmetic switched off, on a multigraded 3+2
+    resolution; the lifts also onto the Taylor-minimized resolutions of E."""
     inst = block_instance(3, 2, ["x1^2", "x2^2", "x3^2", "x1*x2*x3"], ["y1^2", "y2^2"])
     build = build_fiber(inst)
     res, f = build.resolution, omega(build.Phi, build.Psi)
+    e = instance_e()
 
     def refuse(*args):
         raise AssertionError("formed a polynomial product")
 
-    with patch.object(PolyMatrix, "mul", refuse), patch.object(Polynomial, "__mul__", refuse), \
-            patch.object(Polynomial, "__add__", refuse):
+    with patch.object(Polynomial, "__mul__", refuse), patch.object(Polynomial, "__add__", refuse):
         rep = homology_dims(res, 6, against=inst.quotient_ideal())
         assert rep.complete and rep.exact_in_positive and rep.h0_matches
         assert tor_dims(res, inst.J, 6).complete
         assert is_complex(res) and is_minimal(res)
         assert chain_map_defect(f) is None
+        for S, X, I in ((inst.S, inst.X, inst.I), (e.S, e.X, e.I), (e.T, e.Y, e.J)):
+            assert lift_chain_map(S, X, constrain_to=I).constrained
+            lift_chain_map(S, X)
+
+
+def test_mat_mul_by_hand():
+    ring = RingSpec(("x", "y", "z"))
+    P = lambda t: poly_parse(t, ring)
+    A = PolyMatrix(ring, 2, 2, [[P("x"), P("y")], [P("0"), P("z")]])
+    B = PolyMatrix(ring, 2, 3, [[P("y"), P("1"), P("0")], [P("-x"), P("0"), P("z")]])
+    # row 0: [x*y - y*x, x, y*z]; row 1: [-x*z, 0, z^2]
+    want = PolyMatrix(ring, 2, 3, [[P("0"), P("x"), P("y*z")], [P("-x*z"), P("0"), P("z^2")]])
+    assert mat_mul(A, B) == want
+    with pytest.raises(ValueError):
+        mat_mul(B, A)
