@@ -5,12 +5,19 @@ a basis order, a sign, a coefficient or a line of rendering fails here.
 Regenerate (only for an intended change of output) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+test_build_identity_digest freezes the library's built resolutions and
+lifts the same way, as one sha256 over many instances.
 """
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from starcone import RationalField, block_instance, build_fiber, complex_to_json
 from starcone.cli import build_parser, job_from_args, run
+
+from helpers import explicit_instance, load_perfbench
 
 DATA = Path(__file__).parent / "data"
 
@@ -85,6 +92,41 @@ def render(name) -> str:
 def test_golden_document(name):
     want = (DATA / f"{name}.out").read_bytes()
     assert render(name).encode("utf-8") == want
+
+
+# sha256 of build_digest_text(), frozen from an earlier release.
+BUILD_DIGEST = "2359ac95a9ca8aaac2308450d3bad3e86d16d15da80de3d7525ef7eb768ce544"
+
+
+def _digest_instances():
+    """Survey seed 1, explicit specs of seed 3 and the six ladder rungs."""
+    workloads = load_perfbench("workloads")
+    for m, n, ip, jp in workloads.survey_blocks(1, 128):
+        yield block_instance(m, n, ip, jp)
+    for spec in workloads.explicit_specs(3, 16):
+        yield explicit_instance(*spec)
+    for m, n, ip, jp in workloads.LADDER_RUNGS.values():
+        yield block_instance(m, n, ip, jp)
+    for m, n, ip, jp in workloads.LADDER_Q_RUNGS.values():
+        yield block_instance(m, n, ip, jp, coeff_field=RationalField())
+
+
+def build_digest_text() -> str:
+    """Per instance and lift mode, the exported resolution and every nonzero
+    entry of both comparison lifts, as (degree, row, column, entry)."""
+    parts = []
+    for inst in _digest_instances():
+        for constrained in (True, False):
+            build = build_fiber(inst, constrained=constrained)
+            parts.append(complex_to_json(build.resolution))
+            for lift in (build.phi_lift, build.psi_lift):
+                parts += [f"{n} {i} {j} {p}" for n in sorted(lift.map.mats)
+                          for i, j, p in lift.map.mats[n].nonzero_entries()]
+    return "\n".join(parts)
+
+
+def test_build_identity_digest():
+    assert hashlib.sha256(build_digest_text().encode("utf-8")).hexdigest() == BUILD_DIGEST
 
 
 if __name__ == "__main__":
