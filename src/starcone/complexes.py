@@ -1,11 +1,20 @@
-"""Bounded complexes of graded free modules with exact polynomial matrices.
+"""Bounded complexes of graded free modules over a polynomial ring.
 
 A complex stores, per homological degree n, the twist tuple of a free module
-and the matrix of the differential into degree n-1.  Columns of a matrix
-correspond to generators of the source, rows to generators of the target;
-entry (i, j) must be homogeneous of degree twists_n[j] - twists_{n-1}[i].
-Matrices are sparse: PolyMatrix keeps each column as {row: nonzero entry},
-and no other module depends on that layout.
+and the differential into degree n-1.  Columns of a matrix correspond to
+generators of the source, rows to generators of the target; entry (i, j)
+must be homogeneous of degree twists_n[j] - twists_{n-1}[i].
+
+Every complex this package builds is Z^N-multigraded with single-term
+entries (Miller-Sturmfels, ch. 1-4) and carries labels: mdegs[n], the
+exponent tuple of each generator of C_n (its twist is |mdeg|), and column g
+of d_n as {row i: c}, a nonzero scalar for the entry c x^(mdeg_g - mdeg_i).
+The operations and checks below read and write the scalars (signs go on c,
+multidegrees add); PolyMatrix differentials are built from the labels on
+first use, for export, printing and diff/diffs.  A complex given by
+PolyMatrix differentials (parsed, or koszul on arbitrary polynomials) has
+no labels: the operations run on its Polynomial entries, and with_labels
+infers labels for it when it has them.
 
 Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
   * suspension by l multiplies every differential by (-1)^l;
@@ -18,10 +27,11 @@ Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from .ring import Polynomial, RingSpec, mono_degree, mono_mul, mono_one, poly_parse
+from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_divides, mono_mul, mono_one, poly_parse
 
 
 class InvariantViolation(RuntimeError):
@@ -99,25 +109,9 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return not any(self._cols)
 
-    def neg(self) -> "PolyMatrix":
-        cols = [{i: -p for i, p in col.items()} for col in self._cols]
-        return PolyMatrix._of_columns(self.ring, self.nrows, self.ncols, cols)
-
-    def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row counts disagree")
-        return PolyMatrix._of_columns(
-            self.ring, self.nrows, self.ncols + other.ncols, self._cols + other._cols
-        )
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.ring == other.ring
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self._cols == other._cols
-        )
+        return isinstance(other, PolyMatrix) and (self.ring, self.nrows, self.ncols, self._cols) == (
+            other.ring, other.nrows, other.ncols, other._cols)
 
     def __hash__(self):
         return hash((self.nrows, self.ncols))
@@ -126,15 +120,23 @@ class PolyMatrix:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.rows) + "]"
 
 
-class ChainComplex:
-    """Bounded complex of graded free modules, indexed by homological degree."""
+def _poly_matrix(ring: RingSpec, rows: tuple, tops: tuple, cols: list) -> PolyMatrix:
+    """Entry (i, g) is c x^(tops[g] - rows[i]) for c = cols[g][i]."""
+    return PolyMatrix._of_columns(ring, len(rows), len(tops), [
+        {i: Polynomial(ring, {mono_div(b, rows[i]): c}) for i, c in col.items()} for col, b in zip(cols, tops)])
 
-    __slots__ = ("ring", "modules", "diffs")
+
+class ChainComplex:
+    """Bounded complex of graded free modules, indexed by homological degree:
+    from twists and PolyMatrix differentials (mdegs None), or from_labels."""
+
+    __slots__ = ("ring", "modules", "mdegs", "_cols", "_diffs")
 
     def __init__(self, ring: RingSpec, modules: Dict[int, tuple], diffs: Dict[int, PolyMatrix], check: bool = True):
         self.ring = ring
         self.modules = {n: tuple(tw) for n, tw in modules.items() if len(tw) > 0}
-        self.diffs = {}
+        self.mdegs = self._cols = None
+        self._diffs = {}
         for n, mat in diffs.items():
             want_rows = len(self.modules.get(n - 1, ()))
             want_cols = len(self.modules.get(n, ()))
@@ -142,23 +144,53 @@ class ChainComplex:
                 raise ValueError(f"differential at degree {n} has shape "
                                  f"{mat.nrows}x{mat.ncols}, expected {want_rows}x{want_cols}")
             if not mat.is_zero():
-                self.diffs[n] = mat
+                self._diffs[n] = mat
         if check:
             self._check_homogeneous()
 
+    @staticmethod
+    def from_labels(ring: RingSpec, mdegs: dict, cols: dict, check: bool = True) -> "ChainComplex":
+        """The complex with generator labels mdegs[n], a tuple of exponent
+        tuples, and columns cols[n] of d_n.  check raises ValueError unless
+        each entry's row multidegree divides its column's; the operations
+        below skip it, as they keep that from their inputs."""
+        C = object.__new__(ChainComplex)
+        C.ring, C._diffs = ring, None
+        C.mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
+        C.modules = {n: tuple(map(mono_degree, a)) for n, a in C.mdegs.items()}
+        C._cols = {n: c for n, c in cols.items() if any(c)}
+        for n, c in C._cols.items() if check else ():
+            rows, tops = C.mdegs.get(n - 1, ()), C.mdegs.get(n, ())
+            if len(c) != len(tops) or not all(0 <= i < len(rows) and mono_divides(rows[i], b)
+                                              for col, b in zip(c, tops) for i in col):
+                raise ValueError(f"differential {n} does not fit the multidegrees")
+        return C
+
     def _check_homogeneous(self):
         for n, mat in self.diffs.items():
-            src, tgt = self.modules[n], self.modules[n - 1]
             for i, j, p in mat.nonzero_entries():
-                want = src[j] - tgt[i]
-                degs = {mono_degree(m) for m in p.terms}
-                if degs != {want}:
-                    raise ValueError(
-                        f"entry ({i},{j}) of differential {n} is not homogeneous "
-                        f"of degree {want}: {p}"
-                    )
+                want = self.modules[n][j] - self.modules[n - 1][i]
+                if {mono_degree(m) for m in p.terms} != {want}:
+                    raise ValueError(f"entry ({i},{j}) of differential {n} is not homogeneous of degree {want}: {p}")
 
     # queries ------------------------------------------------------------
+    @property
+    def labelled(self) -> bool:
+        return self.mdegs is not None
+
+    @property
+    def diffs(self) -> dict:
+        """{n: PolyMatrix} for every nonzero differential."""
+        if self._diffs is None:
+            self._diffs = {n: _poly_matrix(self.ring, self.mdegs.get(n - 1, ()), self.mdegs[n], cols)
+                           for n, cols in sorted(self._cols.items())}
+        return self._diffs
+
+    def columns(self, n: int, labelled: bool = True) -> list:
+        """Column g of d_n as {row: entry}, not to be modified: scalars c of
+        c x^(mdeg_g - mdeg_i) if labelled (needs labels), else Polynomials."""
+        return self._cols.get(n) or [{}] * self.rank(n) if labelled else self.diff(n).columns()
+
     def rank(self, n: int) -> int:
         return len(self.modules.get(n, ()))
 
@@ -166,9 +198,8 @@ class ChainComplex:
         return self.modules.get(n, ())
 
     def diff(self, n: int) -> PolyMatrix:
-        if n in self.diffs:
-            return self.diffs[n]
-        return PolyMatrix.zero(self.ring, self.rank(n - 1), self.rank(n))
+        mat = self.diffs.get(n)
+        return PolyMatrix.zero(self.ring, self.rank(n - 1), self.rank(n)) if mat is None else mat
 
     def support(self) -> list:
         return sorted(self.modules)
@@ -189,74 +220,125 @@ class ChainComplex:
         return sum(len(tw) for tw in self.modules.values())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainComplex):
-            return False
-        if self.ring != other.ring or self.modules != other.modules:
-            return False
-        return all(self.diff(n) == other.diff(n) for n in self.modules)
+        return (isinstance(other, ChainComplex) and (self.ring, self.modules) == (other.ring, other.modules)
+                and all(self.diff(n) == other.diff(n) for n in self.modules))
 
     def __str__(self) -> str:
-        if self.is_empty():
-            return "0"
-        return " <- ".join(
-            f"R^{self.rank(n)}{list(self.twists(n))}" for n in self.support()
-        )
+        return " <- ".join(f"R^{self.rank(n)}{list(self.twists(n))}" for n in self.support()) or "0"
 
 
 def zero_complex(ring: RingSpec) -> ChainComplex:
-    return ChainComplex(ring, {}, {})
+    return ChainComplex.from_labels(ring, {}, {})
+
+
+class ChainMap:
+    """Degreewise map between complexes; mat(n) sends source_n to target_n.
+
+    Given by PolyMatrix mats, or between labelled complexes by scalar
+    columns cols[n][g] = {i: c}: entry c x^(mdeg_g - mdeg_i) from generator g
+    of the source to i of the target, each mdeg_i dividing mdeg_g.  mats is
+    then built on first use."""
+
+    __slots__ = ("source", "target", "cols", "_mats")
+
+    def __init__(self, source: ChainComplex, target: ChainComplex,
+                 mats: Optional[dict] = None, cols: Optional[dict] = None):
+        self.source, self.target, self._mats, self.cols = source, target, mats, cols
+
+    @property
+    def labelled(self) -> bool:
+        return self.cols is not None
+
+    @property
+    def mats(self) -> Dict[int, PolyMatrix]:
+        if self._mats is None:
+            S, T = self.source, self.target
+            self._mats = {n: _poly_matrix(S.ring, T.mdegs.get(n, ()), S.mdegs.get(n, ()), c)
+                          for n, c in sorted(self.cols.items()) if c}
+        return self._mats
+
+    def mat(self, n: int) -> PolyMatrix:
+        return self.mats.get(n) or PolyMatrix.zero(self.source.ring, self.target.rank(n), self.source.rank(n))
+
+    def columns(self, n: int, labelled: bool = True) -> list:
+        """The matrix at n by columns, as ChainComplex.columns gives d_n."""
+        return self.cols.get(n) or [{}] * self.source.rank(n) if labelled else self.mat(n).columns()
 
 
 # ------------------------------------------------------------- operations
+#
+# Each operation works on labels when all its inputs carry them, and on
+# twists and Polynomial entries otherwise.
+
+def labels_of(C: ChainComplex, labelled: bool) -> dict:
+    return C.mdegs if labelled else C.modules
+
+
+def entry_ops(ring: RingSpec, labelled: bool) -> tuple:
+    """(sum of two labels, negation, product) of scalars under multidegrees,
+    or of Polynomials under twists."""
+    if labelled:
+        F = ring.coeff_field
+        return mono_mul, lambda c: F.of_int(-c), lambda a, b: F.of_int(a * b)
+    return operator.add, operator.neg, operator.mul
+
+
+def assemble(ring: RingSpec, labels: dict, cols: dict, labelled: bool) -> ChainComplex:
+    """The complex with these labels (multidegrees, or twists) and columns."""
+    if labelled:
+        return ChainComplex.from_labels(ring, labels, cols, check=False)
+    return ChainComplex(ring, labels, {n: PolyMatrix._of_columns(ring, len(labels.get(n - 1, ())), len(c), c)
+                                       for n, c in cols.items()}, check=False)
+
+
+def assemble_map(source: ChainComplex, target: ChainComplex, cols: dict, labelled: bool) -> ChainMap:
+    if labelled:
+        return ChainMap(source, target, cols=cols)
+    return ChainMap(source, target, {n: PolyMatrix._of_columns(source.ring, target.rank(n), len(c), c)
+                                     for n, c in cols.items()})
+
 
 def suspension(C: ChainComplex, l: int) -> ChainComplex:
     """Shift degrees up by l; differentials pick up the sign (-1)^l."""
-    modules = {n + l: tw for n, tw in C.modules.items()}
-    sign = -1 if l % 2 else 1
-    diffs = {
-        n + l: (mat if sign == 1 else mat.neg()) for n, mat in C.diffs.items()
-    }
-    return ChainComplex(C.ring, modules, diffs, check=False)
+    lab = C.labelled
+    neg = entry_ops(C.ring, lab)[1]
+    cols = {n + l: [{i: neg(v) for i, v in col.items()} for col in C.columns(n, lab)] if l % 2
+            else C.columns(n, lab) for n in C.modules}
+    return assemble(C.ring, {n + l: a for n, a in labels_of(C, lab).items()}, cols, lab)
 
 
 def truncate_geq(C: ChainComplex, p: int) -> ChainComplex:
     """Hard truncation: keep degrees >= p, zero the differential at p."""
-    modules = {n: tw for n, tw in C.modules.items() if n >= p}
-    diffs = {n: mat for n, mat in C.diffs.items() if n > p}
-    return ChainComplex(C.ring, modules, diffs, check=False)
+    lab = C.labelled
+    return assemble(C.ring, {n: a for n, a in labels_of(C, lab).items() if n >= p},
+                    {n: C.columns(n, lab) for n in C.modules if n > p}, lab)
 
 
 def tensor_basis(C: ChainComplex, D: ChainComplex, n: int) -> list:
     """Ordered basis labels (i, a, j, b) of (C (x) D)_n: left degree i
     descending, then left generator index, then right generator index."""
-    out = []
-    for i in sorted(C.modules, reverse=True):
-        j = n - i
-        if j not in D.modules:
-            continue
-        for a in range(C.rank(i)):
-            for b in range(D.rank(j)):
-                out.append((i, a, j, b))
-    return out
+    return [(i, a, n - i, b) for i in sorted(C.modules, reverse=True) if n - i in D.modules
+            for a in range(C.rank(i)) for b in range(D.rank(n - i))]
 
 
-def pair_map(ring: RingSpec, labels: list, targets: list, left, right) -> PolyMatrix:
-    """Matrix of f (x) 1 + 1 (x) g from pair labels (i, a, j, b) to pair
-    labels targets.  left(i, j) and right(i, j) give, per source label
-    degrees, (M, k, negate) or None: f sends generator a of degree i to
-    sum_r M[r, a] times generator r of degree k, g likewise on the right
-    factor; negate flips the sign of that term."""
+def pair_map(labels: list, targets: list, left, right, neg) -> list:
+    """Columns {row: entry} of f (x) 1 + 1 (x) g from pair labels (i, a, j,
+    b) to pair labels targets.  left(i, j) and right(i, j) give, per source
+    label degrees, (columns, k, negate) or None: f sends generator a of
+    degree i to sum_r columns[a][r] times generator r of degree k, g likewise
+    on the right factor; negate applies neg to that term."""
     target = {lab: pos for pos, lab in enumerate(targets)}
-    entries: dict = {}
-    for col, (i, a, j, b) in enumerate(labels):
+    out = []
+    for i, a, j, b in labels:
+        col = {}
         for side, act in ((0, left(i, j)), (1, right(i, j))):
             if act is None:
                 continue
-            M, k, negate = act
-            for r, p in M.column(b if side else a).items():
-                lab = (i, a, k, r) if side else (k, r, j, b)
-                entries[(target[lab], col)] = -p if negate else p
-    return PolyMatrix.from_entries(ring, len(targets), len(labels), entries)
+            cols, k, negate = act
+            for r, v in cols[b if side else a].items():
+                col[target[(i, a, k, r) if side else (k, r, j, b)]] = neg(v) if negate else v
+        out.append(col)
+    return out
 
 
 def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
@@ -265,68 +347,44 @@ def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     ring = C.ring
     if C.is_empty() or D.is_empty():
         return zero_complex(ring)
+    lab = C.labelled and D.labelled
+    add, neg, _ = entry_ops(ring, lab)
+    lC, lD = labels_of(C, lab), labels_of(D, lab)
     degrees = sorted({i + j for i in C.modules for j in D.modules})
     bases = {n: tensor_basis(C, D, n) for n in degrees}
-    modules = {
-        n: tuple(C.twists(i)[a] + D.twists(j)[b] for (i, a, j, b) in labels)
-        for n, labels in bases.items()
-    }
-    diffs = {}
-    for n in degrees:
-        if n - 1 not in bases:
-            continue
-        diffs[n] = pair_map(
-            ring, bases[n], bases[n - 1],
-            lambda i, j: (C.diff(i), i - 1, False),
-            lambda i, j: (D.diff(j), j - 1, i % 2 == 1),
-        )
-    return ChainComplex(ring, modules, diffs, check=False)
-
-
-def _upper_block(A: PolyMatrix, B: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
-    """The block matrix [[A, B], [0, D]]."""
-    cols = [A.column(j) for j in range(A.ncols)] + [
-        {**B.column(j), **{A.nrows + i: p for i, p in D.column(j).items()}} for j in range(D.ncols)
-    ]
-    return PolyMatrix._of_columns(A.ring, A.nrows + D.nrows, A.ncols + D.ncols, cols)
+    labels = {n: tuple(add(lC[i][a], lD[j][b]) for (i, a, j, b) in basis) for n, basis in bases.items()}
+    cols = {n: pair_map(bases[n], bases[n - 1],
+                        lambda i, j: (C.columns(i, lab), i - 1, False),
+                        lambda i, j: (D.columns(j, lab), j - 1, i % 2 == 1), neg)
+            for n in degrees if n - 1 in bases}
+    return assemble(ring, labels, cols, lab)
 
 
 def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("summands live in different rings")
-    ring = C.ring
-    modules = {}
-    for n in set(C.modules) | set(D.modules):
-        modules[n] = C.twists(n) + D.twists(n)
-    diffs = {n: _upper_block(C.diff(n), PolyMatrix.zero(ring, C.rank(n - 1), D.rank(n)), D.diff(n))
-             for n in modules}
-    return ChainComplex(ring, modules, diffs, check=False)
+    lab = C.labelled and D.labelled
+    lC, lD = labels_of(C, lab), labels_of(D, lab)
+    degrees = set(C.modules) | set(D.modules)
+    cols = {n: C.columns(n, lab) + [{C.rank(n - 1) + i: v for i, v in col.items()} for col in D.columns(n, lab)]
+            for n in degrees}
+    return assemble(C.ring, {n: lC.get(n, ()) + lD.get(n, ()) for n in degrees}, cols, lab)
 
 
-@dataclass
-class ChainMap:
-    """Degreewise map between complexes; mats[n] sends source_n to target_n."""
-
-    source: ChainComplex
-    target: ChainComplex
-    mats: Dict[int, PolyMatrix]
-
-    def mat(self, n: int) -> PolyMatrix:
-        if n in self.mats:
-            return self.mats[n]
-        return PolyMatrix.zero(self.source.ring, self.target.rank(n), self.source.rank(n))
-
-
-def _products_vanish(F, pairs, ncols: int) -> bool:
-    """Whether the sum of sign * A B over (A, B, sign) in pairs is zero.
-    Column by column, every term of every a_ik b_kj goes into one
-    {(i, monomial): coefficient} dict, and each sum must normalize to 0:
-    no product polynomial or matrix is formed."""
+def _products_vanish(F, pairs, ncols: int, labelled: bool) -> bool:
+    """Whether the sum of sign * A B over (A, B, sign) in pairs, matrices by
+    columns, is zero, with no product formed.  Column by column, every term
+    of every a_ik b_kj goes into a {(i, monomial): coefficient} dict, or
+    under labels, where row i of column j has the one monomial x^(mdeg_j -
+    mdeg_i), into {i: coefficient}.  Each sum must normalize to 0."""
     for j in range(ncols):
         acc: dict = {}
         for A, B, sign in pairs:
-            for k, b in B.column(j).items():
-                for i, a in A.column(k).items():
+            for k, b in B[j].items():
+                for i, a in A[k].items():
+                    if labelled:
+                        acc[i] = acc.get(i, 0) + sign * a * b
+                        continue
                     for mb, cb in b.terms.items():
                         cb *= sign
                         for ma, ca in a.terms.items():
@@ -340,11 +398,12 @@ def _products_vanish(F, pairs, ncols: int) -> bool:
 def chain_map_defect(f: ChainMap):
     """First degree, of either complex or of f's matrices, where f's matrix
     has the wrong shape or the square d_target f - f d_source fails, or None."""
-    S, T = f.source, f.target
-    for n in sorted(set(S.modules) | set(T.modules) | set(f.mats)):
-        fn = f.mat(n)
-        if (fn.nrows, fn.ncols) != (T.rank(n), S.rank(n)) or not _products_vanish(
-                T.ring.coeff_field, ((T.diff(n), fn, 1), (f.mat(n - 1), S.diff(n), -1)), S.rank(n)):
+    S, T, lab = f.source, f.target, f.labelled
+    for n in sorted(set(S.modules) | set(T.modules) | set(f.cols if lab else f.mats)):
+        if not lab and (f.mat(n).nrows, f.mat(n).ncols) != (T.rank(n), S.rank(n)):
+            return n
+        pairs = ((T.columns(n, lab), f.columns(n, lab), 1), (f.columns(n - 1, lab), S.columns(n, lab), -1))
+        if not _products_vanish(T.ring.coeff_field, pairs, S.rank(n), lab):
             return n
     return None
 
@@ -359,29 +418,32 @@ def cone(f: ChainMap) -> ChainComplex:
     bad = chain_map_defect(f)
     if bad is not None:
         raise ValueError(f"not a chain map: square at degree {bad} does not commute")
-    S, T = f.source, f.target
-    ring = T.ring
-    modules = {}
+    S, T, lab = f.source, f.target, f.labelled
+    neg = entry_ops(T.ring, lab)[1]
+    lS, lT = labels_of(S, lab), labels_of(T, lab)
+    labels, cols = {}, {}
     for n in set(T.modules) | {m + 1 for m in S.modules}:
-        tw = T.twists(n) + S.twists(n - 1)
-        if tw:
-            modules[n] = tw
-    diffs = {n: _upper_block(T.diff(n), f.mat(n - 1), S.diff(n - 1).neg()) for n in modules}
-    return ChainComplex(ring, modules, diffs, check=False)
+        labels[n] = lT.get(n, ()) + lS.get(n - 1, ())
+        shift = T.rank(n - 1)
+        cols[n] = T.columns(n, lab) + [{**top, **{shift + i: neg(v) for i, v in col.items()}}
+                                       for top, col in zip(f.columns(n - 1, lab), S.columns(n - 1, lab))]
+    return assemble(T.ring, labels, cols, lab)
 
 
 def is_complex(C: ChainComplex) -> bool:
     """d_{n-1} d_n = 0 for all n."""
-    return all(_products_vanish(C.ring.coeff_field, ((C.diffs[n - 1], mat, 1),), mat.ncols)
-               for n, mat in C.diffs.items() if n - 1 in C.diffs)
+    lab = C.labelled
+    return all(_products_vanish(C.ring.coeff_field, ((C.columns(n - 1, lab), C.columns(n, lab), 1),), C.rank(n), lab)
+               for n in C.modules if n - 1 in C.modules)
 
 
 def multidegrees(C: ChainComplex) -> Optional[dict]:
-    """Exponent-tuple multidegree of every generator, by homological degree:
-    0 for the twist-0 generators of the lowest degree, otherwise a nonzero
-    entry's row multidegree times its monomial, which every term of every
-    nonzero entry in the column must agree on.  None when C is not
-    multigraded with single-term entries in this way, twists included."""
+    """Exponent-tuple multidegree of every generator, by homological degree,
+    inferred from the Polynomial entries: 0 for the twist-0 generators of the
+    lowest degree, otherwise a nonzero entry's row multidegree times its
+    monomial, which every term of every nonzero entry in the column must
+    agree on.  None when C is not multigraded with single-term entries in
+    this way, twists included."""
     mdegs: dict = {}
     for n in C.support():
         low = n == C.min_degree()
@@ -390,16 +452,41 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
         for j, f in enumerate(found):
             for i, p in mat.column(j).items():
                 f.update(mono_mul(mdegs[n - 1][i], m) for m in p.terms)
-        mdegs[n] = [f.pop() for f in found if len(f) == 1]
+        mdegs[n] = tuple(f.pop() for f in found if len(f) == 1)
         if [mono_degree(a) for a in mdegs[n]] != list(C.twists(n)):
             return None
     return mdegs
 
 
+def with_labels(C: ChainComplex) -> Optional[ChainComplex]:
+    """C if it carries labels; otherwise the labelled complex equal to C
+    when multidegrees(C) finds its labels, else None."""
+    if C.labelled:
+        return C
+    mdegs = multidegrees(C)
+    return None if mdegs is None else ChainComplex.from_labels(C.ring, mdegs, {
+        n: [{i: c for i, p in col.items() for c in p.terms.values()} for col in mat.columns()]
+        for n, mat in C.diffs.items()}, check=False)
+
+
+def entry_monomials(C: ChainComplex) -> Iterator[tuple]:
+    """The monomial of every term of every nonzero differential entry."""
+    if not C.labelled:
+        return (m for mat in C.diffs.values() for col in mat.columns() for p in col.values() for m in p.terms)
+    return (mono_div(b, C.mdegs[n - 1][i])
+            for n, cols in C._cols.items() for col, b in zip(cols, C.mdegs[n]) for i in col)
+
+
 def is_minimal(C: ChainComplex) -> bool:
-    """No differential entry has a nonzero constant term."""
-    one = mono_one(C.ring.nvars)
-    return not any(one in p.terms for mat in C.diffs.values() for col in mat.columns() for p in col.values())
+    """No differential entry has a nonzero constant term: under labels, no
+    nonzero entry has mdeg_i == mdeg_g."""
+    if not C.labelled:
+        return mono_one(C.ring.nvars) not in entry_monomials(C)
+    for n, cols in C._cols.items():
+        rows, tops = C.mdegs[n - 1], C.mdegs[n]
+        if not set(rows).isdisjoint(tops) and any(rows[i] == b for col, b in zip(cols, tops) for i in col):
+            return False
+    return True
 
 
 # ------------------------------------------------------------ power series

@@ -9,11 +9,11 @@ S, X, T, Y of the four quotients:
      tensor complexes (S_{>=1} (x) Y)[-1] and (X (x) T_{>=1})[-1];
   4. take the cone on (Phi  Psi).
 
-Every complex resolution_of builds is Z^n-multigraded with single-term
-entries, so step 1 runs on scalars: entry (i, g) of phi_j is c x^(mdeg_g -
-mdeg_i), and each column g is one small linear system in its multidegree
-b = mdeg_g, over the generators whose multidegrees divide b.  No
-polynomial is multiplied.
+Every complex resolution_of builds carries labels (multidegrees and scalar
+columns, see complexes), and so does each map and complex built here: entry
+(i, g) of phi_j is c x^(mdeg_g - mdeg_i), and each column g is one small
+linear system in its multidegree b = mdeg_g, over the generators whose
+multidegrees divide b.  No Polynomial is built.
 
 On basis pairs, with i = |alpha| and j = |beta|:
 
@@ -37,23 +37,23 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     InvariantViolation,
-    PolyMatrix,
+    assemble_map,
     cone,
     direct_sum,
+    entry_ops,
     is_chain_map,
     is_minimal,
-    multidegrees,
     pair_map,
     suspension,
     tensor,
     tensor_basis,
     truncate_geq,
+    with_labels,
 )
 from .homcheck import is_tor_independent
 from .resolutions import is_regular_sequence_monomials, resolution_of
 from .ring import (
     MonomialIdeal,
-    Polynomial,
     RingSpec,
     ideal_contains,
     ideal_product,
@@ -90,26 +90,25 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
 
     Both complexes must start with a single twist-0 generator and be
     multigraded with single-term entries, as every complex resolution_of
-    builds is; others raise ValueError.  phi_j is kept as scalar columns
-    {i: c}, entry c x^(mdeg_g - mdeg_i), and its column g is one solve of
-    d_j v = phi_{j-1} d_j e_g over the generators whose multidegrees divide
-    mdeg_g.  With constrain_to given, every positive-degree entry must lie
-    in that ideal (feasible whenever H_0(S)'s defining ideal sits in the
-    square of X's), or LiftError is raised.  A result that is not a chain
-    map raises InvariantViolation.
+    builds is (others, relabelled by with_labels, in the map too, or
+    ValueError).  phi_j is kept as scalar columns {i: c}, entry c x^(mdeg_g
+    - mdeg_i), and its column g is one solve of d_j v = phi_{j-1} d_j e_g
+    over the generators whose multidegrees divide mdeg_g.  With constrain_to
+    given, every positive-degree entry must lie in that ideal (feasible
+    whenever H_0(S)'s defining ideal sits in the square of X's), or
+    LiftError is raised.  A result that is not a chain map raises
+    InvariantViolation.
     """
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
-    src, tgt = multidegrees(S), multidegrees(X)
-    if src is None or tgt is None:
+    S, X = with_labels(S), with_labels(X)
+    if S is None or X is None:
         raise ValueError("lift source and target must be multigraded with single-term entries")
-    ring, F = X.ring, X.ring.coeff_field
-    scalars = lambda C, j: [{i: c for i, p in col.items() for c in p.terms.values()}
-                            for col in C.diff(j).columns()]
+    F, src, tgt = X.ring.coeff_field, S.mdegs, X.mdegs
     phi = {0: [{0: 1}]}
     for j in range(1, S.max_degree() + 1):
-        phi[j], d = [], scalars(X, j)
-        for b, col in zip(src.get(j, ()), scalars(S, j)):
+        phi[j], d = [], X.columns(j)
+        for b, col in zip(src.get(j, ()), S.columns(j)):
             acc: dict = {}
             for k, c in col.items():
                 for i, e in phi[j - 1][k].items():
@@ -127,10 +126,7 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
                 inside = "" if constrain_to is None else f" with entries inside {constrain_to}"
                 raise LiftError(j, "no solution" + inside)
             phi[j].append({g: c for g, c in zip(cols, sol) if c})
-    mats = {j: PolyMatrix.from_entries(ring, X.rank(j), S.rank(j), {
-        (i, g): Polynomial.monomial(ring, mono_div(src[j][g], tgt[j][i]), c)
-        for g, col in enumerate(phi_j) for i, c in col.items()}) for j, phi_j in phi.items() if phi_j}
-    out = ChainMap(source=S, target=X, mats=mats)
+    out = ChainMap(S, X, cols=phi)
     if not is_chain_map(out):
         raise InvariantViolation("lift produced a non-chain-map")
     return LiftReport(map=out, constrained=constrain_to is not None)
@@ -147,25 +143,27 @@ def _comparison(lift: LiftReport, source: ChainComplex, other: ChainComplex,
     factors = (trunc, other) if side == 0 else (other, trunc)
     stars = (lift.map.target, other) if side == 0 else (other, lift.map.target)
     dom = suspension(tensor(*factors), -1)
+    lab = lift.map.labelled and dom.labelled and star_XY.labelled
+    neg = entry_ops(star_XY.ring, lab)[1]
 
     def act(k, o):
         """The map on the truncated factor, at its degree k and the other's
         o; the sign is Phi's (-1)^{i+j} or Psi's (-1)^{i+j-1}."""
         if o:
-            return lift.map.mat(k), k, (k + o + side) % 2 == 1
+            return lift.map.columns(k, lab), k, (k + o + side) % 2 == 1
         if k == 1:  # only in degree 0: the augmentation d_1 into R
-            return source.diff(1), 0, False
+            return source.columns(1, lab), 0, False
         return None
 
     def idle(i, j):
         return None
 
     left, right = (act, idle) if side == 0 else (idle, lambda i, j: act(j, i))
-    mats = {}
+    cols = {}
     for n in dom.support():
         targets = star_basis(*stars, n) if n else [(0, 0, 0, 0)]
-        mats[n] = pair_map(star_XY.ring, tensor_basis(*factors, n + 1), targets, left, right)
-    return ChainMap(source=dom, target=star_XY, mats=mats)
+        cols[n] = pair_map(tensor_basis(*factors, n + 1), targets, left, right, neg)
+    return assemble_map(dom, star_XY, cols, lab)
 
 
 def build_phi(phi: LiftReport, S: ChainComplex, Y: ChainComplex,
@@ -185,10 +183,9 @@ def omega(Phi: ChainMap, Psi: ChainMap) -> ChainMap:
     if Phi.target is not Psi.target and Phi.target != Psi.target:
         raise ValueError("comparison maps must share their target")
     src = direct_sum(Phi.source, Psi.source)
-    mats = {}
-    for n in src.support():
-        mats[n] = Phi.mat(n).hstack(Psi.mat(n))
-    return ChainMap(source=src, target=Phi.target, mats=mats)
+    lab = Phi.labelled and Psi.labelled
+    cols = {n: Phi.columns(n, lab) + Psi.columns(n, lab) for n in src.support()}
+    return assemble_map(src, Phi.target, cols, lab)
 
 
 # ------------------------------------------------------------- the package

@@ -19,10 +19,13 @@ J).  These all lie below their lcm M, so the block at b is the one at
 min(b, M), and one walk over the box 0 <= b <= M decides every degree; a
 degree bound only limits the printed table.  The distinct blocks, each
 ranked once, are the points of the LCM lattice (Gasharov-Peeva-Welker, Math.
-Res. Lett. 6, 1999).  The multidegrees are read off C, not taken from its
-construction.  A complex without them falls back to total degree: the piece
-of each degree d up to the bound, the labels (j, m) with twist_j + |m| = d,
-is ranked as one block by the same routine, so the verdicts are bounded.
+Res. Lett. 6, 1999).  The multidegrees and scalars are the labels C
+carries (see complexes).  The labels define the complex, so the certifier
+ranks exactly what is exported, and `verify --in` re-infers everything
+from the text.  A complex without them falls back to total degree: the
+piece of each degree d up to the bound, the labels (j, m) with twist_j +
+|m| = d, is ranked as one block by the same routine, so the verdicts are
+bounded.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
@@ -30,25 +33,26 @@ entry d_n[h, g] != 0 keeps homology, deleting row g of d_{n+1} and column h
 of d_{n-1}.  Columns of d_{n-1} that are pivot rows of d_n are skipped:
 d_{n-1} d_n = 0 (which holds modulo J too) makes them combinations of the
 rest, so every column set between "not cancelled" and "all" has the same
-rank.  So d^2 = 0 is checked before any block is ranked: on a multigraded
-C by scalar sums over its generator columns, on the fallback by polynomial
-products (`is_complex`).  Without J a column's entries lie in rows of
-multidegree <= its own, so the block at b - e_i is a subcomplex of the one
-at b (Bayer-Sturmfels's X_{<=b}), and b only adds the columns of its new
-generators to the bases of its largest such block: pivot rows only
-accumulate, so the set reduced stays in that range.  Modulo J a generator
-leaves the block once mdeg_j + u <= b, so each block is ranked on its own.
+rank.  So d^2 = 0 is checked (`is_complex`) before any block is ranked: by
+scalar sums under labels, by polynomial products on the fallback.  Without
+J a column's entries lie in rows of multidegree <= its own, so the block at
+b - e_i is a subcomplex of the one at b (Bayer-Sturmfels's X_{<=b}), and b
+only adds the columns of its new generators to the bases of its largest
+such block: pivot rows only accumulate, so the set reduced stays in that
+range.  Modulo J a generator leaves the block once mdeg_j + u <= b, so each
+block is ranked on its own.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, prod
 from operator import eq
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, InvariantViolation, is_complex, multidegrees
+from .complexes import ChainComplex, InvariantViolation, entry_monomials, is_complex, with_labels
 from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
 
 # The most points of an lcm box that one certification walks: the walk keeps
@@ -103,36 +107,18 @@ def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
         yield None, d, 0, h
 
 
-def _generator_columns(C: ChainComplex, mdegs: dict) -> tuple:
-    """The generators (n, j, mdeg_j) of a multigraded C, and column g of d
-    as {row generator: c}: entry (i, g) is c x^(mdeg_g - mdeg_i)."""
-    gens = [(n, j, a) for n, mdeg in mdegs.items() for j, a in enumerate(mdeg)]
-    index = {(n, j): g for g, (n, j, _) in enumerate(gens)}
-    return gens, [{index[n - 1, i]: c for i, p in C.diff(n).column(j).items() for c in p.terms.values()}
-                  for n, j, _ in gens]
-
-
-def _squares_to_zero(F, columns: list) -> bool:
-    """d^2 = 0 on generator columns: entry (k, g) of d d is
-    (sum_i c_ig c_ki) x^(mdeg_g - mdeg_k), so each scalar sum must vanish."""
-    for col in columns:
-        acc: dict = {}
-        for i, c in col.items():
-            for k, e in columns[i].items():
-                acc[k] = acc.get(k, 0) + c * e
-        if any(map(F.of_int, acc.values())):
-            return False
-    return True
-
-
-def _box_pieces(C: ChainComplex, gens: list, columns: list, modulo: Optional[MonomialIdeal],
-                against: Optional[MonomialIdeal]):
-    """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M.
-    The block at b, the labels (g, x^(b - mdeg_g)) of _degree_basis, is the
-    generators g with mdeg_g <= b less those with mdeg_g + u <= b for some u
-    in modulo.gens.  Both sets are bits of one mask per b, the OR of the
-    masks at every b - e_i, walked first, and the bits seeded at b.  M also
-    covers against's generators, so x^b is in against iff x^min(b, M) is."""
+def _box_pieces(C: ChainComplex, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
+    """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M,
+    for C carrying labels.  Generators (n, j, mdeg_j) are numbered degree by
+    degree, and column g of d as {row generator: c}.  The block at b, the
+    labels (g, x^(b - mdeg_g)) of _degree_basis, is the generators g with
+    mdeg_g <= b less those with mdeg_g + u <= b for some u in modulo.gens.
+    Both sets are bits of one mask per b, the OR of the masks at every
+    b - e_i, walked first, and the bits seeded at b.  M also covers
+    against's generators, so x^b is in against iff x^min(b, M) is."""
+    gens = [(n, j, a) for n, mdeg in C.mdegs.items() for j, a in enumerate(mdeg)]
+    first = dict(zip(C.mdegs, accumulate(map(len, C.mdegs.values()), initial=0)))
+    columns = [{first[n - 1] + i: c for i, c in col.items()} for n in C.mdegs for col in C.columns(n)]
     G = len(gens)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
     seeds = [(G + g, a) for g, (_, _, a) in enumerate(gens)]
     seeds += [(g, mono_mul(a, u)) for g, (_, _, a) in enumerate(gens) for u in (modulo.gens if modulo else ())]
@@ -221,16 +207,10 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    mdegs = multidegrees(C)
-    if mdegs is None:
-        squares_to_zero = is_complex(C)
-    else:
-        gens, columns = _generator_columns(C, mdegs)
-        squares_to_zero = _squares_to_zero(C.ring.coeff_field, columns)
-    if not squares_to_zero:
+    G = with_labels(C)
+    if not is_complex(C if G is None else G):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
-    pieces = list(_dense_pieces(C, d_max, modulo) if mdegs is None
-                  else _box_pieces(C, gens, columns, modulo, against))
+    pieces = list(_dense_pieces(C, d_max, modulo) if G is None else _box_pieces(G, modulo, against))
     weights = Counter((n, deg, free, v) for _, deg, free, h in pieces for n, v in h.items() if v)
     dims: Counter = Counter()
     for (n, deg, free, v), count in weights.items():
@@ -239,16 +219,16 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     h0 = [dims[0, d] for d in range(d_max + 1)]
     at = min(((n, deg, b) for b, deg, _, h in pieces for n, v in h.items() if n >= 1 and v), default=None)
     h0_matches = None if against is None else (
-        h0 == hilbert_function(against, d_max) if mdegs is None
+        h0 == hilbert_function(against, d_max) if G is None
         else all(h.get(0, 0) == (not against.contains_monomial(b)) for b, _, _, h in pieces))
     return HomologyReport(
         dims={cell: v for cell, v in dims.items() if v},
         degree_bound=d_max,
-        complete=mdegs is not None,
+        complete=G is not None,
         h0=h0,
         exact_in_positive=at is None,
         h0_matches=h0_matches,
-        homology_at=(at[0], at[2]) if at and mdegs is not None else None,
+        homology_at=(at[0], at[2]) if at and G is not None else None,
     )
 
 
@@ -276,11 +256,6 @@ class TorReport:
         return self.independent
 
 
-def _entry_support(X: ChainComplex) -> frozenset:
-    return frozenset().union(*(mono_support(m) for mat in X.diffs.values()
-                               for col in mat.columns() for p in col.values() for m in p.terms))
-
-
 def is_tor_independent(X: ChainComplex, J: MonomialIdeal) -> TorReport:
     """Is H_0(X) Tor-independent from R/J?
 
@@ -290,7 +265,7 @@ def is_tor_independent(X: ChainComplex, J: MonomialIdeal) -> TorReport:
     compute Tor on the lcm box, which covers every degree; X must then be
     multigraded with single-term entries, or ValueError is raised.
     """
-    if not _entry_support(X) & J.support():
+    if not frozenset().union(*map(mono_support, entry_monomials(X))) & J.support():
         return TorReport(independent=True, mode="structural")
     report = tor_dims(X, J, 0)
     if not report.complete:

@@ -3,7 +3,8 @@ plus Gaussian minimization of an arbitrary complex by sparse Schur updates.
 
 No Groebner machinery anywhere: Taylor + minimize is the general route,
 and for generators forming a regular sequence the Taylor complex already
-IS the Koszul complex on them.
+IS the (minimal) Koszul complex on them.  Taylor complexes carry labels
+(see complexes), which minimize keeps; koszul takes arbitrary polynomials.
 """
 from __future__ import annotations
 
@@ -11,17 +12,8 @@ import heapq
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import ChainComplex, PolyMatrix
-from .ring import (
-    MonomialIdeal,
-    Polynomial,
-    RingSpec,
-    mono_degree,
-    mono_div,
-    mono_lcm,
-    mono_one,
-    mono_support,
-)
+from .complexes import ChainComplex, assemble, labels_of
+from .ring import MonomialIdeal, Polynomial, RingSpec, mono_degree, mono_lcm, mono_one, mono_support
 
 
 def is_regular_sequence_monomials(monos: Sequence[tuple]) -> bool:
@@ -40,27 +32,23 @@ def is_regular_sequence_monomials(monos: Sequence[tuple]) -> bool:
 
 def trivial_resolution(ring: RingSpec) -> ChainComplex:
     """The rank-one complex R in degree 0; resolves R itself."""
-    return ChainComplex(ring, {0: (0,)}, {})
+    return ChainComplex.from_labels(ring, {0: (mono_one(ring.nvars),)}, {})
 
 
-def _subset_complex(ring: RingSpec, r: int, twist, entry) -> ChainComplex:
+def _subset_complex(ring: RingSpec, r: int, base, step, entry, labelled: bool) -> ChainComplex:
     """Complex with basis e_T in degree n for the size-n subsets T of
-    range(r), in lexicographic order, twisted by twist(T), and with
-    d(e_T) = sum over positions pos in T of entry(T, pos, T minus T[pos])."""
-    modules, index = {}, {}
-    for n in range(r + 1):
-        subsets = list(combinations(range(r), n))
-        index[n] = {T: pos for pos, T in enumerate(subsets)}
-        modules[n] = tuple(twist(T) for T in subsets)
-    diffs = {}
+    range(r), in lexicographic order, labelled base for T = () and else
+    step(label of T[:-1], T[-1]) (a multidegree if labelled, else a twist),
+    and with d(e_T) = sum over positions pos in T of entry(T, pos) e_{T
+    minus T[pos]}."""
+    labels, cols, index = {0: (base,)}, {}, {(): 0}
     for n in range(1, r + 1):
-        entries = {}
-        for T, col in index[n].items():
-            for pos in range(n):
-                rest = T[:pos] + T[pos + 1 :]
-                entries[(index[n - 1][rest], col)] = entry(T, pos, rest)
-        diffs[n] = PolyMatrix.from_entries(ring, len(index[n - 1]), len(index[n]), entries)
-    return ChainComplex(ring, modules, diffs)
+        prev = index
+        subsets = list(combinations(range(r), n))
+        labels[n] = tuple(step(labels[n - 1][prev[T[:-1]]], T[-1]) for T in subsets)
+        cols[n] = [{prev[T[:pos] + T[pos + 1:]]: entry(T, pos) for pos in range(n)} for T in subsets]
+        index = {T: pos for pos, T in enumerate(subsets)}
+    return assemble(ring, labels, cols, labelled)
 
 
 def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
@@ -77,38 +65,25 @@ def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
             raise ValueError("polynomial from a different ring")
     degs = [f.degree() for f in polys]
     return _subset_complex(
-        ring, len(polys),
-        lambda T: sum(degs[i] for i in T),
-        lambda T, pos, rest: polys[T[pos]] if pos % 2 == 0 else -polys[T[pos]],
+        ring, len(polys), 0, lambda w, i: w + degs[i],
+        lambda T, pos: polys[T[pos]] if pos % 2 == 0 else -polys[T[pos]],
+        labelled=False,
     )
 
 
 def taylor(I: MonomialIdeal) -> ChainComplex:
     """Taylor complex on the minimal generators of a monomial ideal.
 
-    e_T has twist deg lcm(T); the (T, T minus i) entry is the monomial
+    e_T has multidegree lcm(T); the (T, T minus i) entry is the monomial
     lcm(T) / lcm(T minus i) with the usual alternating sign."""
-    if I.is_zero():
-        return trivial_resolution(I.ring)
-    ring = I.ring
-    lcms = {(): mono_one(ring.nvars)}
-
-    def lcm_of(T):
-        if T not in lcms:
-            lcms[T] = mono_lcm(lcm_of(T[:-1]), I.gens[T[-1]])
-        return lcms[T]
-
-    return _subset_complex(
-        ring, len(I.gens),
-        lambda T: mono_degree(lcm_of(T)),
-        lambda T, pos, rest: Polynomial.monomial(
-            ring, mono_div(lcm_of(T), lcm_of(rest)), 1 if pos % 2 == 0 else -1
-        ),
-    )
+    signs = (1, I.ring.coeff_field.of_int(-1))
+    return _subset_complex(I.ring, len(I.gens), mono_one(I.ring.nvars), lambda m, i: mono_lcm(m, I.gens[i]),
+                           lambda T, pos: signs[pos % 2], labelled=True)
 
 
 def minimize(C: ChainComplex) -> ChainComplex:
-    """Cancel unit entries (nonzero constant coefficient) until none remain.
+    """Cancel unit entries (nonzero constant coefficient; under labels, a
+    nonzero entry with mdeg_i == mdeg_g) until none remain.
 
     Pivot choice is deterministic: first unit entry in (homological degree,
     row, column) order.  Cancelling d_n[i, j] removes generator j of C_n and
@@ -119,31 +94,39 @@ def minimize(C: ChainComplex) -> ChainComplex:
     end, so this order is the input's.  Needs no grading; homology is
     untouched.
     """
-    F, zero = C.ring.coeff_field, Polynomial.zero(C.ring)
-    mats = {n: {j: dict(C.diff(n).column(j)) for j in range(C.rank(n))} for n in C.modules}
+    F, lab = C.ring.coeff_field, C.labelled
+    if lab:
+        unit = lambda n, i, k, c: c if C.mdegs[n - 1][i] == C.mdegs[n][k] else 0
+        zero, scale, nonzero = 0, lambda c, e: F.of_int(c * e), bool
+        sub = lambda a, b, e: F.of_int(a - b * e)
+    else:
+        unit = lambda n, i, k, p: p.constant_coeff()
+        zero, scale, nonzero = Polynomial.zero(C.ring), Polynomial.scale, lambda p: bool(p.terms)
+        sub = lambda a, b, e: a - b * e
+    mats = {n: dict(enumerate(map(dict, C.columns(n, lab)))) for n in C.modules}
     units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items()
-             for i, p in col.items() if p.constant_coeff()]
+             for i, v in col.items() if unit(n, i, j, v)]
     heapq.heapify(units)  # may hold stale positions, skipped when popped
     while units:
         n, pi, pj = heapq.heappop(units)
         pivot = mats[n].get(pj, {}).get(pi)
-        if pivot is None or not pivot.constant_coeff():
+        if pivot is None or not (c := unit(n, pi, pj, pivot)):
             continue
-        inv = F.inv(pivot.constant_coeff())
+        inv = F.inv(c)
         pcol = mats[n].pop(pj)
         for k, col in mats[n].items():
             if pi not in col:
                 continue
-            factor = col.pop(pi).scale(inv)
+            factor = scale(col.pop(pi), inv)
             for i, q in pcol.items():
                 if i == pi:
                     continue
-                p = col.get(i, zero) - q * factor
-                if not p.terms:
+                v = sub(col.get(i, zero), q, factor)
+                if not nonzero(v):
                     col.pop(i, None)
                     continue
-                col[i] = p
-                if p.constant_coeff():
+                col[i] = v
+                if unit(n, i, k, v):
                     heapq.heappush(units, (n, i, k))
         for col in mats.get(n + 1, {}).values():
             col.pop(pj, None)
@@ -151,19 +134,15 @@ def minimize(C: ChainComplex) -> ChainComplex:
 
     keep = {n: sorted(cols) for n, cols in mats.items()}
     index = {n: {g: pos for pos, g in enumerate(gens)} for n, gens in keep.items()}
-    diffs = {
-        n: PolyMatrix.from_entries(C.ring, len(keep[n - 1]), len(gens), {
-            (index[n - 1][i], index[n][g]): p for g in gens for i, p in mats[n][g].items()})
-        for n, gens in keep.items() if n - 1 in keep
-    }
-    modules = {n: tuple(C.twists(n)[g] for g in gens) for n, gens in keep.items()}
-    return ChainComplex(C.ring, modules, diffs, check=False)
+    cols = {n: [{index[n - 1][i]: v for i, v in mats[n][g].items()} for g in gens]
+            for n, gens in keep.items() if n - 1 in keep}
+    labels = labels_of(C, lab)
+    return assemble(C.ring, {n: tuple(labels[n][g] for g in gens) for n, gens in keep.items()}, cols, lab)
 
 
 def resolution_of(I: MonomialIdeal) -> ChainComplex:
-    """Minimal free resolution of R/I for a monomial ideal I."""
-    if I.is_zero():
-        return trivial_resolution(I.ring)
+    """Minimal free resolution of R/I for a monomial ideal I: the Taylor
+    complex, minimized unless the generators form a regular sequence."""
     if is_regular_sequence_monomials(I.gens):
-        return koszul(I.ring, [Polynomial.monomial(I.ring, g) for g in I.gens])
+        return taylor(I)
     return minimize(taylor(I))

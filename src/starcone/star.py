@@ -14,7 +14,7 @@ X and Y are.
 """
 from __future__ import annotations
 
-from .complexes import ChainComplex, PolyMatrix, graded_betti, is_minimal, pair_map
+from .complexes import ChainComplex, assemble, entry_ops, graded_betti, is_minimal, labels_of, pair_map
 from .formulas import betti_product_table
 
 
@@ -28,47 +28,42 @@ def _check_bottom(C: ChainComplex, name: str):
 def star_basis(X: ChainComplex, Y: ChainComplex, n: int) -> list:
     """Ordered basis labels (i, a, j, b) of (X * Y)_n for n >= 1: left
     homological degree ascending, then left index, then right index."""
-    out = []
-    for i in sorted(X.modules):
-        if i < 1:
-            continue
-        j = n + 1 - i
-        if j < 1 or j not in Y.modules:
-            continue
-        for a in range(X.rank(i)):
-            for b in range(Y.rank(j)):
-                out.append((i, a, j, b))
-    return out
+    return [(i, a, n + 1 - i, b) for i in sorted(X.modules) if i >= 1 and n + 1 - i >= 1 and n + 1 - i in Y.modules
+            for a in range(X.rank(i)) for b in range(Y.rank(n + 1 - i))]
 
 
 def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
+    """X * Y; on labels when both factors carry them, so multidegrees add
+    and the degree-1 products are products of scalars."""
     if X.ring != Y.ring:
         raise ValueError("star factors live in different rings")
-    ring = X.ring
     _check_bottom(X, "left factor")
     _check_bottom(Y, "right factor")
+    lab = X.labelled and Y.labelled
+    add, neg, mul = entry_ops(X.ring, lab)
+    lX, lY = labels_of(X, lab), labels_of(Y, lab)
 
     top = X.max_degree() + Y.max_degree() - 1
-    modules = {0: (0,)}
+    labels = {0: lX[0]}
     bases = {}
     for n in range(1, max(top, 0) + 1):
-        labels = star_basis(X, Y, n)
-        if labels:
-            bases[n] = labels
-            modules[n] = tuple(X.twists(i)[a] + Y.twists(j)[b] for (i, a, j, b) in labels)
-    diffs = {}
-    for n, labels in sorted(bases.items()):
+        basis = star_basis(X, Y, n)
+        if basis:
+            bases[n] = basis
+            labels[n] = tuple(add(lX[i][a], lY[j][b]) for (i, a, j, b) in basis)
+    cols = {}
+    for n, basis in sorted(bases.items()):
         if n == 1:
-            dX1, dY1 = X.diff(1), Y.diff(1)
-            products = [dX1.entry(0, a) * dY1.entry(0, b) for (_, a, _, b) in labels]
-            diffs[1] = PolyMatrix(ring, 1, len(labels), [products])
+            dX1, dY1 = X.columns(1, lab), Y.columns(1, lab)
+            cols[1] = [{0: mul(dX1[a][0], dY1[b][0])} if dX1[a] and dY1[b] else {} for (_, a, _, b) in basis]
             continue
-        diffs[n] = pair_map(
-            ring, labels, bases[n - 1],
-            lambda i, j: (X.diff(i), i - 1, False) if i > 1 else None,
-            lambda i, j: (Y.diff(j), j - 1, i % 2 == 1) if j > 1 else None,
+        cols[n] = pair_map(
+            basis, bases[n - 1],
+            lambda i, j: (X.columns(i, lab), i - 1, False) if i > 1 else None,
+            lambda i, j: (Y.columns(j, lab), j - 1, i % 2 == 1) if j > 1 else None,
+            neg,
         )
-    return ChainComplex(ring, modules, diffs, check=False)
+    return assemble(X.ring, labels, cols, lab)
 
 
 def star_betti_check(X: ChainComplex, Y: ChainComplex) -> bool:

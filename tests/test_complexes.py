@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from starcone import (
     BettiTable,
+    block_instance,
+    build_fiber,
     ChainComplex,
     ChainMap,
     PolyMatrix,
@@ -21,11 +23,14 @@ from starcone import (
     is_minimal,
     koszul,
     poly_parse,
+    resolution_of,
     suspension,
     tensor,
     truncate_geq,
 )
-from starcone.complexes import chain_map_defect, tensor_basis
+from starcone.complexes import chain_map_defect, multidegrees, tensor_basis, with_labels
+
+from helpers import load_perfbench, small_ideals
 
 RING = RingSpec(("x", "y", "z"))
 
@@ -99,7 +104,8 @@ def test_suspension_shifts_and_signs():
     C = K("x", "y")
     S = suspension(C, 1)
     assert S.support() == [1, 2, 3]
-    assert S.diff(2) == C.diff(1).neg()
+    d1 = C.diff(1)
+    assert S.diff(2) == PolyMatrix.from_entries(RING, d1.nrows, d1.ncols, {(i, j): -p for i, j, p in d1.nonzero_entries()})
     assert suspension(S, -1) == C
     assert suspension(C, 2).diff(3) == C.diff(1)
 
@@ -257,3 +263,21 @@ def test_complex_json_rejects_inhomogeneous():
     doc = complex_to_json(C).replace('"x"', '"x + 1"')
     with pytest.raises(ValueError):
         complex_from_json(doc)
+
+
+def _assert_labels_round_trip(C):
+    """The document's text re-infers C's labels and scalars exactly."""
+    again = complex_from_json(complex_to_json(C))
+    assert again.mdegs is None and multidegrees(again) == C.mdegs
+    relabelled = with_labels(again)
+    assert all(relabelled.columns(n) == C.columns(n) for n in C.support())
+
+
+@given(small_ideals())
+def test_resolution_labels_round_trip_through_json(I):
+    _assert_labels_round_trip(resolution_of(I))
+
+
+def test_cone_labels_round_trip_through_json():
+    for m, n, ip, jp in load_perfbench("workloads").survey_blocks(1, 128):
+        _assert_labels_round_trip(build_fiber(block_instance(m, n, ip, jp)).resolution)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
+import starcone.complexes
 import starcone.homcheck
 from starcone import (
     ChainComplex,
@@ -17,10 +18,14 @@ from starcone import (
     RingSpec,
     block_instance,
     build_fiber,
+    certify_minimal,
+    default_degree_bound,
+    graded_betti,
     homology_dims,
     is_complex,
     is_minimal,
     lift_chain_map,
+    minimize,
     poly_parse,
     resolution_of,
     taylor,
@@ -143,6 +148,29 @@ def test_checks_form_no_products():
         for S, X, I in ((inst.S, inst.X, inst.I), (e.S, e.X, e.I), (e.T, e.Y, e.J)):
             assert lift_chain_map(S, X, constrain_to=I).constrained
             lift_chain_map(S, X)
+
+
+def test_build_and_certification_build_no_polynomial():
+    """build_fiber and certification (homology against the quotient, Tor,
+    the minimality certificate, Betti tables) read and write the labels the
+    complexes carry: they run with Polynomial construction and multidegree
+    inference switched off, on the 3+2 block instance and on instance E."""
+    block = block_instance(3, 2, ["x1^2", "x2^2", "x3^2", "x1*x2*x3"], ["y1^2", "y2^2"])
+    cases = [(inst, inst.quotient_ideal()) for inst in (block, instance_e())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Polynomial or inferred multidegrees")
+
+    with patch.object(Polynomial, "__init__", refuse), patch.object(starcone.complexes, "multidegrees", refuse):
+        for inst, Q in cases:
+            for constrained in (True, False):
+                build = build_fiber(inst, constrained=constrained)
+                res = build.resolution
+                rep = homology_dims(res, default_degree_bound(inst, res), against=Q)
+                assert rep.complete and rep.exact_in_positive and rep.h0_matches
+                assert tor_dims(res, inst.J, 4).complete
+                certify_minimal(inst, build)
+                graded_betti(minimize(res))
 
 
 def test_mat_mul_by_hand():
