@@ -110,8 +110,13 @@ class PolyMatrix:
         return not any(self._cols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and (self.ring, self.nrows, self.ncols, self._cols) == (
-            other.ring, other.nrows, other.ncols, other._cols)
+        return (
+            isinstance(other, PolyMatrix)
+            and self.ring == other.ring
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self._cols == other._cols
+        )
 
     def __hash__(self):
         return hash((self.nrows, self.ncols))
@@ -157,7 +162,7 @@ class ChainComplex:
         C = object.__new__(ChainComplex)
         C.ring, C._diffs = ring, None
         C.mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
-        C.modules = {n: tuple(map(mono_degree, a)) for n, a in C.mdegs.items()}
+        C.modules = {n: tuple(map(sum, a)) for n, a in C.mdegs.items()}  # |mdeg|
         C._cols = {n: c for n, c in cols.items() if any(c)}
         for n, c in C._cols.items() if check else ():
             rows, tops = C.mdegs.get(n - 1, ()), C.mdegs.get(n, ())
@@ -168,10 +173,15 @@ class ChainComplex:
 
     def _check_homogeneous(self):
         for n, mat in self.diffs.items():
+            src, tgt = self.modules[n], self.modules[n - 1]
             for i, j, p in mat.nonzero_entries():
-                want = self.modules[n][j] - self.modules[n - 1][i]
-                if {mono_degree(m) for m in p.terms} != {want}:
-                    raise ValueError(f"entry ({i},{j}) of differential {n} is not homogeneous of degree {want}: {p}")
+                want = src[j] - tgt[i]
+                degs = {mono_degree(m) for m in p.terms}
+                if degs != {want}:
+                    raise ValueError(
+                        f"entry ({i},{j}) of differential {n} is not homogeneous "
+                        f"of degree {want}: {p}"
+                    )
 
     # queries ------------------------------------------------------------
     @property
@@ -198,8 +208,9 @@ class ChainComplex:
         return self.modules.get(n, ())
 
     def diff(self, n: int) -> PolyMatrix:
-        mat = self.diffs.get(n)
-        return PolyMatrix.zero(self.ring, self.rank(n - 1), self.rank(n)) if mat is None else mat
+        if n in self.diffs:
+            return self.diffs[n]
+        return PolyMatrix.zero(self.ring, self.rank(n - 1), self.rank(n))
 
     def support(self) -> list:
         return sorted(self.modules)
@@ -220,11 +231,18 @@ class ChainComplex:
         return sum(len(tw) for tw in self.modules.values())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ChainComplex) and (self.ring, self.modules) == (other.ring, other.modules)
-                and all(self.diff(n) == other.diff(n) for n in self.modules))
+        if not isinstance(other, ChainComplex):
+            return False
+        if self.ring != other.ring or self.modules != other.modules:
+            return False
+        return all(self.diff(n) == other.diff(n) for n in self.modules)
 
     def __str__(self) -> str:
-        return " <- ".join(f"R^{self.rank(n)}{list(self.twists(n))}" for n in self.support()) or "0"
+        if self.is_empty():
+            return "0"
+        return " <- ".join(
+            f"R^{self.rank(n)}{list(self.twists(n))}" for n in self.support()
+        )
 
 
 def zero_complex(ring: RingSpec) -> ChainComplex:
@@ -258,7 +276,9 @@ class ChainMap:
         return self._mats
 
     def mat(self, n: int) -> PolyMatrix:
-        return self.mats.get(n) or PolyMatrix.zero(self.source.ring, self.target.rank(n), self.source.rank(n))
+        if n in self.mats:
+            return self.mats[n]
+        return PolyMatrix.zero(self.source.ring, self.target.rank(n), self.source.rank(n))
 
     def columns(self, n: int, labelled: bool = True) -> list:
         """The matrix at n by columns, as ChainComplex.columns gives d_n."""
@@ -317,8 +337,15 @@ def truncate_geq(C: ChainComplex, p: int) -> ChainComplex:
 def tensor_basis(C: ChainComplex, D: ChainComplex, n: int) -> list:
     """Ordered basis labels (i, a, j, b) of (C (x) D)_n: left degree i
     descending, then left generator index, then right generator index."""
-    return [(i, a, n - i, b) for i in sorted(C.modules, reverse=True) if n - i in D.modules
-            for a in range(C.rank(i)) for b in range(D.rank(n - i))]
+    out = []
+    for i in sorted(C.modules, reverse=True):
+        j = n - i
+        if j not in D.modules:
+            continue
+        for a in range(C.rank(i)):
+            for b in range(D.rank(j)):
+                out.append((i, a, j, b))
+    return out
 
 
 def pair_map(labels: list, targets: list, left, right, neg) -> list:

@@ -13,7 +13,15 @@ from itertools import combinations
 from typing import Sequence
 
 from .complexes import ChainComplex, assemble, labels_of
-from .ring import MonomialIdeal, Polynomial, RingSpec, mono_degree, mono_lcm, mono_one, mono_support
+from .ring import (
+    MonomialIdeal,
+    Polynomial,
+    RingSpec,
+    mono_degree,
+    mono_lcm,
+    mono_one,
+    mono_support,
+)
 
 
 def is_regular_sequence_monomials(monos: Sequence[tuple]) -> bool:

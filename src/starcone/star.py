@@ -28,8 +28,17 @@ def _check_bottom(C: ChainComplex, name: str):
 def star_basis(X: ChainComplex, Y: ChainComplex, n: int) -> list:
     """Ordered basis labels (i, a, j, b) of (X * Y)_n for n >= 1: left
     homological degree ascending, then left index, then right index."""
-    return [(i, a, n + 1 - i, b) for i in sorted(X.modules) if i >= 1 and n + 1 - i >= 1 and n + 1 - i in Y.modules
-            for a in range(X.rank(i)) for b in range(Y.rank(n + 1 - i))]
+    out = []
+    for i in sorted(X.modules):
+        if i < 1:
+            continue
+        j = n + 1 - i
+        if j < 1 or j not in Y.modules:
+            continue
+        for a in range(X.rank(i)):
+            for b in range(Y.rank(j)):
+                out.append((i, a, j, b))
+    return out
 
 
 def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
