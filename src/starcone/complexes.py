@@ -164,10 +164,10 @@ class ChainComplex:
         C.mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
         C.modules = {n: tuple(map(sum, a)) for n, a in C.mdegs.items()}  # |mdeg|
         C._cols = {n: c for n, c in cols.items() if any(c)}
-        for n, c in C._cols.items() if check else ():
+        for n, c in C._cols.items():
             rows, tops = C.mdegs.get(n - 1, ()), C.mdegs.get(n, ())
-            if len(c) != len(tops) or not all(0 <= i < len(rows) and mono_divides(rows[i], b)
-                                              for col, b in zip(c, tops) for i in col):
+            if check and (len(c) != len(tops) or not all(
+                    0 <= i < len(rows) and mono_divides(rows[i], b) for col, b in zip(c, tops) for i in col)):
                 raise ValueError(f"differential {n} does not fit the multidegrees")
         return C
 

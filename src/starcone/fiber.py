@@ -90,14 +90,14 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
 
     Both complexes must start with a single twist-0 generator and be
     multigraded with single-term entries, as every complex resolution_of
-    builds is (others, relabelled by with_labels, in the map too, or
-    ValueError).  phi_j is kept as scalar columns {i: c}, entry c x^(mdeg_g
-    - mdeg_i), and its column g is one solve of d_j v = phi_{j-1} d_j e_g
-    over the generators whose multidegrees divide mdeg_g.  With constrain_to
-    given, every positive-degree entry must lie in that ideal (feasible
-    whenever H_0(S)'s defining ideal sits in the square of X's), or
-    LiftError is raised.  A result that is not a chain map raises
-    InvariantViolation.
+    builds is; others raise ValueError.  One without labels is replaced by
+    with_labels(C), in the returned map too.  phi_j is kept as scalar
+    columns {i: c}, entry c x^(mdeg_g - mdeg_i), and its column g is one
+    solve of d_j v = phi_{j-1} d_j e_g over the generators whose
+    multidegrees divide mdeg_g.  With constrain_to given, every
+    positive-degree entry must lie in that ideal (feasible whenever H_0(S)'s
+    defining ideal sits in the square of X's), or LiftError is raised.  A
+    result that is not a chain map raises InvariantViolation.
     """
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")

@@ -92,6 +92,16 @@ def test_poly_matrix_nonzero_entries_row_major():
     assert all(p == entries[i, j] for i, j, p in M.nonzero_entries())
 
 
+def test_labels_define_the_differentials():
+    """from_labels builds d from multidegrees and scalars, twists included,
+    and refuses an entry whose row multidegree does not divide its column's."""
+    ring = RingSpec(("x", "y"))
+    C = ChainComplex.from_labels(ring, {0: ((0, 0),), 1: ((1, 0), (0, 2))}, {1: [{0: 1}, {0: 3}]})
+    assert C.twists(1) == (1, 2) and str(C.diff(1)) == "[x, 3*y^2]"
+    with pytest.raises(ValueError, match="does not fit the multidegrees"):
+        ChainComplex.from_labels(ring, {0: ((1, 0),), 1: ((0, 1),)}, {1: [{0: 1}]})
+
+
 def test_zero_matrix_and_empty_module_dropped():
     C = ChainComplex(RING, {0: (0,), 1: (), 2: (5,)}, {})
     assert C.support() == [0, 2]
