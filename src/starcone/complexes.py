@@ -164,11 +164,12 @@ class ChainComplex:
         C.mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
         C.modules = {n: tuple(map(sum, a)) for n, a in C.mdegs.items()}  # |mdeg|
         C._cols = {n: c for n, c in cols.items() if any(c)}
-        for n, c in C._cols.items():
-            rows, tops = C.mdegs.get(n - 1, ()), C.mdegs.get(n, ())
-            if check and (len(c) != len(tops) or not all(
-                    0 <= i < len(rows) and mono_divides(rows[i], b) for col, b in zip(c, tops) for i in col)):
-                raise ValueError(f"differential {n} does not fit the multidegrees")
+        if check:
+            for n, c in C._cols.items():
+                rows, tops = C.mdegs.get(n - 1, ()), C.mdegs.get(n, ())
+                if len(c) != len(tops) or not all(
+                        0 <= i < len(rows) and mono_divides(rows[i], b) for col, b in zip(c, tops) for i in col):
+                    raise ValueError(f"differential {n} does not fit the multidegrees")
         return C
 
     def _check_homogeneous(self):
@@ -290,10 +291,6 @@ class ChainMap:
 # Each operation works on labels when all its inputs carry them, and on
 # twists and Polynomial entries otherwise.
 
-def labels_of(C: ChainComplex, labelled: bool) -> dict:
-    return C.mdegs if labelled else C.modules
-
-
 def entry_ops(ring: RingSpec, labelled: bool) -> tuple:
     """(sum of two labels, negation, product) of scalars under multidegrees,
     or of Polynomials under twists."""
@@ -324,13 +321,13 @@ def suspension(C: ChainComplex, l: int) -> ChainComplex:
     neg = entry_ops(C.ring, lab)[1]
     cols = {n + l: [{i: neg(v) for i, v in col.items()} for col in C.columns(n, lab)] if l % 2
             else C.columns(n, lab) for n in C.modules}
-    return assemble(C.ring, {n + l: a for n, a in labels_of(C, lab).items()}, cols, lab)
+    return assemble(C.ring, {n + l: a for n, a in (C.mdegs if lab else C.modules).items()}, cols, lab)
 
 
 def truncate_geq(C: ChainComplex, p: int) -> ChainComplex:
     """Hard truncation: keep degrees >= p, zero the differential at p."""
     lab = C.labelled
-    return assemble(C.ring, {n: a for n, a in labels_of(C, lab).items() if n >= p},
+    return assemble(C.ring, {n: a for n, a in (C.mdegs if lab else C.modules).items() if n >= p},
                     {n: C.columns(n, lab) for n in C.modules if n > p}, lab)
 
 
@@ -376,7 +373,7 @@ def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         return zero_complex(ring)
     lab = C.labelled and D.labelled
     add, neg, _ = entry_ops(ring, lab)
-    lC, lD = labels_of(C, lab), labels_of(D, lab)
+    lC, lD = (C.mdegs, D.mdegs) if lab else (C.modules, D.modules)
     degrees = sorted({i + j for i in C.modules for j in D.modules})
     bases = {n: tensor_basis(C, D, n) for n in degrees}
     labels = {n: tuple(add(lC[i][a], lD[j][b]) for (i, a, j, b) in basis) for n, basis in bases.items()}
@@ -391,7 +388,7 @@ def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("summands live in different rings")
     lab = C.labelled and D.labelled
-    lC, lD = labels_of(C, lab), labels_of(D, lab)
+    lC, lD = (C.mdegs, D.mdegs) if lab else (C.modules, D.modules)
     degrees = set(C.modules) | set(D.modules)
     cols = {n: C.columns(n, lab) + [{C.rank(n - 1) + i: v for i, v in col.items()} for col in D.columns(n, lab)]
             for n in degrees}
@@ -447,7 +444,7 @@ def cone(f: ChainMap) -> ChainComplex:
         raise ValueError(f"not a chain map: square at degree {bad} does not commute")
     S, T, lab = f.source, f.target, f.labelled
     neg = entry_ops(T.ring, lab)[1]
-    lS, lT = labels_of(S, lab), labels_of(T, lab)
+    lS, lT = (S.mdegs, T.mdegs) if lab else (S.modules, T.modules)
     labels, cols = {}, {}
     for n in set(T.modules) | {m + 1 for m in S.modules}:
         labels[n] = lT.get(n, ()) + lS.get(n - 1, ())

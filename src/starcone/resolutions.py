@@ -12,7 +12,7 @@ import heapq
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import ChainComplex, assemble, labels_of
+from .complexes import ChainComplex, assemble
 from .ring import (
     MonomialIdeal,
     Polynomial,
@@ -144,7 +144,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
     index = {n: {g: pos for pos, g in enumerate(gens)} for n, gens in keep.items()}
     cols = {n: [{index[n - 1][i]: v for i, v in mats[n][g].items()} for g in gens]
             for n, gens in keep.items() if n - 1 in keep}
-    labels = labels_of(C, lab)
+    labels = C.mdegs if lab else C.modules
     return assemble(C.ring, {n: tuple(labels[n][g] for g in gens) for n, gens in keep.items()}, cols, lab)
 
 

@@ -14,7 +14,7 @@ X and Y are.
 """
 from __future__ import annotations
 
-from .complexes import ChainComplex, assemble, entry_ops, graded_betti, is_minimal, labels_of, pair_map
+from .complexes import ChainComplex, assemble, entry_ops, graded_betti, is_minimal, pair_map
 from .formulas import betti_product_table
 
 
@@ -50,7 +50,7 @@ def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
     _check_bottom(Y, "right factor")
     lab = X.labelled and Y.labelled
     add, neg, mul = entry_ops(X.ring, lab)
-    lX, lY = labels_of(X, lab), labels_of(Y, lab)
+    lX, lY = (X.mdegs, Y.mdegs) if lab else (X.modules, Y.modules)
 
     top = X.max_degree() + Y.max_degree() - 1
     labels = {0: lX[0]}
