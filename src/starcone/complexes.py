@@ -457,8 +457,8 @@ def cone(f: ChainMap) -> ChainComplex:
 def is_complex(C: ChainComplex) -> bool:
     """d_{n-1} d_n = 0 for all n."""
     lab = C.labelled
-    return all(_products_vanish(C.ring.coeff_field, ((C.columns(n - 1, lab), C.columns(n, lab), 1),), C.rank(n), lab)
-               for n in C.modules if n - 1 in C.modules)
+    return all(_products_vanish(C.ring.coeff_field, ((C.columns(n - 1, lab), C.columns(n, lab), 1),),
+                                C.rank(n), lab) for n in C.modules if n - 1 in C.modules)
 
 
 def multidegrees(C: ChainComplex) -> Optional[dict]:

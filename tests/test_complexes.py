@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from starcone import (
     BettiTable,
-    block_instance,
-    build_fiber,
     ChainComplex,
     ChainMap,
     PolyMatrix,
     PowerSeries,
     RingSpec,
+    block_instance,
+    build_fiber,
     complex_from_json,
     complex_to_json,
     cone,
@@ -115,7 +115,8 @@ def test_suspension_shifts_and_signs():
     S = suspension(C, 1)
     assert S.support() == [1, 2, 3]
     d1 = C.diff(1)
-    assert S.diff(2) == PolyMatrix.from_entries(RING, d1.nrows, d1.ncols, {(i, j): -p for i, j, p in d1.nonzero_entries()})
+    negated = {(i, j): -p for i, j, p in d1.nonzero_entries()}
+    assert S.diff(2) == PolyMatrix.from_entries(RING, d1.nrows, d1.ncols, negated)
     assert suspension(S, -1) == C
     assert suspension(C, 2).diff(3) == C.diff(1)
 
