@@ -8,13 +8,11 @@ must be homogeneous of degree twists_n[j] - twists_{n-1}[i].
 Every complex this package builds is Z^N-multigraded with single-term
 entries (Miller-Sturmfels, ch. 1-4) and carries labels: mdegs[n], the
 exponent tuple of each generator of C_n (its twist is |mdeg|), and column g
-of d_n as {row i: c}, a nonzero scalar for the entry c x^(mdeg_g - mdeg_i).
-The operations and checks below read and write the scalars (signs go on c,
-multidegrees add); PolyMatrix differentials are built from the labels on
-first use, for export, printing and diff/diffs.  A complex given by
-PolyMatrix differentials (parsed, or koszul on arbitrary polynomials) has
-no labels: the operations run on its Polynomial entries, and with_labels
-infers labels for it when it has them.
+of d_n as {row i: c} for the entry c x^(mdeg_g - mdeg_i).  The operations
+work on these scalars; PolyMatrix differentials are built from them on
+first use.  A complex given by PolyMatrix differentials (parsed, or koszul)
+has no labels: with_labels infers them where they exist, and cone,
+minimize and the checks also run on Polynomial entries.
 
 Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
   * suspension by l multiplies every differential by (-1)^l;
@@ -31,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_divides, mono_mul, mono_one, poly_parse
+from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_mul, mono_one, poly_parse
 
 
 class InvariantViolation(RuntimeError):
@@ -154,22 +152,14 @@ class ChainComplex:
             self._check_homogeneous()
 
     @staticmethod
-    def from_labels(ring: RingSpec, mdegs: dict, cols: dict, check: bool = True) -> "ChainComplex":
+    def from_labels(ring: RingSpec, mdegs: dict, cols: dict) -> "ChainComplex":
         """The complex with generator labels mdegs[n], a tuple of exponent
-        tuples, and columns cols[n] of d_n.  check raises ValueError unless
-        each entry's row multidegree divides its column's; the operations
-        below skip it, as they keep that from their inputs."""
+        tuples, and columns cols[n] of d_n (see columns)."""
         C = object.__new__(ChainComplex)
         C.ring, C._diffs = ring, None
         C.mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
         C.modules = {n: tuple(map(sum, a)) for n, a in C.mdegs.items()}  # |mdeg|
         C._cols = {n: c for n, c in cols.items() if any(c)}
-        if check:
-            for n, c in C._cols.items():
-                rows, tops = C.mdegs.get(n - 1, ()), C.mdegs.get(n, ())
-                if len(c) != len(tops) or not all(
-                        0 <= i < len(rows) and mono_divides(rows[i], b) for col, b in zip(c, tops) for i in col):
-                    raise ValueError(f"differential {n} does not fit the multidegrees")
         return C
 
     def _check_homogeneous(self):
@@ -186,10 +176,6 @@ class ChainComplex:
 
     # queries ------------------------------------------------------------
     @property
-    def labelled(self) -> bool:
-        return self.mdegs is not None
-
-    @property
     def diffs(self) -> dict:
         """{n: PolyMatrix} for every nonzero differential."""
         if self._diffs is None:
@@ -198,8 +184,8 @@ class ChainComplex:
         return self._diffs
 
     def columns(self, n: int, labelled: bool = True) -> list:
-        """Column g of d_n as {row: entry}, not to be modified: scalars c of
-        c x^(mdeg_g - mdeg_i) if labelled (needs labels), else Polynomials."""
+        """Column g of d_n as {row i: entry}, not to be modified: the scalar c of
+        c x^(mdeg_g - mdeg_i) if labelled (needs labels), else the Polynomial."""
         return self._cols.get(n) or [{}] * self.rank(n) if labelled else self.diff(n).columns()
 
     def rank(self, n: int) -> int:
@@ -252,21 +238,14 @@ def zero_complex(ring: RingSpec) -> ChainComplex:
 
 class ChainMap:
     """Degreewise map between complexes; mat(n) sends source_n to target_n.
-
-    Given by PolyMatrix mats, or between labelled complexes by scalar
-    columns cols[n][g] = {i: c}: entry c x^(mdeg_g - mdeg_i) from generator g
-    of the source to i of the target, each mdeg_i dividing mdeg_g.  mats is
-    then built on first use."""
+    Given by PolyMatrix mats, or between labelled complexes by scalar columns
+    cols[n] as ChainComplex.columns gives d_n; mats is then built on first use."""
 
     __slots__ = ("source", "target", "cols", "_mats")
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  mats: Optional[dict] = None, cols: Optional[dict] = None):
         self.source, self.target, self._mats, self.cols = source, target, mats, cols
-
-    @property
-    def labelled(self) -> bool:
-        return self.cols is not None
 
     @property
     def mats(self) -> Dict[int, PolyMatrix]:
@@ -287,70 +266,44 @@ class ChainMap:
 
 
 # ------------------------------------------------------------- operations
-#
-# Each operation works on labels when all its inputs carry them, and on
-# twists and Polynomial entries otherwise.
-
-def entry_ops(ring: RingSpec, labelled: bool) -> tuple:
-    """(sum of two labels, negation, product) of scalars under multidegrees,
-    or of Polynomials under twists."""
-    if labelled:
-        F = ring.coeff_field
-        return mono_mul, lambda c: F.of_int(-c), lambda a, b: F.of_int(a * b)
-    return operator.add, operator.neg, operator.mul
-
 
 def assemble(ring: RingSpec, labels: dict, cols: dict, labelled: bool) -> ChainComplex:
     """The complex with these labels (multidegrees, or twists) and columns."""
     if labelled:
-        return ChainComplex.from_labels(ring, labels, cols, check=False)
+        return ChainComplex.from_labels(ring, labels, cols)
     return ChainComplex(ring, labels, {n: PolyMatrix._of_columns(ring, len(labels.get(n - 1, ())), len(c), c)
                                        for n, c in cols.items()}, check=False)
 
 
-def assemble_map(source: ChainComplex, target: ChainComplex, cols: dict, labelled: bool) -> ChainMap:
-    if labelled:
-        return ChainMap(source, target, cols=cols)
-    return ChainMap(source, target, {n: PolyMatrix._of_columns(source.ring, target.rank(n), len(c), c)
-                                     for n, c in cols.items()})
-
-
 def suspension(C: ChainComplex, l: int) -> ChainComplex:
     """Shift degrees up by l; differentials pick up the sign (-1)^l."""
-    lab = C.labelled
-    neg = entry_ops(C.ring, lab)[1]
-    cols = {n + l: [{i: neg(v) for i, v in col.items()} for col in C.columns(n, lab)] if l % 2
-            else C.columns(n, lab) for n in C.modules}
-    return assemble(C.ring, {n + l: a for n, a in (C.mdegs if lab else C.modules).items()}, cols, lab)
+    C = with_labels(C)
+    F = C.ring.coeff_field
+    cols = {n + l: [{i: F.of_int(-c) for i, c in col.items()} for col in d] if l % 2 else d
+            for n, d in C._cols.items()}
+    return ChainComplex.from_labels(C.ring, {n + l: a for n, a in C.mdegs.items()}, cols)
 
 
 def truncate_geq(C: ChainComplex, p: int) -> ChainComplex:
     """Hard truncation: keep degrees >= p, zero the differential at p."""
-    lab = C.labelled
-    return assemble(C.ring, {n: a for n, a in (C.mdegs if lab else C.modules).items() if n >= p},
-                    {n: C.columns(n, lab) for n in C.modules if n > p}, lab)
+    C = with_labels(C)
+    return ChainComplex.from_labels(C.ring, {n: a for n, a in C.mdegs.items() if n >= p},
+                                    {n: d for n, d in C._cols.items() if n > p})
 
 
 def tensor_basis(C: ChainComplex, D: ChainComplex, n: int) -> list:
     """Ordered basis labels (i, a, j, b) of (C (x) D)_n: left degree i
     descending, then left generator index, then right generator index."""
-    out = []
-    for i in sorted(C.modules, reverse=True):
-        j = n - i
-        if j not in D.modules:
-            continue
-        for a in range(C.rank(i)):
-            for b in range(D.rank(j)):
-                out.append((i, a, j, b))
-    return out
+    return [(i, a, n - i, b) for i in sorted(C.modules, reverse=True) if n - i in D.modules
+            for a in range(C.rank(i)) for b in range(D.rank(n - i))]
 
 
-def pair_map(labels: list, targets: list, left, right, neg) -> list:
-    """Columns {row: entry} of f (x) 1 + 1 (x) g from pair labels (i, a, j,
-    b) to pair labels targets.  left(i, j) and right(i, j) give, per source
-    label degrees, (columns, k, negate) or None: f sends generator a of
-    degree i to sum_r columns[a][r] times generator r of degree k, g likewise
-    on the right factor; negate applies neg to that term."""
+def pair_map(labels: list, targets: list, left, right, F) -> list:
+    """Scalar columns of f (x) 1 + 1 (x) g from pair labels (i, a, j, b) to
+    pair labels targets.  left(i, j) and right(i, j) give, per source label
+    degrees, (columns, k, negate) or None: f sends generator a of degree i
+    to sum_r columns[a][r] times generator r of degree k, g likewise on the
+    right factor; negate negates that term in the field F."""
     target = {lab: pos for pos, lab in enumerate(targets)}
     out = []
     for i, a, j, b in labels:
@@ -360,7 +313,7 @@ def pair_map(labels: list, targets: list, left, right, neg) -> list:
                 continue
             cols, k, negate = act
             for r, v in cols[b if side else a].items():
-                col[target[(i, a, k, r) if side else (k, r, j, b)]] = neg(v) if negate else v
+                col[target[(i, a, k, r) if side else (k, r, j, b)]] = F.of_int(-v) if negate else v
         out.append(col)
     return out
 
@@ -368,31 +321,28 @@ def pair_map(labels: list, targets: list, left, right, neg) -> list:
 def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("tensor factors live in different rings")
-    ring = C.ring
     if C.is_empty() or D.is_empty():
-        return zero_complex(ring)
-    lab = C.labelled and D.labelled
-    add, neg, _ = entry_ops(ring, lab)
-    lC, lD = (C.mdegs, D.mdegs) if lab else (C.modules, D.modules)
+        return zero_complex(C.ring)
+    C, D = with_labels(C), with_labels(D)
     degrees = sorted({i + j for i in C.modules for j in D.modules})
     bases = {n: tensor_basis(C, D, n) for n in degrees}
-    labels = {n: tuple(add(lC[i][a], lD[j][b]) for (i, a, j, b) in basis) for n, basis in bases.items()}
+    mdegs = {n: tuple(mono_mul(C.mdegs[i][a], D.mdegs[j][b]) for (i, a, j, b) in basis)
+             for n, basis in bases.items()}
     cols = {n: pair_map(bases[n], bases[n - 1],
-                        lambda i, j: (C.columns(i, lab), i - 1, False),
-                        lambda i, j: (D.columns(j, lab), j - 1, i % 2 == 1), neg)
+                        lambda i, j: (C.columns(i), i - 1, False),
+                        lambda i, j: (D.columns(j), j - 1, i % 2 == 1), C.ring.coeff_field)
             for n in degrees if n - 1 in bases}
-    return assemble(ring, labels, cols, lab)
+    return ChainComplex.from_labels(C.ring, mdegs, cols)
 
 
 def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("summands live in different rings")
-    lab = C.labelled and D.labelled
-    lC, lD = (C.mdegs, D.mdegs) if lab else (C.modules, D.modules)
+    C, D = with_labels(C), with_labels(D)
     degrees = set(C.modules) | set(D.modules)
-    cols = {n: C.columns(n, lab) + [{C.rank(n - 1) + i: v for i, v in col.items()} for col in D.columns(n, lab)]
+    cols = {n: C.columns(n) + [{C.rank(n - 1) + i: c for i, c in col.items()} for col in D.columns(n)]
             for n in degrees}
-    return assemble(C.ring, {n: lC.get(n, ()) + lD.get(n, ()) for n in degrees}, cols, lab)
+    return ChainComplex.from_labels(C.ring, {n: C.mdegs.get(n, ()) + D.mdegs.get(n, ()) for n in degrees}, cols)
 
 
 def _products_vanish(F, pairs, ncols: int, labelled: bool) -> bool:
@@ -422,11 +372,13 @@ def _products_vanish(F, pairs, ncols: int, labelled: bool) -> bool:
 def chain_map_defect(f: ChainMap):
     """First degree, of either complex or of f's matrices, where f's matrix
     has the wrong shape or the square d_target f - f d_source fails, or None."""
-    S, T, lab = f.source, f.target, f.labelled
+    S, T, lab = f.source, f.target, f.cols is not None
     for n in sorted(set(S.modules) | set(T.modules) | set(f.cols if lab else f.mats)):
-        if not lab and (f.mat(n).nrows, f.mat(n).ncols) != (T.rank(n), S.rank(n)):
+        cols, t = f.columns(n, lab), T.rank(n)
+        if len(cols) != S.rank(n) or any(i >= t for col in cols for i in col) or (
+                not lab and f.mat(n).nrows != t):
             return n
-        pairs = ((T.columns(n, lab), f.columns(n, lab), 1), (f.columns(n - 1, lab), S.columns(n, lab), -1))
+        pairs = ((T.columns(n, lab), cols, 1), (f.columns(n - 1, lab), S.columns(n, lab), -1))
         if not _products_vanish(T.ring.coeff_field, pairs, S.rank(n), lab):
             return n
     return None
@@ -442,8 +394,8 @@ def cone(f: ChainMap) -> ChainComplex:
     bad = chain_map_defect(f)
     if bad is not None:
         raise ValueError(f"not a chain map: square at degree {bad} does not commute")
-    S, T, lab = f.source, f.target, f.labelled
-    neg = entry_ops(T.ring, lab)[1]
+    S, T, lab = f.source, f.target, f.cols is not None
+    neg = (lambda c: T.ring.coeff_field.of_int(-c)) if lab else operator.neg
     lS, lT = (S.mdegs, T.mdegs) if lab else (S.modules, T.modules)
     labels, cols = {}, {}
     for n in set(T.modules) | {m + 1 for m in S.modules}:
@@ -456,7 +408,7 @@ def cone(f: ChainMap) -> ChainComplex:
 
 def is_complex(C: ChainComplex) -> bool:
     """d_{n-1} d_n = 0 for all n."""
-    lab = C.labelled
+    lab = C.mdegs is not None
     return all(_products_vanish(C.ring.coeff_field, ((C.columns(n - 1, lab), C.columns(n, lab), 1),),
                                 C.rank(n), lab) for n in C.modules if n - 1 in C.modules)
 
@@ -482,20 +434,22 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
     return mdegs
 
 
-def with_labels(C: ChainComplex) -> Optional[ChainComplex]:
+def with_labels(C: ChainComplex) -> ChainComplex:
     """C if it carries labels; otherwise the labelled complex equal to C
-    when multidegrees(C) finds its labels, else None."""
-    if C.labelled:
+    when multidegrees(C) finds its labels, else ValueError."""
+    if C.mdegs is not None:
         return C
     mdegs = multidegrees(C)
-    return None if mdegs is None else ChainComplex.from_labels(C.ring, mdegs, {
+    if mdegs is None:
+        raise ValueError("complex is not multigraded with single-term entries")
+    return ChainComplex.from_labels(C.ring, mdegs, {
         n: [{i: c for i, p in col.items() for c in p.terms.values()} for col in mat.columns()]
-        for n, mat in C.diffs.items()}, check=False)
+        for n, mat in C.diffs.items()})
 
 
 def entry_monomials(C: ChainComplex) -> Iterator[tuple]:
     """The monomial of every term of every nonzero differential entry."""
-    if not C.labelled:
+    if C.mdegs is None:
         return (m for mat in C.diffs.values() for col in mat.columns() for p in col.values() for m in p.terms)
     return (mono_div(b, C.mdegs[n - 1][i])
             for n, cols in C._cols.items() for col, b in zip(cols, C.mdegs[n]) for i in col)
@@ -504,13 +458,10 @@ def entry_monomials(C: ChainComplex) -> Iterator[tuple]:
 def is_minimal(C: ChainComplex) -> bool:
     """No differential entry has a nonzero constant term: under labels, no
     nonzero entry has mdeg_i == mdeg_g."""
-    if not C.labelled:
+    if C.mdegs is None:
         return mono_one(C.ring.nvars) not in entry_monomials(C)
-    for n, cols in C._cols.items():
-        rows, tops = C.mdegs[n - 1], C.mdegs[n]
-        if not set(rows).isdisjoint(tops) and any(rows[i] == b for col, b in zip(cols, tops) for i in col):
-            return False
-    return True
+    return all(C.mdegs[n - 1][i] != b for n, cols in C._cols.items() if not set(C.mdegs[n - 1]).isdisjoint(C.mdegs[n])
+               for col, b in zip(cols, C.mdegs[n]) for i in col)
 
 
 # ------------------------------------------------------------ power series

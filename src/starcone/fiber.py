@@ -37,10 +37,8 @@ from .complexes import (
     ChainComplex,
     ChainMap,
     InvariantViolation,
-    assemble_map,
     cone,
     direct_sum,
-    entry_ops,
     is_chain_map,
     is_minimal,
     pair_map,
@@ -90,20 +88,18 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
 
     Both complexes must start with a single twist-0 generator and be
     multigraded with single-term entries, as every complex resolution_of
-    builds is; others raise ValueError.  One without labels is replaced by
-    with_labels(C), in the returned map too.  phi_j is kept as scalar
-    columns {i: c}, entry c x^(mdeg_g - mdeg_i), and its column g is one
-    solve of d_j v = phi_{j-1} d_j e_g over the generators whose
-    multidegrees divide mdeg_g.  With constrain_to given, every
-    positive-degree entry must lie in that ideal (feasible whenever H_0(S)'s
-    defining ideal sits in the square of X's), or LiftError is raised.  A
-    result that is not a chain map raises InvariantViolation.
+    builds is; others raise ValueError.  The map runs between with_labels(S)
+    and with_labels(X), and phi_j is kept as scalar columns {i: c}, entry
+    c x^(mdeg_g - mdeg_i): column g is one solve of d_j v = phi_{j-1} d_j e_g
+    over the generators whose multidegrees divide mdeg_g.  With constrain_to
+    given, every positive-degree entry must lie in that ideal (feasible
+    whenever H_0(S)'s defining ideal sits in the square of X's), or
+    LiftError is raised.  A result that is not a chain map raises
+    InvariantViolation.
     """
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
     S, X = with_labels(S), with_labels(X)
-    if S is None or X is None:
-        raise ValueError("lift source and target must be multigraded with single-term entries")
     F, src, tgt = X.ring.coeff_field, S.mdegs, X.mdegs
     phi = {0: [{0: 1}]}
     for j in range(1, S.max_degree() + 1):
@@ -143,27 +139,20 @@ def _comparison(lift: LiftReport, source: ChainComplex, other: ChainComplex,
     factors = (trunc, other) if side == 0 else (other, trunc)
     stars = (lift.map.target, other) if side == 0 else (other, lift.map.target)
     dom = suspension(tensor(*factors), -1)
-    lab = lift.map.labelled and dom.labelled and star_XY.labelled
-    neg = entry_ops(star_XY.ring, lab)[1]
 
     def act(k, o):
         """The map on the truncated factor, at its degree k and the other's
         o; the sign is Phi's (-1)^{i+j} or Psi's (-1)^{i+j-1}."""
         if o:
-            return lift.map.columns(k, lab), k, (k + o + side) % 2 == 1
+            return lift.map.columns(k), k, (k + o + side) % 2 == 1
         if k == 1:  # only in degree 0: the augmentation d_1 into R
-            return source.columns(1, lab), 0, False
+            return source.columns(1), 0, False
         return None
 
-    def idle(i, j):
-        return None
-
-    left, right = (act, idle) if side == 0 else (idle, lambda i, j: act(j, i))
-    cols = {}
-    for n in dom.support():
-        targets = star_basis(*stars, n) if n else [(0, 0, 0, 0)]
-        cols[n] = pair_map(tensor_basis(*factors, n + 1), targets, left, right, neg)
-    return assemble_map(dom, star_XY, cols, lab)
+    left, right = (act, lambda i, j: None) if side == 0 else (lambda i, j: None, lambda i, j: act(j, i))
+    return ChainMap(dom, star_XY, cols={
+        n: pair_map(tensor_basis(*factors, n + 1), star_basis(*stars, n) if n else [(0, 0, 0, 0)],
+                    left, right, star_XY.ring.coeff_field) for n in dom.support()})
 
 
 def build_phi(phi: LiftReport, S: ChainComplex, Y: ChainComplex,
@@ -183,9 +172,7 @@ def omega(Phi: ChainMap, Psi: ChainMap) -> ChainMap:
     if Phi.target is not Psi.target and Phi.target != Psi.target:
         raise ValueError("comparison maps must share their target")
     src = direct_sum(Phi.source, Psi.source)
-    lab = Phi.labelled and Psi.labelled
-    cols = {n: Phi.columns(n, lab) + Psi.columns(n, lab) for n in src.support()}
-    return assemble_map(src, Phi.target, cols, lab)
+    return ChainMap(src, Phi.target, cols={n: Phi.columns(n) + Psi.columns(n) for n in src.support()})
 
 
 # ------------------------------------------------------------- the package
@@ -362,14 +349,8 @@ class MinimalityCertificate:
 
     @property
     def hypotheses_ok(self) -> bool:
-        return (
-            self.regular_sequence_i
-            and self.regular_sequence_j
-            and self.ip_in_i_squared
-            and self.jp_in_j_squared
-            and self.inputs_minimal
-            and self.constrained_lifts
-        )
+        return all((self.regular_sequence_i, self.regular_sequence_j, self.ip_in_i_squared,
+                    self.jp_in_j_squared, self.inputs_minimal, self.constrained_lifts))
 
     def __bool__(self) -> bool:
         return self.hypotheses_ok and self.resolution_minimal

@@ -207,7 +207,10 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    G = with_labels(C)
+    try:
+        G = with_labels(C)
+    except ValueError:
+        G = None
     if not is_complex(C if G is None else G):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
     pieces = list(_dense_pieces(C, d_max, modulo) if G is None else _box_pieces(G, modulo, against))

@@ -102,15 +102,13 @@ def minimize(C: ChainComplex) -> ChainComplex:
     end, so this order is the input's.  Needs no grading; homology is
     untouched.
     """
-    F, lab = C.ring.coeff_field, C.labelled
+    F, lab = C.ring.coeff_field, C.mdegs is not None
     if lab:
         unit = lambda n, i, k, c: c if C.mdegs[n - 1][i] == C.mdegs[n][k] else 0
-        zero, scale, nonzero = 0, lambda c, e: F.of_int(c * e), bool
-        sub = lambda a, b, e: F.of_int(a - b * e)
+        zero, scale, norm, nonzero = 0, lambda c, e: F.of_int(c * e), F.of_int, bool
     else:
         unit = lambda n, i, k, p: p.constant_coeff()
-        zero, scale, nonzero = Polynomial.zero(C.ring), Polynomial.scale, lambda p: bool(p.terms)
-        sub = lambda a, b, e: a - b * e
+        zero, scale, norm, nonzero = Polynomial.zero(C.ring), Polynomial.scale, lambda p: p, lambda p: bool(p.terms)
     mats = {n: dict(enumerate(map(dict, C.columns(n, lab)))) for n in C.modules}
     units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items()
              for i, v in col.items() if unit(n, i, j, v)]
@@ -129,7 +127,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
             for i, q in pcol.items():
                 if i == pi:
                     continue
-                v = sub(col.get(i, zero), q, factor)
+                v = norm(col.get(i, zero) - q * factor)
                 if not nonzero(v):
                     col.pop(i, None)
                     continue

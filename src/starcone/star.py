@@ -14,8 +14,9 @@ X and Y are.
 """
 from __future__ import annotations
 
-from .complexes import ChainComplex, assemble, entry_ops, graded_betti, is_minimal, pair_map
+from .complexes import ChainComplex, graded_betti, is_minimal, pair_map, with_labels
 from .formulas import betti_product_table
+from .ring import mono_mul
 
 
 def _check_bottom(C: ChainComplex, name: str):
@@ -28,51 +29,41 @@ def _check_bottom(C: ChainComplex, name: str):
 def star_basis(X: ChainComplex, Y: ChainComplex, n: int) -> list:
     """Ordered basis labels (i, a, j, b) of (X * Y)_n for n >= 1: left
     homological degree ascending, then left index, then right index."""
-    out = []
-    for i in sorted(X.modules):
-        if i < 1:
-            continue
-        j = n + 1 - i
-        if j < 1 or j not in Y.modules:
-            continue
-        for a in range(X.rank(i)):
-            for b in range(Y.rank(j)):
-                out.append((i, a, j, b))
-    return out
+    return [(i, a, n + 1 - i, b) for i in sorted(X.modules) if i >= 1 and n - i >= 0 and n + 1 - i in Y.modules
+            for a in range(X.rank(i)) for b in range(Y.rank(n + 1 - i))]
 
 
 def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
-    """X * Y; on labels when both factors carry them, so multidegrees add
-    and the degree-1 products are products of scalars."""
+    """X * Y on labels: multidegrees add, and the degree-1 products are
+    products of scalars."""
     if X.ring != Y.ring:
         raise ValueError("star factors live in different rings")
     _check_bottom(X, "left factor")
     _check_bottom(Y, "right factor")
-    lab = X.labelled and Y.labelled
-    add, neg, mul = entry_ops(X.ring, lab)
-    lX, lY = (X.mdegs, Y.mdegs) if lab else (X.modules, Y.modules)
+    X, Y = with_labels(X), with_labels(Y)
+    F = X.ring.coeff_field
 
     top = X.max_degree() + Y.max_degree() - 1
-    labels = {0: lX[0]}
+    mdegs = {0: X.mdegs[0]}
     bases = {}
     for n in range(1, max(top, 0) + 1):
         basis = star_basis(X, Y, n)
         if basis:
             bases[n] = basis
-            labels[n] = tuple(add(lX[i][a], lY[j][b]) for (i, a, j, b) in basis)
+            mdegs[n] = tuple(mono_mul(X.mdegs[i][a], Y.mdegs[j][b]) for (i, a, j, b) in basis)
     cols = {}
     for n, basis in sorted(bases.items()):
         if n == 1:
-            dX1, dY1 = X.columns(1, lab), Y.columns(1, lab)
-            cols[1] = [{0: mul(dX1[a][0], dY1[b][0])} if dX1[a] and dY1[b] else {} for (_, a, _, b) in basis]
+            dX1, dY1 = X.columns(1), Y.columns(1)
+            cols[1] = [{0: F.of_int(dX1[a][0] * dY1[b][0])} if dX1[a] and dY1[b] else {} for (_, a, _, b) in basis]
             continue
         cols[n] = pair_map(
             basis, bases[n - 1],
-            lambda i, j: (X.columns(i, lab), i - 1, False) if i > 1 else None,
-            lambda i, j: (Y.columns(j, lab), j - 1, i % 2 == 1) if j > 1 else None,
-            neg,
+            lambda i, j: (X.columns(i), i - 1, False) if i > 1 else None,
+            lambda i, j: (Y.columns(j), j - 1, i % 2 == 1) if j > 1 else None,
+            F,
         )
-    return assemble(X.ring, labels, cols, lab)
+    return ChainComplex.from_labels(X.ring, mdegs, cols)
 
 
 def star_betti_check(X: ChainComplex, Y: ChainComplex) -> bool:

@@ -7,6 +7,7 @@ from starcone import (
     BettiTable,
     ChainComplex,
     ChainMap,
+    MonomialIdeal,
     PolyMatrix,
     PowerSeries,
     RingSpec,
@@ -22,6 +23,7 @@ from starcone import (
     is_complex,
     is_minimal,
     koszul,
+    lift_chain_map,
     poly_parse,
     resolution_of,
     suspension,
@@ -94,12 +96,11 @@ def test_poly_matrix_nonzero_entries_row_major():
 
 def test_labels_define_the_differentials():
     """from_labels builds d from multidegrees and scalars, twists included,
-    and refuses an entry whose row multidegree does not divide its column's."""
+    and its text re-infers the same labels."""
     ring = RingSpec(("x", "y"))
     C = ChainComplex.from_labels(ring, {0: ((0, 0),), 1: ((1, 0), (0, 2))}, {1: [{0: 1}, {0: 3}]})
     assert C.twists(1) == (1, 2) and str(C.diff(1)) == "[x, 3*y^2]"
-    with pytest.raises(ValueError, match="does not fit the multidegrees"):
-        ChainComplex.from_labels(ring, {0: ((1, 0),), 1: ((0, 1),)}, {1: [{0: 1}]})
+    _assert_labels_round_trip(C)
 
 
 def test_zero_matrix_and_empty_module_dropped():
@@ -209,6 +210,42 @@ def test_misshapen_matrix_outside_both_complexes():
     with pytest.raises(ValueError, match="at degree 5"):
         cone(bad)
     assert is_chain_map(ChainMap(source=C, target=C, mats={**ident, 5: PolyMatrix.zero(RING, 0, 0)}))
+
+
+def test_misshapen_columns_outside_both_complexes():
+    """The scalar-column twin: a column at a degree neither complex has, or
+    a row index outside the target, is named by chain_map_defect."""
+    C = with_labels(K("x"))
+    ident = {n: [{g: 1} for g in range(C.rank(n))] for n in C.support()}
+    bad = ChainMap(C, C, cols={**ident, 5: [{0: 1}]})
+    assert chain_map_defect(bad) == 5
+    with pytest.raises(ValueError, match="at degree 5"):
+        cone(bad)
+    assert chain_map_defect(ChainMap(C, C, cols={**ident, 1: [{1: 1}]})) == 1
+    assert is_chain_map(ChainMap(C, C, cols={**ident, 5: []}))
+
+
+def test_cone_on_scalar_columns_matches_polynomial_cone():
+    """The cone's block [[dT, f], [0, -dS]] on scalar columns equals the one
+    on Polynomial entries, for a lift between resolutions."""
+    S = resolution_of(MonomialIdeal.parse(["x^2", "x*y", "y^3"], RING))
+    X = resolution_of(MonomialIdeal.parse(["x", "y"], RING))
+    f = lift_chain_map(S, X).map
+    labelled, polynomial = cone(f), cone(ChainMap(S, X, mats=f.mats))
+    assert labelled.mdegs is not None and polynomial.mdegs is None
+    assert labelled == polynomial and is_complex(labelled)
+
+
+def test_operations_read_labels():
+    """suspension, truncate_geq, tensor and direct_sum give a complex
+    without labels the ones with_labels finds, and refuse one that has none."""
+    C = K("x", "y")
+    assert C.mdegs is None and suspension(C, 1).mdegs == {n + 1: a for n, a in multidegrees(C).items()}
+    bad = K("x + y")
+    for op in (lambda: suspension(bad, 1), lambda: truncate_geq(bad, 0),
+               lambda: tensor(bad, C), lambda: direct_sum(C, bad)):
+        with pytest.raises(ValueError, match="not multigraded"):
+            op()
 
 
 def test_direct_sum_blocks():
