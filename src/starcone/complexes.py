@@ -11,8 +11,9 @@ exponent tuple of each generator of C_n (its twist is |mdeg|), and column g
 of d_n as {row i: c} for the entry c x^(mdeg_g - mdeg_i).  The operations
 work on these scalars; PolyMatrix differentials are built from them on
 first use.  A complex given by PolyMatrix differentials (parsed, or koszul)
-has no labels: with_labels infers them where they exist, and cone,
-minimize and the checks also run on Polynomial entries.
+has no labels: the operations give it the ones with_labels infers, or
+raise its ValueError.  Only is_complex also checks Polynomial entries, for
+the certifier's total-degree fallback.
 
 Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
   * suspension by l multiplies every differential by (-1)^l;
@@ -25,7 +26,6 @@ Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -66,11 +66,6 @@ class PolyMatrix:
     @staticmethod
     def zero(ring: RingSpec, nrows: int, ncols: int) -> "PolyMatrix":
         return PolyMatrix._of_columns(ring, nrows, ncols, [{} for _ in range(ncols)])
-
-    @staticmethod
-    def identity(ring: RingSpec, n: int) -> "PolyMatrix":
-        one = Polynomial.one(ring)
-        return PolyMatrix._of_columns(ring, n, n, [{j: one} for j in range(n)])
 
     @staticmethod
     def from_entries(ring: RingSpec, nrows: int, ncols: int, entries: dict) -> "PolyMatrix":
@@ -131,11 +126,12 @@ def _poly_matrix(ring: RingSpec, rows: tuple, tops: tuple, cols: list) -> PolyMa
 
 class ChainComplex:
     """Bounded complex of graded free modules, indexed by homological degree:
-    from twists and PolyMatrix differentials (mdegs None), or from_labels."""
+    from twists and homogeneous PolyMatrix differentials (mdegs None), or
+    from_labels."""
 
     __slots__ = ("ring", "modules", "mdegs", "_cols", "_diffs")
 
-    def __init__(self, ring: RingSpec, modules: Dict[int, tuple], diffs: Dict[int, PolyMatrix], check: bool = True):
+    def __init__(self, ring: RingSpec, modules: Dict[int, tuple], diffs: Dict[int, PolyMatrix]):
         self.ring = ring
         self.modules = {n: tuple(tw) for n, tw in modules.items() if len(tw) > 0}
         self.mdegs = self._cols = None
@@ -148,8 +144,7 @@ class ChainComplex:
                                  f"{mat.nrows}x{mat.ncols}, expected {want_rows}x{want_cols}")
             if not mat.is_zero():
                 self._diffs[n] = mat
-        if check:
-            self._check_homogeneous()
+        self._check_homogeneous()
 
     @staticmethod
     def from_labels(ring: RingSpec, mdegs: dict, cols: dict) -> "ChainComplex":
@@ -183,10 +178,10 @@ class ChainComplex:
                            for n, cols in sorted(self._cols.items())}
         return self._diffs
 
-    def columns(self, n: int, labelled: bool = True) -> list:
-        """Column g of d_n as {row i: entry}, not to be modified: the scalar c of
-        c x^(mdeg_g - mdeg_i) if labelled (needs labels), else the Polynomial."""
-        return self._cols.get(n) or [{}] * self.rank(n) if labelled else self.diff(n).columns()
+    def columns(self, n: int) -> list:
+        """Column g of d_n as {row i: c} for the entry c x^(mdeg_g - mdeg_i),
+        not to be modified; needs labels."""
+        return self._cols.get(n) or [{}] * self.rank(n)
 
     def rank(self, n: int) -> int:
         return len(self.modules.get(n, ()))
@@ -238,19 +233,18 @@ def zero_complex(ring: RingSpec) -> ChainComplex:
 
 class ChainMap:
     """Degreewise map between complexes; mat(n) sends source_n to target_n.
-    Given by PolyMatrix mats, or between labelled complexes by scalar columns
-    cols[n] as ChainComplex.columns gives d_n; mats is then built on first use."""
+    Given by scalar columns cols[n] as ChainComplex.columns gives d_n, on the
+    labels of source and target; mats is built on first use."""
 
     __slots__ = ("source", "target", "cols", "_mats")
 
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 mats: Optional[dict] = None, cols: Optional[dict] = None):
-        self.source, self.target, self._mats, self.cols = source, target, mats, cols
+    def __init__(self, source: ChainComplex, target: ChainComplex, cols: dict):
+        self.source, self.target, self.cols, self._mats = source, target, cols, None
 
     @property
     def mats(self) -> Dict[int, PolyMatrix]:
         if self._mats is None:
-            S, T = self.source, self.target
+            S, T = with_labels(self.source), with_labels(self.target)
             self._mats = {n: _poly_matrix(S.ring, T.mdegs.get(n, ()), S.mdegs.get(n, ()), c)
                           for n, c in sorted(self.cols.items()) if c}
         return self._mats
@@ -260,20 +254,12 @@ class ChainMap:
             return self.mats[n]
         return PolyMatrix.zero(self.source.ring, self.target.rank(n), self.source.rank(n))
 
-    def columns(self, n: int, labelled: bool = True) -> list:
+    def columns(self, n: int) -> list:
         """The matrix at n by columns, as ChainComplex.columns gives d_n."""
-        return self.cols.get(n) or [{}] * self.source.rank(n) if labelled else self.mat(n).columns()
+        return self.cols.get(n) or [{}] * self.source.rank(n)
 
 
 # ------------------------------------------------------------- operations
-
-def assemble(ring: RingSpec, labels: dict, cols: dict, labelled: bool) -> ChainComplex:
-    """The complex with these labels (multidegrees, or twists) and columns."""
-    if labelled:
-        return ChainComplex.from_labels(ring, labels, cols)
-    return ChainComplex(ring, labels, {n: PolyMatrix._of_columns(ring, len(labels.get(n - 1, ())), len(c), c)
-                                       for n, c in cols.items()}, check=False)
-
 
 def suspension(C: ChainComplex, l: int) -> ChainComplex:
     """Shift degrees up by l; differentials pick up the sign (-1)^l."""
@@ -345,41 +331,49 @@ def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     return ChainComplex.from_labels(C.ring, {n: C.mdegs.get(n, ()) + D.mdegs.get(n, ()) for n in degrees}, cols)
 
 
-def _products_vanish(F, pairs, ncols: int, labelled: bool) -> bool:
-    """Whether the sum of sign * A B over (A, B, sign) in pairs, matrices by
-    columns, is zero, with no product formed.  Column by column, every term
-    of every a_ik b_kj goes into a {(i, monomial): coefficient} dict, or
-    under labels, where row i of column j has the one monomial x^(mdeg_j -
-    mdeg_i), into {i: coefficient}.  Each sum must normalize to 0."""
+def _products_vanish(F, pairs, ncols: int) -> bool:
+    """Whether the sum of sign * A B over (A, B, sign) in pairs, scalar
+    columns on the labels, is zero, with no product formed: row i of column
+    j has the one monomial x^(mdeg_j - mdeg_i), so column by column every
+    a_ik b_kj goes into {i: coefficient}, and each sum must normalize to 0."""
     for j in range(ncols):
         acc: dict = {}
         for A, B, sign in pairs:
             for k, b in B[j].items():
                 for i, a in A[k].items():
-                    if labelled:
-                        acc[i] = acc.get(i, 0) + sign * a * b
-                        continue
-                    for mb, cb in b.terms.items():
-                        cb *= sign
-                        for ma, ca in a.terms.items():
-                            key = i, mono_mul(ma, mb)
-                            acc[key] = acc.get(key, 0) + ca * cb
+                    acc[i] = acc.get(i, 0) + sign * a * b
+        if any(map(F.of_int, acc.values())):
+            return False
+    return True
+
+
+def _polynomial_product_vanishes(F, A: PolyMatrix, B: PolyMatrix) -> bool:
+    """Whether A B is zero, with no Polynomial product formed: column by
+    column, every term of every a_ik b_kj goes into a {(i, monomial):
+    coefficient} dict, and each sum must normalize to 0."""
+    for col in B.columns():
+        acc: dict = {}
+        for k, b in col.items():
+            for i, a in A.column(k).items():
+                for mb, cb in b.terms.items():
+                    for ma, ca in a.terms.items():
+                        key = i, mono_mul(ma, mb)
+                        acc[key] = acc.get(key, 0) + ca * cb
         if any(map(F.of_int, acc.values())):
             return False
     return True
 
 
 def chain_map_defect(f: ChainMap):
-    """First degree, of either complex or of f's matrices, where f's matrix
-    has the wrong shape or the square d_target f - f d_source fails, or None."""
-    S, T, lab = f.source, f.target, f.cols is not None
-    for n in sorted(set(S.modules) | set(T.modules) | set(f.cols if lab else f.mats)):
-        cols, t = f.columns(n, lab), T.rank(n)
-        if len(cols) != S.rank(n) or any(i >= t for col in cols for i in col) or (
-                not lab and f.mat(n).nrows != t):
+    """First degree, of either complex or of f's columns, where f's columns
+    have the wrong shape or the square d_target f - f d_source fails, or None."""
+    S, T = with_labels(f.source), with_labels(f.target)
+    for n in sorted(set(S.modules) | set(T.modules) | set(f.cols)):
+        cols, t = f.columns(n), T.rank(n)
+        if len(cols) != S.rank(n) or any(i >= t for col in cols for i in col):
             return n
-        pairs = ((T.columns(n, lab), cols, 1), (f.columns(n - 1, lab), S.columns(n, lab), -1))
-        if not _products_vanish(T.ring.coeff_field, pairs, S.rank(n), lab):
+        pairs = ((T.columns(n), cols, 1), (f.columns(n - 1), S.columns(n), -1))
+        if not _products_vanish(T.ring.coeff_field, pairs, S.rank(n)):
             return n
     return None
 
@@ -394,23 +388,25 @@ def cone(f: ChainMap) -> ChainComplex:
     bad = chain_map_defect(f)
     if bad is not None:
         raise ValueError(f"not a chain map: square at degree {bad} does not commute")
-    S, T, lab = f.source, f.target, f.cols is not None
-    neg = (lambda c: T.ring.coeff_field.of_int(-c)) if lab else operator.neg
-    lS, lT = (S.mdegs, T.mdegs) if lab else (S.modules, T.modules)
-    labels, cols = {}, {}
+    S, T = with_labels(f.source), with_labels(f.target)
+    F = T.ring.coeff_field
+    mdegs, cols = {}, {}
     for n in set(T.modules) | {m + 1 for m in S.modules}:
-        labels[n] = lT.get(n, ()) + lS.get(n - 1, ())
+        mdegs[n] = T.mdegs.get(n, ()) + S.mdegs.get(n - 1, ())
         shift = T.rank(n - 1)
-        cols[n] = T.columns(n, lab) + [{**top, **{shift + i: neg(v) for i, v in col.items()}}
-                                       for top, col in zip(f.columns(n - 1, lab), S.columns(n - 1, lab))]
-    return assemble(T.ring, labels, cols, lab)
+        cols[n] = T.columns(n) + [{**top, **{shift + i: F.of_int(-v) for i, v in col.items()}}
+                                  for top, col in zip(f.columns(n - 1), S.columns(n - 1))]
+    return ChainComplex.from_labels(T.ring, mdegs, cols)
 
 
 def is_complex(C: ChainComplex) -> bool:
-    """d_{n-1} d_n = 0 for all n."""
-    lab = C.mdegs is not None
-    return all(_products_vanish(C.ring.coeff_field, ((C.columns(n - 1, lab), C.columns(n, lab), 1),),
-                                C.rank(n), lab) for n in C.modules if n - 1 in C.modules)
+    """d_{n-1} d_n = 0 for all n: by scalar sums under labels, otherwise by
+    the terms of the Polynomial entries."""
+    F = C.ring.coeff_field
+    if C.mdegs is None:
+        return all(_polynomial_product_vanishes(F, C.diff(n - 1), C.diff(n)) for n in C.diffs)
+    return all(_products_vanish(F, ((C.columns(n - 1), C.columns(n), 1),), C.rank(n))
+               for n in C.modules if n - 1 in C.modules)
 
 
 def multidegrees(C: ChainComplex) -> Optional[dict]:
@@ -448,18 +444,15 @@ def with_labels(C: ChainComplex) -> ChainComplex:
 
 
 def entry_monomials(C: ChainComplex) -> Iterator[tuple]:
-    """The monomial of every term of every nonzero differential entry."""
-    if C.mdegs is None:
-        return (m for mat in C.diffs.values() for col in mat.columns() for p in col.values() for m in p.terms)
+    """The monomial of every nonzero differential entry."""
+    C = with_labels(C)
     return (mono_div(b, C.mdegs[n - 1][i])
             for n, cols in C._cols.items() for col, b in zip(cols, C.mdegs[n]) for i in col)
 
 
 def is_minimal(C: ChainComplex) -> bool:
-    """No differential entry has a nonzero constant term: under labels, no
-    nonzero entry has mdeg_i == mdeg_g."""
-    if C.mdegs is None:
-        return mono_one(C.ring.nvars) not in entry_monomials(C)
+    """No differential entry is a unit: no nonzero entry has mdeg_i == mdeg_g."""
+    C = with_labels(C)
     return all(C.mdegs[n - 1][i] != b for n, cols in C._cols.items() if not set(C.mdegs[n - 1]).isdisjoint(C.mdegs[n])
                for col, b in zip(cols, C.mdegs[n]) for i in col)
 

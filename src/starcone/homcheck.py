@@ -262,16 +262,13 @@ class TorReport:
 def is_tor_independent(X: ChainComplex, J: MonomialIdeal) -> TorReport:
     """Is H_0(X) Tor-independent from R/J?
 
-    Structural fast path: if the variables appearing in X's differentials
-    are disjoint from J's support, X stays a resolution after reduction
-    (the two sides live in tensor-complementary subrings).  Otherwise
-    compute Tor on the lcm box, which covers every degree; X must then be
-    multigraded with single-term entries, or ValueError is raised.
+    X must be multigraded with single-term entries, or ValueError is
+    raised.  Structural fast path: if the variables appearing in X's
+    differentials are disjoint from J's support, X stays a resolution after
+    reduction (the two sides live in tensor-complementary subrings).
+    Otherwise compute Tor on the lcm box, which covers every degree.
     """
     if not frozenset().union(*map(mono_support, entry_monomials(X))) & J.support():
         return TorReport(independent=True, mode="structural")
-    report = tor_dims(X, J, 0)
-    if not report.complete:
-        raise ValueError("Tor needs a complex multigraded with single-term entries")
-    at = report.homology_at
+    at = tor_dims(X, J, 0).homology_at
     return TorReport(independent=at is None, mode="complete", witness=at and (at[0], mono_degree(at[1])))

@@ -4,7 +4,8 @@ plus Gaussian minimization of an arbitrary complex by sparse Schur updates.
 No Groebner machinery anywhere: Taylor + minimize is the general route,
 and for generators forming a regular sequence the Taylor complex already
 IS the (minimal) Koszul complex on them.  Taylor complexes carry labels
-(see complexes), which minimize keeps; koszul takes arbitrary polynomials.
+(see complexes), which minimize reads and keeps; koszul takes arbitrary
+polynomials and gives PolyMatrix differentials.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import heapq
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import ChainComplex, assemble
+from .complexes import ChainComplex, PolyMatrix, with_labels
 from .ring import (
     MonomialIdeal,
     Polynomial,
@@ -43,12 +44,11 @@ def trivial_resolution(ring: RingSpec) -> ChainComplex:
     return ChainComplex.from_labels(ring, {0: (mono_one(ring.nvars),)}, {})
 
 
-def _subset_complex(ring: RingSpec, r: int, base, step, entry, labelled: bool) -> ChainComplex:
-    """Complex with basis e_T in degree n for the size-n subsets T of
-    range(r), in lexicographic order, labelled base for T = () and else
-    step(label of T[:-1], T[-1]) (a multidegree if labelled, else a twist),
-    and with d(e_T) = sum over positions pos in T of entry(T, pos) e_{T
-    minus T[pos]}."""
+def _subset_complex(r: int, base, step, entry) -> tuple:
+    """Labels and columns of the complex with basis e_T in degree n for the
+    size-n subsets T of range(r), in lexicographic order: e_T is labelled
+    base for T = () and else step(label of T[:-1], T[-1]), and d(e_T) = sum
+    over positions pos in T of entry(T, pos) e_{T minus T[pos]}."""
     labels, cols, index = {0: (base,)}, {}, {(): 0}
     for n in range(1, r + 1):
         prev = index
@@ -56,7 +56,7 @@ def _subset_complex(ring: RingSpec, r: int, base, step, entry, labelled: bool) -
         labels[n] = tuple(step(labels[n - 1][prev[T[:-1]]], T[-1]) for T in subsets)
         cols[n] = [{prev[T[:pos] + T[pos + 1:]]: entry(T, pos) for pos in range(n)} for T in subsets]
         index = {T: pos for pos, T in enumerate(subsets)}
-    return assemble(ring, labels, cols, labelled)
+    return labels, cols
 
 
 def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
@@ -72,11 +72,10 @@ def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
         if f.ring != ring:
             raise ValueError("polynomial from a different ring")
     degs = [f.degree() for f in polys]
-    return _subset_complex(
-        ring, len(polys), 0, lambda w, i: w + degs[i],
-        lambda T, pos: polys[T[pos]] if pos % 2 == 0 else -polys[T[pos]],
-        labelled=False,
-    )
+    twists, cols = _subset_complex(len(polys), 0, lambda w, i: w + degs[i],
+                                   lambda T, pos: polys[T[pos]] if pos % 2 == 0 else -polys[T[pos]])
+    return ChainComplex(ring, twists, {n: PolyMatrix._of_columns(ring, len(twists[n - 1]), len(c), c)
+                                       for n, c in cols.items()})
 
 
 def taylor(I: MonomialIdeal) -> ChainComplex:
@@ -85,54 +84,48 @@ def taylor(I: MonomialIdeal) -> ChainComplex:
     e_T has multidegree lcm(T); the (T, T minus i) entry is the monomial
     lcm(T) / lcm(T minus i) with the usual alternating sign."""
     signs = (1, I.ring.coeff_field.of_int(-1))
-    return _subset_complex(I.ring, len(I.gens), mono_one(I.ring.nvars), lambda m, i: mono_lcm(m, I.gens[i]),
-                           lambda T, pos: signs[pos % 2], labelled=True)
+    return ChainComplex.from_labels(I.ring, *_subset_complex(
+        len(I.gens), mono_one(I.ring.nvars), lambda m, i: mono_lcm(m, I.gens[i]), lambda T, pos: signs[pos % 2]))
 
 
 def minimize(C: ChainComplex) -> ChainComplex:
-    """Cancel unit entries (nonzero constant coefficient; under labels, a
-    nonzero entry with mdeg_i == mdeg_g) until none remain.
+    """Cancel unit entries (nonzero entries with mdeg_i == mdeg_g) until
+    none remain; a complex without labels gets the ones with_labels infers.
 
     Pivot choice is deterministic: first unit entry in (homological degree,
     row, column) order.  Cancelling d_n[i, j] removes generator j of C_n and
     generator i of C_{n-1}: every column k of d_n with an entry in row i
     gets the sparse Schur update column_k - column_j * d_n[i, k] / c, with
-    c the pivot's constant coefficient, and row j of d_{n+1} and column i
-    of d_{n-1} are deleted.  Generators keep their input indices until the
-    end, so this order is the input's.  Needs no grading; homology is
-    untouched.
+    c the pivot, and row j of d_{n+1} and column i of d_{n-1} are deleted.
+    Generators keep their input indices until the end, so this order is the
+    input's.  Labels and homology are untouched.
     """
-    F, lab = C.ring.coeff_field, C.mdegs is not None
-    if lab:
-        unit = lambda n, i, k, c: c if C.mdegs[n - 1][i] == C.mdegs[n][k] else 0
-        zero, scale, norm, nonzero = 0, lambda c, e: F.of_int(c * e), F.of_int, bool
-    else:
-        unit = lambda n, i, k, p: p.constant_coeff()
-        zero, scale, norm, nonzero = Polynomial.zero(C.ring), Polynomial.scale, lambda p: p, lambda p: bool(p.terms)
-    mats = {n: dict(enumerate(map(dict, C.columns(n, lab)))) for n in C.modules}
-    units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items()
-             for i, v in col.items() if unit(n, i, j, v)]
+    C = with_labels(C)
+    F, mdegs = C.ring.coeff_field, C.mdegs
+    unit = lambda n, i, k: mdegs[n - 1][i] == mdegs[n][k]
+    mats = {n: dict(enumerate(map(dict, C.columns(n)))) for n in C.modules}
+    units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items() for i in col if unit(n, i, j)]
     heapq.heapify(units)  # may hold stale positions, skipped when popped
     while units:
         n, pi, pj = heapq.heappop(units)
-        pivot = mats[n].get(pj, {}).get(pi)
-        if pivot is None or not (c := unit(n, pi, pj, pivot)):
+        c = mats[n].get(pj, {}).get(pi)
+        if not c:
             continue
         inv = F.inv(c)
         pcol = mats[n].pop(pj)
         for k, col in mats[n].items():
             if pi not in col:
                 continue
-            factor = scale(col.pop(pi), inv)
+            factor = F.of_int(col.pop(pi) * inv)
             for i, q in pcol.items():
                 if i == pi:
                     continue
-                v = norm(col.get(i, zero) - q * factor)
-                if not nonzero(v):
+                v = F.of_int(col.get(i, 0) - q * factor)
+                if not v:
                     col.pop(i, None)
                     continue
                 col[i] = v
-                if unit(n, i, k, v):
+                if unit(n, i, k):
                     heapq.heappush(units, (n, i, k))
         for col in mats.get(n + 1, {}).values():
             col.pop(pj, None)
@@ -142,8 +135,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
     index = {n: {g: pos for pos, g in enumerate(gens)} for n, gens in keep.items()}
     cols = {n: [{index[n - 1][i]: v for i, v in mats[n][g].items()} for g in gens]
             for n, gens in keep.items() if n - 1 in keep}
-    labels = C.mdegs if lab else C.modules
-    return assemble(C.ring, {n: tuple(labels[n][g] for g in gens) for n, gens in keep.items()}, cols, lab)
+    return ChainComplex.from_labels(C.ring, {n: tuple(mdegs[n][g] for g in gens) for n, gens in keep.items()}, cols)
 
 
 def resolution_of(I: MonomialIdeal) -> ChainComplex:

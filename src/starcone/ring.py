@@ -78,11 +78,18 @@ class RingSpec:
 
     @staticmethod
     def from_description(desc: dict) -> "RingSpec":
+        """The ring describe() gives; variables and each partition block
+        must be lists of strings."""
+        def names(v, what: str) -> tuple:
+            if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+                raise ValueError(f"{what} is not a list of variable names")
+            return tuple(v)
+
         part = None
         if "partition" in desc:
-            part = (tuple(desc["partition"]["a"]), tuple(desc["partition"]["b"]))
+            part = tuple(names(desc["partition"][k], f"partition block {k}") for k in "ab")
         return RingSpec(
-            tuple(desc["variables"]),
+            names(desc["variables"], "variables"),
             partition=part,
             coeff_field=field_from_description(desc["field"]),
         )
@@ -201,9 +208,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def constant_coeff(self):
-        return self.terms.get(mono_one(self.ring.nvars), 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))

@@ -24,7 +24,6 @@ from starcone import (
     RingSpec,
     block_instance,
     build_fiber,
-    is_chain_map,
     linalg,
     make_instance,
     poly_parse,
@@ -148,6 +147,22 @@ def small_ideals(draw):
     return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=4)))
 
 
+def perturbed_columns(cols: dict, pick: int, k: int, how: int, c: int, F) -> dict:
+    """cols ({n: scalar columns}) with one nonzero entry changed: the k-th,
+    in column-major order, of the pick-th nonzero degree (both taken modulo
+    their number).  how 1 deletes the entry, otherwise c is added to its
+    coefficient in the field F (a deletion if the sum is 0)."""
+    ns = [n for n in sorted(cols) if any(cols[n])]
+    n = ns[pick % len(ns)]
+    out = [dict(col) for col in cols[n]]
+    g, i = [(g, i) for g, col in enumerate(out) for i in sorted(col)][k % sum(map(len, out))]
+    if how == 1 or not (v := F.of_int(out[g][i] + c)):
+        del out[g][i]
+    else:
+        out[g][i] = v
+    return {**cols, n: out}
+
+
 def perturbed(mats: dict, pick: int, k: int, how: int, c: int) -> dict:
     """mats ({n: PolyMatrix}) with one nonzero entry changed: the k-th, in
     row-major order, of the pick-th nonzero matrix (both taken modulo their
@@ -189,13 +204,26 @@ def product_is_complex(C) -> bool:
     return all(mat_mul(C.diff(n - 1), C.diff(n)).is_zero() for n in C.support())
 
 
-def product_chain_map_defect(f):
+def product_chain_map_defect(f, mat=None):
     """Reference for chain_map_defect: both sides of each square formed by
-    mat_mul and compared."""
+    mat_mul and compared.  mat(n) gives the map's matrices, f.mat unless
+    given."""
+    mat = mat or f.mat
     for n in sorted(set(f.source.modules) | set(f.target.modules)):
-        if mat_mul(f.target.diff(n), f.mat(n)) != mat_mul(f.mat(n - 1), f.source.diff(n)):
+        if mat_mul(f.target.diff(n), mat(n)) != mat_mul(mat(n - 1), f.source.diff(n)):
             return n
     return None
+
+
+def reference_cone_diff(f, n):
+    """Reference for cone(f).diff(n): the block [[dT, f], [0, -dS]]
+    assembled entry by entry from T.diff(n), f.mat(n - 1) and S.diff(n - 1)."""
+    S, T = f.source, f.target
+    ring, shift = T.ring, T.rank(n - 1)
+    entries = {(i, j): p for i, j, p in T.diff(n).nonzero_entries()}
+    entries.update(((i, T.rank(n) + j), p) for i, j, p in f.mat(n - 1).nonzero_entries())
+    entries.update(((shift + i, T.rank(n) + j), -p) for i, j, p in S.diff(n - 1).nonzero_entries())
+    return PolyMatrix.from_entries(ring, shift + S.rank(n - 2), T.rank(n) + S.rank(n - 1), entries)
 
 
 def _reference_lift_column(X, j: int, mdegs: dict, w_col: dict, constrain_to):
@@ -237,7 +265,7 @@ def reference_lift(S, X, constrain_to=None):
     mdegs = multidegrees(X)
     if mdegs is None:
         raise ValueError("lift target is not multigraded with single-term entries")
-    mats = {0: PolyMatrix.identity(ring, 1)}
+    mats = {0: PolyMatrix.from_entries(ring, 1, 1, {(0, 0): Polynomial.one(ring)})}
     for j in range(1, S.max_degree() + 1):
         if S.rank(j) == 0:
             continue
@@ -253,15 +281,24 @@ def reference_lift(S, X, constrain_to=None):
                 raise LiftError(j, "no solution" + inside)
             entries.update(((i, g), p) for i, p in enumerate(v) if p.terms)
         mats[j] = PolyMatrix.from_entries(ring, X.rank(j), S.rank(j), entries)
-    out = ChainMap(source=S, target=X, mats=mats)
-    if not is_chain_map(out):
+    out = ChainMap(S, X, {n: [{i: c for i, p in col.items() for c in p.terms.values()} for col in M.columns()]
+                          for n, M in mats.items()})
+    mat = lambda n: mats.get(n) or PolyMatrix.zero(ring, X.rank(n), S.rank(n))
+    if product_chain_map_defect(out, mat) is not None:
         raise InvariantViolation("lift produced a non-chain-map")
+    if any(out.mat(n) != M for n, M in mats.items()):
+        raise InvariantViolation("lift has an entry that is not one term")
     return LiftReport(map=out, constrained=constrain_to is not None)
+
+
+def constant_coeff(p):
+    """The coefficient of 1 in the Polynomial p."""
+    return p.terms.get((0,) * p.ring.nvars, 0)
 
 
 def scan_is_minimal(C) -> bool:
     """Reference for is_minimal: the sorted scan of every nonzero entry."""
-    return not any(p.constant_coeff() for mat in C.diffs.values() for _, _, p in mat.nonzero_entries())
+    return not any(constant_coeff(p) for mat in C.diffs.values() for _, _, p in mat.nonzero_entries())
 
 
 def double_every_solve(monkeypatch):
@@ -400,12 +437,12 @@ def dense_minimize(C):
     mats = {n: [list(row) for row in C.diff(n).rows] for n in sorted(mods)}
     while True:
         units = [(n, i, j) for n in sorted(mats) for i, row in enumerate(mats[n])
-                 for j, p in enumerate(row) if p.constant_coeff()]
+                 for j, p in enumerate(row) if constant_coeff(p)]
         if not units:
             break
         n, pi, pj = units[0]
         mat = mats[n]
-        inv = F.inv(mat[pi][pj].constant_coeff())
+        inv = F.inv(constant_coeff(mat[pi][pj]))
         mats[n] = [[mat[i][j] - mat[i][pj] * mat[pi][j].scale(inv)
                     for j in range(len(mat[i])) if j != pj]
                    for i in range(len(mat)) if i != pi]
@@ -418,7 +455,7 @@ def dense_minimize(C):
     modules = {n: tuple(tw) for n, tw in mods.items() if tw}
     diffs = {n: PolyMatrix(C.ring, len(modules.get(n - 1, ())), len(modules.get(n, ())), rows)
              for n, rows in mats.items() if modules.get(n - 1) and modules.get(n)}
-    return ChainComplex(C.ring, modules, diffs, check=False)
+    return ChainComplex(C.ring, modules, diffs)
 
 
 def loop_betti_product_table(bI, bJ):

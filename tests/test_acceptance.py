@@ -261,7 +261,6 @@ def test_criterion_9_tor_oracle_and_mutation():
         res.ring,
         {n: res.twists(n) for n in res.support()},
         {1: res.diff(1), 2: PolyMatrix(res.ring, 3, 2, rows)},
-        check=True,
     )
     if is_complex(mutated):
         rep = homology_dims(mutated, 6)

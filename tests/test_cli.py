@@ -375,6 +375,10 @@ MALFORMED = {
         lambda d: d.update(modules={"0": [0], "1": [True]}, differentials={"1": [["x"]]})),
     "differential_string": lambda: _broken_export(
         lambda d: d.update(modules={"0": [0], "1": [1]}, differentials={"1": "x"})),
+    "variables_string": lambda: _broken_export(lambda d: d["ring"].update(variables="xy")),
+    "variables_object": lambda: _broken_export(lambda d: d["ring"].update(variables={"x": 1, "y": 2})),
+    "partition_blocks_strings": lambda: _broken_export(
+        lambda d: d["ring"].update(partition={"a": "x", "b": "y"})),
 }
 
 

@@ -22,8 +22,10 @@ from starcone import (
     is_chain_map,
     is_complex,
     is_minimal,
+    is_tor_independent,
     koszul,
     lift_chain_map,
+    minimize,
     poly_parse,
     resolution_of,
     suspension,
@@ -32,7 +34,7 @@ from starcone import (
 )
 from starcone.complexes import chain_map_defect, multidegrees, tensor_basis, with_labels
 
-from helpers import load_perfbench, small_ideals
+from helpers import load_perfbench, reference_cone_diff, small_ideals
 
 RING = RingSpec(("x", "y", "z"))
 
@@ -167,14 +169,13 @@ def test_tensor_is_complex_property(ts, us):
 
 # -------------------------------------------------------------------- cone
 
+def _identity(C):
+    """The identity of C as scalar columns on its labels."""
+    return ChainMap(C, C, {n: [{g: 1} for g in range(C.rank(n))] for n in C.support()})
+
+
 def test_cone_of_identity_contractible():
-    C = K("x", "y")
-    ident = ChainMap(
-        source=C,
-        target=C,
-        mats={n: PolyMatrix.identity(RING, C.rank(n)) for n in C.support()},
-    )
-    cn = cone(ident)
+    cn = cone(_identity(K("x", "y")))
     assert is_complex(cn)
     from starcone import homology_dims
 
@@ -183,42 +184,22 @@ def test_cone_of_identity_contractible():
 
 
 def test_cone_rejects_non_chain_map():
+    """K(x) -> K(x) by 1 in degree 0 and 2 in degree 1: d f_1 = 2x, f_0 d = x."""
     C = K("x")
-    D = K("y")
-    bad = ChainMap(
-        source=C,
-        target=D,
-        mats={
-            0: PolyMatrix.identity(RING, 1),
-            1: PolyMatrix.from_entries(RING, 1, 1, {(0, 0): poly_parse("z", RING)}),
-        },
-    )
+    bad = ChainMap(C, C, {0: [{0: 1}], 1: [{0: 2}]})
     assert not is_chain_map(bad)
     with pytest.raises(ValueError):
         cone(bad)
 
 
-def test_misshapen_matrix_outside_both_complexes():
-    """A map's matrix at a degree neither complex has must be 0 x 0: a 1 x 1
-    one there is named by chain_map_defect, so is_chain_map and cone refuse."""
-    C = K("x")
-    ident = {n: PolyMatrix.identity(RING, C.rank(n)) for n in C.support()}
-    stray = PolyMatrix.from_entries(RING, 1, 1, {(0, 0): poly_parse("1", RING)})
-    bad = ChainMap(source=C, target=C, mats={**ident, 5: stray})
-    assert chain_map_defect(bad) == 5
-    assert not is_chain_map(bad)
-    with pytest.raises(ValueError, match="at degree 5"):
-        cone(bad)
-    assert is_chain_map(ChainMap(source=C, target=C, mats={**ident, 5: PolyMatrix.zero(RING, 0, 0)}))
-
-
 def test_misshapen_columns_outside_both_complexes():
-    """The scalar-column twin: a column at a degree neither complex has, or
-    a row index outside the target, is named by chain_map_defect."""
+    """A column at a degree neither complex has, or a row index outside the
+    target, is named by chain_map_defect, so is_chain_map and cone refuse."""
     C = with_labels(K("x"))
-    ident = {n: [{g: 1} for g in range(C.rank(n))] for n in C.support()}
+    ident = _identity(C).cols
     bad = ChainMap(C, C, cols={**ident, 5: [{0: 1}]})
     assert chain_map_defect(bad) == 5
+    assert not is_chain_map(bad)
     with pytest.raises(ValueError, match="at degree 5"):
         cone(bad)
     assert chain_map_defect(ChainMap(C, C, cols={**ident, 1: [{1: 1}]})) == 1
@@ -226,24 +207,33 @@ def test_misshapen_columns_outside_both_complexes():
 
 
 def test_cone_on_scalar_columns_matches_polynomial_cone():
-    """The cone's block [[dT, f], [0, -dS]] on scalar columns equals the one
-    on Polynomial entries, for a lift between resolutions."""
+    """The cone on scalar columns has, in every degree, the block
+    [[dT, f], [0, -dS]] assembled from the Polynomial matrices, for a lift
+    between resolutions."""
     S = resolution_of(MonomialIdeal.parse(["x^2", "x*y", "y^3"], RING))
     X = resolution_of(MonomialIdeal.parse(["x", "y"], RING))
     f = lift_chain_map(S, X).map
-    labelled, polynomial = cone(f), cone(ChainMap(S, X, mats=f.mats))
-    assert labelled.mdegs is not None and polynomial.mdegs is None
-    assert labelled == polynomial and is_complex(labelled)
+    cn = cone(f)
+    assert cn.mdegs is not None and is_complex(cn)
+    for n in range(cn.max_degree() + 2):
+        assert cn.diff(n) == reference_cone_diff(f, n)
 
 
 def test_operations_read_labels():
-    """suspension, truncate_geq, tensor and direct_sum give a complex
-    without labels the ones with_labels finds, and refuse one that has none."""
-    C = K("x", "y")
+    """The operations and checks give a complex without labels the ones
+    with_labels finds, and refuse one that has none."""
+    C, J = K("x", "y"), MonomialIdeal.parse(["x"], RING)
     assert C.mdegs is None and suspension(C, 1).mdegs == {n + 1: a for n, a in multidegrees(C).items()}
+    labelled = with_labels(C)
+    assert cone(_identity(C)) == cone(_identity(labelled)) and cone(_identity(C)).mdegs is not None
+    assert minimize(C) == minimize(labelled) == C and minimize(C).mdegs is not None
+    assert is_minimal(C) and chain_map_defect(_identity(C)) is None
+    assert is_tor_independent(C, J) == is_tor_independent(labelled, J)
     bad = K("x + y")
     for op in (lambda: suspension(bad, 1), lambda: truncate_geq(bad, 0),
-               lambda: tensor(bad, C), lambda: direct_sum(C, bad)):
+               lambda: tensor(bad, C), lambda: direct_sum(C, bad), lambda: cone(_identity(bad)),
+               lambda: minimize(bad), lambda: is_minimal(bad), lambda: chain_map_defect(_identity(bad)),
+               lambda: is_tor_independent(bad, J)):
         with pytest.raises(ValueError, match="not multigraded"):
             op()
 

@@ -39,6 +39,7 @@ from helpers import (
     instance_e,
     mat_mul,
     perturbed,
+    perturbed_columns,
     product_chain_map_defect,
     product_is_complex,
     scan_is_minimal,
@@ -109,11 +110,12 @@ def test_d2_check_covers_both_paths():
 @given(st.integers(0, 2), st.sampled_from(["phi", "psi", "omega"]), PERTURBATIONS)
 def test_chain_map_defect_agrees_with_products(which, side, perturbation):
     """On the comparison lifts and on omega(Phi, Psi), perturbed in one
-    entry, chain_map_defect names the degree the product comparison names."""
+    scalar (a coefficient change or a deletion), chain_map_defect names the
+    degree the product comparison names."""
     build = _builds()[which]
     f = {"phi": build.phi_lift.map, "psi": build.psi_lift.map}.get(side) or omega(build.Phi, build.Psi)
     assert chain_map_defect(f) is None and product_chain_map_defect(f) is None
-    g = ChainMap(f.source, f.target, perturbed(f.mats, *perturbation))
+    g = ChainMap(f.source, f.target, perturbed_columns(f.cols, *perturbation, f.target.ring.coeff_field))
     assert chain_map_defect(g) == product_chain_map_defect(g)
 
 
@@ -121,10 +123,15 @@ def test_chain_map_defect_agrees_with_products(which, side, perturbation):
 @given(small_ideals(), PERTURBATIONS)
 def test_is_minimal_agrees_with_sorted_scan(I, perturbation):
     """Unminimized Taylor complexes have unit entries; minimal resolutions
-    have none; a perturbation can add or remove one."""
+    have none; a perturbation can add or remove one, or leave the complex
+    not multigraded, which is_minimal refuses."""
     T, R = taylor(I), resolution_of(I)
     for C in (T, R, _with_diffs(T, perturbed(T.diffs, *perturbation)) if T.diffs else T):
-        assert is_minimal(C) == scan_is_minimal(C)
+        if multidegrees(C) is None:
+            with pytest.raises(ValueError, match="not multigraded"):
+                is_minimal(C)
+        else:
+            assert is_minimal(C) == scan_is_minimal(C)
 
 
 def test_checks_form_no_products():

@@ -98,33 +98,33 @@ def _matrix(ring, nrows, ncols, texts):
 
 
 def test_minimize_schur_update_adds_and_cancels_terms():
-    # d_1 = [[x, y, x], [1, 1, 1]]: the pivot (1, 0) turns y into y - x
-    # and x into x - x = 0 in the surviving row.
-    C = ChainComplex(RING, {0: (0, 1), 1: (1, 1, 1)}, {1: _matrix(RING, 2, 3, {
-        (0, 0): "x", (0, 1): "y", (0, 2): "x", (1, 0): "1", (1, 1): "1", (1, 2): "1"})})
-    want = ChainComplex(RING, {0: (0,), 1: (1, 1)}, {1: _matrix(RING, 1, 2, {(0, 0): "y - x"})})
-    assert minimize(C) == want
-    assert str(minimize(C).diff(1)) == "[32002*x + y, 0]"
+    # C_0 has labels 1, x and C_1 has x, x*y, x^2, with d_1 = [[x, x*y, 0],
+    # [1, y, x]]: the pivot (1, 0) turns x*y into x*y - x*y = 0 and the
+    # zero under x into -x^2 in the surviving row.
+    C = ChainComplex.from_labels(RING, {0: ((0, 0), (1, 0)), 1: ((1, 0), (1, 1), (2, 0))},
+                                 {1: [{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 1}]})
+    want = ChainComplex.from_labels(RING, {0: ((0, 0),), 1: ((1, 1), (2, 0))},
+                                    {1: [{}, {0: RING.coeff_field.of_int(-1)}]})
+    assert str(C.diff(1)) == "[x, x*y, 0; 1, y, x]"
+    assert minimize(C) == want == dense_minimize(C)
+    assert str(minimize(C).diff(1)) == "[0, 32002*x^2]"
 
 
 def test_minimize_non_multigraded_unit_entry():
     # Koszul on x + y, z^2 with a redundant copy e3 of e1 and the unit
-    # relation g2 = e1 - e3: cancelling e1 against g2 moves z^2 onto e3.
+    # relation g2 = e1 - e3 has no labels to cancel the unit by.
     C = ChainComplex(RING3, {0: (0,), 1: (1, 2, 1), 2: (3, 1)}, {
         1: _matrix(RING3, 1, 3, {(0, 0): "x + y", (0, 1): "z^2", (0, 2): "x + y"}),
         2: _matrix(RING3, 3, 2, {(0, 0): "z^2", (1, 0): "-x - y", (0, 1): "1", (2, 1): "-1"}),
     })
-    want = ChainComplex(RING3, {0: (0,), 1: (2, 1), 2: (3,)}, {
-        1: _matrix(RING3, 1, 2, {(0, 0): "z^2", (0, 1): "x + y"}),
-        2: _matrix(RING3, 2, 1, {(0, 0): "-x - y", (1, 0): "z^2"}),
-    })
-    assert is_complex(C) and not is_minimal(C)
-    assert minimize(C) == want
+    assert is_complex(C)
+    with pytest.raises(ValueError, match="not multigraded"):
+        minimize(C)
 
 
 def test_minimize_matches_dense_reference_by_hand():
-    K2 = K(RING3, "x + y", "z^2")
-    identity = ChainMap(K2, K2, {n: PolyMatrix.identity(RING3, K2.rank(n)) for n in K2.support()})
+    K2 = K(RING3, "x*y", "z^2")
+    identity = ChainMap(K2, K2, {n: [{g: 1} for g in range(K2.rank(n))] for n in K2.support()})
     quadrics = MonomialIdeal.parse(["x^2", "y^2", "z^2", "x*y", "x*z", "y*z"], RING3)
     # the first cancellation turns the zero at (1, 1) into the unit -1
     new_unit = ChainComplex(RING, {0: (0, 0), 1: (0, 0)}, {1: _matrix(RING, 2, 2, {
