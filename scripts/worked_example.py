@@ -15,24 +15,19 @@ Usage: python3 scripts/worked_example.py
 from starcone import (
     MonomialIdeal,
     RingSpec,
-    betti_product_table,
     block_instance,
     build_fiber,
     certify_minimal,
+    closed_form_table,
     default_degree_bound,
-    fiber_betti_table,
-    generating_function,
     graded_betti,
     hilbert_function,
     homology_dims,
-    ideal_sum,
     koszul,
     minimize,
-    poincare_identity_1,
-    poincare_identity_2,
+    poincare_residuals,
     poly_parse,
     resolution_of,
-    series_of_ideal,
     star_product,
 )
 
@@ -101,11 +96,7 @@ def part_fiber():
 
     rule("Betti numbers: construction vs closed form")
     constructed = graded_betti(build.resolution)
-    formula = fiber_betti_table(
-        betti_product_table(graded_betti(inst.X), graded_betti(inst.Y)),
-        graded_betti(inst.S), graded_betti(inst.X),
-        graded_betti(inst.T), graded_betti(inst.Y),
-    )
+    formula = closed_form_table(inst)
     print(f"constructed: {constructed.totals()}")
     print(f"formula:     {formula.totals()}")
     print(f"graded tables agree: {constructed == formula}")
@@ -115,23 +106,9 @@ def part_fiber():
           f"{graded_betti(independent_oracle) == constructed}")
 
     rule("Poincare residuals")
-    tr = build.resolution.max_degree() + inst.ring.nvars + 2
-    PF = generating_function(build.resolution, tr)
-    r1 = poincare_identity_1(
-        PF,
-        generating_function(resolution_of(ideal_sum(inst.Ip, inst.J)), tr),
-        generating_function(resolution_of(ideal_sum(inst.I, inst.Jp)), tr),
-        generating_function(resolution_of(ideal_sum(inst.I, inst.J)), tr),
-        series_of_ideal(generating_function(build.star, tr + 1)),
-    )
-    r2 = poincare_identity_2(
-        PF,
-        generating_function(inst.S, tr),
-        generating_function(inst.T, tr),
-        1, 1,
-    )
-    print(f"identity 1 residual: {r1}")
-    print(f"identity 2 residual: {r2}")
+    report = poincare_residuals(inst, build)
+    print(f"identity 1 residual: {report.identity_1}")
+    print(f"identity 2 residual: {report.identity_2}")
 
 
 if __name__ == "__main__":

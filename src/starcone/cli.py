@@ -26,7 +26,6 @@ from .complexes import (
     InvariantViolation,
     complex_from_json,
     complex_to_json_dict,
-    generating_function,
     graded_betti,
     is_minimal,
 )
@@ -37,19 +36,14 @@ from .fiber import (
     LiftError,
     build_fiber,
     certify_minimal,
+    closed_form_table,
     cone_phi,
     cone_psi,
     default_degree_bound,
     make_instance,
+    poincare_residuals,
 )
-from .formulas import (
-    betti_fiber,
-    betti_product_table,
-    fiber_betti_table,
-    poincare_identity_1,
-    poincare_identity_2,
-    series_of_ideal,
-)
+from .formulas import betti_fiber
 from .homcheck import BoxTooLarge, homology_dims
 from .resolutions import minimize, resolution_of
 from .ring import (
@@ -59,7 +53,6 @@ from .ring import (
     hilbert_function,
     ideal_contains,
     ideal_product,
-    ideal_sum,
     mono_str,
     poly_parse,
 )
@@ -330,16 +323,10 @@ def cmd_fiber(job: argparse.Namespace):
 def cmd_betti(job: argparse.Namespace):
     instance, build = _built(job, block_only=True)
     constructed = graded_betti(minimize(build.resolution))
-    bS = graded_betti(instance.S)
-    bX = graded_betti(instance.X)
-    bT = graded_betti(instance.T)
-    bY = graded_betti(instance.Y)
-    bIJ = betti_product_table(bX, bY)
-    formula = fiber_betti_table(bIJ, bS, bX, bT, bY)
-    m = len(job.vars_a)
-    n = len(job.vars_b)
+    formula = closed_form_table(instance)
+    bS, bT = graded_betti(instance.S), graded_betti(instance.T)
     top = max(constructed.max_l(), formula.max_l())
-    totals_formula = [betti_fiber(l, m, n, bS, bT) for l in range(top + 1)]
+    totals_formula = [betti_fiber(l, len(job.vars_a), len(job.vars_b), bS, bT) for l in range(top + 1)]
     totals_built = [constructed.totals().get(l, 0) for l in range(top + 1)]
     match = constructed == formula and totals_formula == totals_built
     doc = {
@@ -364,54 +351,21 @@ def cmd_betti(job: argparse.Namespace):
 
 def cmd_poincare(job: argparse.Namespace):
     instance, build = _built(job, block_only=True)
-    res = minimize(build.resolution)
-    R_IpJ = resolution_of(ideal_sum(instance.Ip, instance.J))
-    R_IJp = resolution_of(ideal_sum(instance.I, instance.Jp))
-    R_IplusJ = resolution_of(ideal_sum(instance.I, instance.J))
-    m = len(job.vars_a)
-    n = len(job.vars_b)
-    tr = job.truncate
-    if tr is None:
-        tr = (
-            max(
-                res.max_degree(),
-                build.star.max_degree(),
-                R_IpJ.max_degree(),
-                R_IJp.max_degree(),
-                m + n,
-            )
-            + 2
-        )
-    PF = generating_function(res, tr)
-    P_star = generating_function(build.star, tr + 1)
-    residual1 = poincare_identity_1(
-        PF,
-        generating_function(R_IpJ, tr),
-        generating_function(R_IJp, tr),
-        generating_function(R_IplusJ, tr),
-        series_of_ideal(P_star),
-    )
-    residual2 = poincare_identity_2(
-        PF,
-        generating_function(instance.S, tr),
-        generating_function(instance.T, tr),
-        m,
-        n,
-    )
-    ok = residual1.is_zero() and residual2.is_zero()
+    report = poincare_residuals(instance, build, job.truncate)
+    ok = bool(report)
     doc = {
         "command": "poincare",
         "quotient_ideal": str(instance.quotient_ideal()),
-        "series": str(PF),
-        "identity_1_residual": str(residual1),
-        "identity_2_residual": str(residual2),
-        "truncation": tr,
+        "series": str(report.series),
+        "identity_1_residual": str(report.identity_1),
+        "identity_2_residual": str(report.identity_2),
+        "truncation": report.truncation,
         "ok": ok,
     }
     lines = [
-        f"poincare series of R/{instance.quotient_ideal()}: {PF}",
-        f"identity 1 residual: {residual1}",
-        f"identity 2 residual: {residual2}",
+        f"poincare series of R/{instance.quotient_ideal()}: {report.series}",
+        f"identity 1 residual: {report.identity_1}",
+        f"identity 2 residual: {report.identity_2}",
         f"verdict: {'both identities hold' if ok else 'RESIDUAL NONZERO'}",
     ]
     return (EXIT_OK if ok else EXIT_VERIFICATION), doc, "\n".join(lines) + "\n"
@@ -491,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, ideals=True):
+    def common(p, ideals=True, bound=True, lift=True):
         p.add_argument("--vars-a", type=str, default="", help="block A variable names, comma separated")
         p.add_argument("--vars-b", type=str, default="", help="block B variable names, comma separated")
         if ideals:
@@ -500,23 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal-i", type=str, default=None, help="generators of I (default: block A variables)")
         p.add_argument("--ideal-j", type=str, default=None, help="generators of J (default: block B variables)")
         p.add_argument("--prime", type=int, default=32003, help="coefficient prime, 0 for the rationals")
-        p.add_argument("--degree-bound", type=int, default=None,
-                       help=f"internal degree bound for printed homology, at most {MAX_DEGREE_BOUND}")
-        p.add_argument("--truncate", type=int, default=None, help="power series truncation")
+        if bound:
+            p.add_argument("--degree-bound", type=int, default=None,
+                           help=f"internal degree bound for printed homology, at most {MAX_DEGREE_BOUND}")
         p.add_argument("--json", action="store_true", help="emit a JSON document instead of text")
-        p.add_argument(
-            "--constrained-lift",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="require comparison-lift entries inside I resp. J",
-        )
+        if lift:
+            p.add_argument("--constrained-lift", action=argparse.BooleanOptionalAction, default=True,
+                           help="require comparison-lift entries inside I resp. J")
         p.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
         # flags only some subcommands define: every job still carries them
-        p.set_defaults(iprime=None, jprime=None, verify=False, betti=False, what="fiber",
-                       in_path=None, against=None)
+        p.set_defaults(iprime=None, jprime=None, verify=False, betti=False, what="fiber", in_path=None,
+                       against=None, degree_bound=None, truncate=None, constrained_lift=True)
 
     p_star = sub.add_parser("star", help="build the star product of two resolutions")
-    common(p_star, ideals=False)
+    common(p_star, ideals=False, lift=False)
     p_star.add_argument("--verify", action="store_true", help="run the homology certification")
 
     p_fiber = sub.add_parser("fiber", help="build the cone resolution of the fiber quotient")
@@ -525,10 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fiber.add_argument("--betti", action="store_true", help="print the graded Betti table")
 
     p_betti = sub.add_parser("betti", help="constructed vs closed-form Betti tables")
-    common(p_betti)
+    common(p_betti, bound=False)
 
     p_poin = sub.add_parser("poincare", help="evaluate both Poincare identity residuals")
-    common(p_poin)
+    common(p_poin, bound=False)
+    p_poin.add_argument("--truncate", type=int, default=None, help="power series truncation")
 
     p_verify = sub.add_parser("verify", help="homology certification of a built or imported complex")
     common(p_verify)
@@ -536,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--against", type=str, default=None, help="monomial ideal whose quotient H0 must match")
 
     p_export = sub.add_parser("export", help="emit a constructed complex as JSON")
-    common(p_export)
+    common(p_export, bound=False)
     p_export.add_argument(
         "--what",
         choices=["star", "fiber", "cone-phi", "cone-psi"],
@@ -574,18 +526,14 @@ def run(job: argparse.Namespace) -> tuple:
     """Execute one job; returns (exit code, output text)."""
     try:
         code, doc, text = _COMMANDS[job.command](job)
-    except (UsageError, BoxTooLarge) as e:
+    except (UsageError, BoxTooLarge, FileNotFoundError) as e:
         return EXIT_USAGE, f"usage error: {e}\n"
     except PolyParseError as e:
         return EXIT_USAGE, f"parse error: {e}\n"
-    except HypothesisViolation as e:
-        return EXIT_HYPOTHESIS, f"hypothesis violation: {e}\n"
-    except LiftError as e:
+    except (HypothesisViolation, LiftError) as e:
         return EXIT_HYPOTHESIS, f"hypothesis violation: {e}\n"
     except InvariantViolation as e:
         return EXIT_VERIFICATION, f"verification failure: {e}\n"
-    except FileNotFoundError as e:
-        return EXIT_USAGE, f"usage error: {e}\n"
     except MemoryError:
         return EXIT_RESOURCE, "resource error: out of memory\n"
     return code, _emit(job, doc, text)

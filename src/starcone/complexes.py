@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_mul, mono_one, poly_parse
+from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_divides, mono_mul, mono_one, poly_parse
 
 
 class InvariantViolation(RuntimeError):
@@ -366,14 +366,18 @@ def _polynomial_product_vanishes(F, A: PolyMatrix, B: PolyMatrix) -> bool:
 
 def chain_map_defect(f: ChainMap):
     """First degree, of either complex or of f's columns, where f's columns
-    have the wrong shape or the square d_target f - f d_source fails, or None."""
+    have the wrong shape, a nonzero entry c x^(mdeg_g - mdeg_i) whose row
+    label mdeg_i does not divide its column label mdeg_g, or the square
+    d_target f - f d_source fails; None if there is no such degree."""
     S, T = with_labels(f.source), with_labels(f.target)
+    F = T.ring.coeff_field
     for n in sorted(set(S.modules) | set(T.modules) | set(f.cols)):
-        cols, t = f.columns(n), T.rank(n)
-        if len(cols) != S.rank(n) or any(i >= t for col in cols for i in col):
+        cols, t, rows = f.columns(n), T.rank(n), T.mdegs.get(n, ())
+        if len(cols) != S.rank(n) or any(i >= t or not mono_divides(rows[i], b) and F.of_int(c)
+                                         for b, col in zip(S.mdegs.get(n, ()), cols) for i, c in col.items()):
             return n
         pairs = ((T.columns(n), cols, 1), (f.columns(n - 1), S.columns(n), -1))
-        if not _products_vanish(T.ring.coeff_field, pairs, S.rank(n)):
+        if not _products_vanish(F, pairs, S.rank(n)):
             return n
     return None
 

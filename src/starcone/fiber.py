@@ -32,13 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg
+from . import formulas, linalg
 from .complexes import (
+    BettiTable,
     ChainComplex,
     ChainMap,
     InvariantViolation,
+    PowerSeries,
     cone,
     direct_sum,
+    generating_function,
+    graded_betti,
     is_chain_map,
     is_minimal,
     pair_map,
@@ -49,7 +53,7 @@ from .complexes import (
     with_labels,
 )
 from .homcheck import is_tor_independent
-from .resolutions import is_regular_sequence_monomials, resolution_of
+from .resolutions import is_regular_sequence_monomials, minimize, resolution_of
 from .ring import (
     MonomialIdeal,
     RingSpec,
@@ -372,3 +376,48 @@ def certify_minimal(instance: FiberInstance, build: FiberBuild) -> MinimalityCer
         constrained_lifts=build.constrained,
         resolution_minimal=is_minimal(build.resolution),
     )
+
+
+# ------------------------------------------------------- the closed forms
+
+def closed_form_table(instance: FiberInstance) -> BettiTable:
+    """formulas.fiber_betti_table on the tables of S, X, T and Y alone."""
+    bS, bX, bT, bY = (graded_betti(C) for C in (instance.S, instance.X, instance.T, instance.Y))
+    return formulas.fiber_betti_table(formulas.betti_product_table(bX, bY), bS, bX, bT, bY)
+
+
+@dataclass
+class PoincareResiduals:
+    """The series of the fiber quotient and both identity residuals."""
+
+    series: PowerSeries
+    identity_1: PowerSeries
+    identity_2: PowerSeries
+    truncation: int
+
+    def __bool__(self) -> bool:
+        return self.identity_1.is_zero() and self.identity_2.is_zero()
+
+
+def poincare_residuals(instance: FiberInstance, build: FiberBuild,
+                       truncation: Optional[int] = None) -> PoincareResiduals:
+    """Both Poincare identities of formulas on minimize(build.resolution),
+    with the series of R/(I'+J), R/(I+J'), R/(I+J) read off resolutions of
+    the sums and that of IJ off the star product.  m and n are the sizes of
+    the ring's two blocks (no blocks: ValueError).  By default the series
+    are truncated 2 above the largest of m + n and the lengths of the
+    minimized resolution, the star product and the first two sums."""
+    if instance.ring.partition is None:
+        raise ValueError("the Poincare identities need a ring with two variable blocks")
+    m, n = (len(block) for block in instance.ring.partition)
+    res = minimize(build.resolution)
+    sums = [resolution_of(ideal_sum(a, b)) for a, b in
+            ((instance.Ip, instance.J), (instance.I, instance.Jp), (instance.I, instance.J))]
+    tr = truncation if truncation is not None else 2 + max(
+        m + n, res.max_degree(), build.star.max_degree(), sums[0].max_degree(), sums[1].max_degree())
+    PF = generating_function(res, tr)
+    P_IJ = formulas.series_of_ideal(generating_function(build.star, tr + 1))
+    residual1 = formulas.poincare_identity_1(PF, *(generating_function(C, tr) for C in sums), P_IJ)
+    residual2 = formulas.poincare_identity_2(PF, generating_function(instance.S, tr),
+                                             generating_function(instance.T, tr), m, n)
+    return PoincareResiduals(series=PF, identity_1=residual1, identity_2=residual2, truncation=tr)

@@ -21,7 +21,9 @@ I' <= I^2, J' <= J^2 the totals also have the closed form
 
 which betti_fiber evaluates on its own, as an independent check of the
 table.  Both Poincare identities below are packaged as residuals that a
-correct construction drives to zero.
+correct construction drives to zero.  fiber.closed_form_table and
+fiber.poincare_residuals are the one place that decides which tables and
+series of a fiber instance feed these forms.
 """
 from __future__ import annotations
 
@@ -98,12 +100,6 @@ def betti_fiber(ell: int, m: int, n: int, bIp: BettiTable, bJp: BettiTable) -> i
     for t in range(1, ell + 1):
         acc += tIp.get(t, 0) * comb(n, ell - t) + comb(m, ell - t) * tJp.get(t, 0)
     return acc
-
-
-def graded_betti_fiber(ell: int, k: int, bIJ: BettiTable, bIp: BettiTable,
-                       bI: BettiTable, bJp: BettiTable, bJ: BettiTable) -> int:
-    """Graded Betti number of the fiber quotient."""
-    return fiber_betti_table(bIJ, bIp, bI, bJp, bJ).entry(ell, k)
 
 
 def fiber_betti_table(bIJ: BettiTable, bIp: BettiTable, bI: BettiTable,

@@ -64,12 +64,6 @@ class RingSpec:
         except ValueError:
             raise PolyParseError(f"unknown variable {name!r}") from None
 
-    def block_indices(self, which: str) -> tuple:
-        if self.partition is None:
-            raise ValueError("ring has no block partition")
-        names = self.partition[0] if which == "a" else self.partition[1]
-        return tuple(self.variables.index(v) for v in names)
-
     def describe(self) -> dict:
         out = {"variables": list(self.variables), "field": self.coeff_field.describe()}
         if self.partition is not None:

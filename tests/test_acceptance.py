@@ -45,17 +45,11 @@ from starcone import (
 from starcone.complexes import ChainComplex, PolyMatrix
 from starcone.ring import ideal_membership
 
-from helpers import monomial_text, random_exponents, small_instances, suite_instances
+from helpers import monomial_text, random_exponents, small_instances
 
 
 def report(n, message):
     print(f"[criterion {n}] PASS - {message}")
-
-
-@pytest.fixture(scope="module")
-def suite():
-    instances = suite_instances(20, seed=20260819)
-    return [(inst, build_fiber(inst)) for inst in instances]
 
 
 def block_star(m, n):

@@ -238,6 +238,13 @@ def test_verify_detects_corruption(tmp_path):
     assert "FAILED" in text2
 
 
+def test_verify_missing_input_is_usage(tmp_path, capsys):
+    rc = main(["verify", "--in", str(tmp_path / "absent.json")])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith("usage error: ") and out.count("\n") == 1
+
+
 def test_verify_build_mode():
     code, text = run_argv(
         ["verify", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^3", "--jprime", "y^2"]
@@ -300,6 +307,20 @@ def test_unconstrained_flag_allows_degenerate():
 def test_flag_outside_its_subcommand_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--truncate", "5"],
+    ["betti", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--degree-bound", "3"],
+    ["star", "--vars-a", "x", "--vars-b", "y", "--no-constrained-lift"],
+])
+def test_flag_the_subcommand_ignores_is_rejected(argv, capsys):
+    """--truncate belongs to poincare, --degree-bound to star, fiber and
+    verify, --constrained-lift to every subcommand that builds a lift."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -206,6 +206,17 @@ def test_misshapen_columns_outside_both_complexes():
     assert is_chain_map(ChainMap(C, C, cols={**ident, 5: []}))
 
 
+def test_entry_outside_its_labels_is_not_a_chain_map():
+    """K(y) -> K(x) by 1 in degrees 0 and 1: the degree-1 entry would be
+    x^((0,1) - (1,0)), which is no monomial, so the square is not checked
+    at all and both is_chain_map and cone refuse the map."""
+    bad = ChainMap(K("y"), K("x"), {0: [{0: 1}], 1: [{0: 1}]})
+    assert chain_map_defect(bad) == 1
+    assert not is_chain_map(bad)
+    with pytest.raises(ValueError, match="at degree 1"):
+        cone(bad)
+
+
 def test_cone_on_scalar_columns_matches_polynomial_cone():
     """The cone on scalar columns has, in every degree, the block
     [[dT, f], [0, -dS]] assembled from the Polynomial matrices, for a lift

@@ -1,4 +1,6 @@
-"""Lifts, comparison maps, cones, and the minimality certificate."""
+"""Lifts, comparison maps, cones, the minimality certificate and the
+closed-form entry points."""
+import dataclasses
 import re
 
 import pytest
@@ -12,10 +14,12 @@ from starcone import (
     build_fiber,
     certifies_resolution_of,
     certify_minimal,
+    closed_form_table,
     cone_phi,
     cone_psi,
     default_degree_bound,
     fiber_resolution,
+    generating_function,
     graded_betti,
     hilbert_function,
     homology_dims,
@@ -29,9 +33,14 @@ from starcone import (
     lift_chain_map,
     make_instance,
     minimize,
+    poincare_identity_1,
+    poincare_identity_2,
+    poincare_residuals,
     poly_parse,
     resolution_of,
+    series_of_ideal,
     taylor,
+    tensor,
 )
 from starcone.fiber import omega
 
@@ -44,6 +53,7 @@ from helpers import (
     reference_lift,
     small_instances,
     suite_instances,
+    without_top_module,
 )
 
 
@@ -336,3 +346,63 @@ def test_linear_solve_lift_certified_over_q(monkeypatch):
     from starcone import RationalField
 
     _certify_linear_solve_build(instance_e_prime(RationalField()), monkeypatch, [1, 5, 6, 2])
+
+
+# ----------------------------------------------------- closed-form entry points
+
+def test_closed_forms_match_the_construction(suite):
+    for inst, build in suite:
+        assert closed_form_table(inst) == graded_betti(build.resolution)
+        report = poincare_residuals(inst, build)
+        assert report.identity_1.is_zero() and report.identity_2.is_zero()
+        assert report
+
+
+def test_poincare_residuals_agree_with_the_kunneth_wiring(suite):
+    """Criterion 5 reads the series of R/(I'+J), R/(I+J') and R/(I+J) off
+    tensor products of the input resolutions; at the truncation
+    poincare_residuals chose, that wiring gives the same series and the
+    same (zero) residuals."""
+    for inst, build in suite:
+        report = poincare_residuals(inst, build)
+        tr = report.truncation
+        PF = generating_function(build.resolution, tr)
+        assert PF == report.series
+        kunneth = [generating_function(tensor(A, B), tr)
+                   for A, B in ((inst.S, inst.Y), (inst.X, inst.T), (inst.X, inst.Y))]
+        sums = [generating_function(resolution_of(ideal_sum(a, b)), tr)
+                for a, b in ((inst.Ip, inst.J), (inst.I, inst.Jp), (inst.I, inst.J))]
+        assert kunneth == sums
+        P_IJ = series_of_ideal(generating_function(build.star, tr + 1))
+        assert poincare_identity_1(PF, *kunneth, P_IJ) == report.identity_1
+        m, n = len(inst.ring.partition[0]), len(inst.ring.partition[1])
+        PIp, PJp = generating_function(inst.S, tr), generating_function(inst.T, tr)
+        assert poincare_identity_2(PF, PIp, PJp, m, n) == report.identity_2
+
+
+def test_poincare_residuals_catch_a_lost_top_module(suite):
+    for inst, build in suite:
+        broken = dataclasses.replace(build, resolution=without_top_module(build.resolution))
+        report = poincare_residuals(inst, broken)
+        assert not report.identity_1.is_zero() and not report.identity_2.is_zero()
+        assert not report
+        assert poincare_residuals(inst, broken, truncation=3).truncation == 3
+
+
+def test_poincare_residuals_need_two_blocks():
+    ring = RingSpec(("x", "y"))
+    mk = lambda gens: MonomialIdeal.parse(gens, ring)
+    inst = make_instance(ring, mk(["x^2"]), mk(["x"]), mk(["y^2"]), mk(["y"]))
+    with pytest.raises(ValueError, match="two variable blocks"):
+        poincare_residuals(inst, build_fiber(inst))
+
+
+def test_poincare_series_is_that_of_the_minimized_resolution():
+    """I' = I = <x>, J' = J = <y>: the cone is not minimal, and the series
+    is that of R/<x, y>, read off its minimization."""
+    ring = RingSpec(("x", "y"), partition=(("x",), ("y",)))
+    mk = lambda gens: MonomialIdeal.parse(gens, ring)
+    inst = make_instance(ring, mk(["x"]), mk(["x"]), mk(["y"]), mk(["y"]))
+    build = build_fiber(inst)
+    assert not is_minimal(build.resolution)
+    assert str(poincare_residuals(inst, build).series) == "1 + 2*t + t^2"

@@ -14,7 +14,6 @@ from starcone import (
     fiber_betti_table,
     generating_function,
     graded_betti,
-    graded_betti_fiber,
     graded_betti_product,
     poincare_identity_1,
     poincare_identity_2,
@@ -43,9 +42,6 @@ def test_betti_product_quadratic():
 
 def test_graded_fiber_formula_quadratic_frozen():
     bIJ = betti_product_table(KOSZUL1, KOSZUL1)
-    assert graded_betti_fiber(1, 2, bIJ, QUAD, KOSZUL1, QUAD, KOSZUL1) == 3
-    assert graded_betti_fiber(2, 3, bIJ, QUAD, KOSZUL1, QUAD, KOSZUL1) == 2
-    assert graded_betti_fiber(1, 1, bIJ, QUAD, KOSZUL1, QUAD, KOSZUL1) == 0
     table = fiber_betti_table(bIJ, QUAD, KOSZUL1, QUAD, KOSZUL1)
     assert table.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
 

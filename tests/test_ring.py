@@ -213,9 +213,8 @@ def test_ring_spec_partition_validation():
         RingSpec(("x", "y"), partition=(("x",), ("x",)))
     with pytest.raises(ValueError):
         RingSpec(("x", "x"))
-    ring = RingSpec(("a", "b", "c"), partition=(("a",), ("b", "c")))
-    assert ring.block_indices("a") == (0,)
-    assert ring.block_indices("b") == (1, 2)
+    ring = RingSpec(("a", "b", "c"), partition=(["a"], ["b", "c"]))
+    assert ring.partition == (("a",), ("b", "c"))
 
 
 def test_field_descriptions_roundtrip():
