@@ -11,9 +11,9 @@ exponent tuple of each generator of C_n (its twist is |mdeg|), and column g
 of d_n as {row i: c} for the entry c x^(mdeg_g - mdeg_i).  The operations
 work on these scalars; PolyMatrix differentials are built from them on
 first use.  A complex given by PolyMatrix differentials (parsed, or koszul)
-has no labels: the operations give it the ones with_labels infers, or
-raise its ValueError.  Only is_complex also checks Polynomial entries, for
-the certifier's total-degree fallback.
+gets its labels once, when it is made, from multidegrees; one without them
+is refused by mdegs and columns with a ValueError.  Only is_complex also
+checks Polynomial entries, for the certifier's total-degree fallback.
 
 Sign conventions used throughout (each one is locked in by d^2 = 0 tests):
   * suspension by l multiplies every differential by (-1)^l;
@@ -126,15 +126,14 @@ def _poly_matrix(ring: RingSpec, rows: tuple, tops: tuple, cols: list) -> PolyMa
 
 class ChainComplex:
     """Bounded complex of graded free modules, indexed by homological degree:
-    from twists and homogeneous PolyMatrix differentials (mdegs None), or
-    from_labels."""
+    from twists and homogeneous PolyMatrix differentials, labelled when
+    multidegrees finds labels, or from_labels."""
 
-    __slots__ = ("ring", "modules", "mdegs", "_cols", "_diffs")
+    __slots__ = ("ring", "modules", "_mdegs", "_cols", "_diffs")
 
     def __init__(self, ring: RingSpec, modules: Dict[int, tuple], diffs: Dict[int, PolyMatrix]):
         self.ring = ring
         self.modules = {n: tuple(tw) for n, tw in modules.items() if len(tw) > 0}
-        self.mdegs = self._cols = None
         self._diffs = {}
         for n, mat in diffs.items():
             want_rows = len(self.modules.get(n - 1, ()))
@@ -144,7 +143,12 @@ class ChainComplex:
                                  f"{mat.nrows}x{mat.ncols}, expected {want_rows}x{want_cols}")
             if not mat.is_zero():
                 self._diffs[n] = mat
-        self._check_homogeneous()
+        self._mdegs = multidegrees(self)
+        self._cols = None if self._mdegs is None else {
+            n: [{i: c for i, p in col.items() for c in p.terms.values()} for col in mat.columns()]
+            for n, mat in self._diffs.items()}
+        if self._cols is None:  # labels imply single-term homogeneous entries
+            self._check_homogeneous()
 
     @staticmethod
     def from_labels(ring: RingSpec, mdegs: dict, cols: dict) -> "ChainComplex":
@@ -152,8 +156,8 @@ class ChainComplex:
         tuples, and columns cols[n] of d_n (see columns)."""
         C = object.__new__(ChainComplex)
         C.ring, C._diffs = ring, None
-        C.mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
-        C.modules = {n: tuple(map(sum, a)) for n, a in C.mdegs.items()}  # |mdeg|
+        C._mdegs = {n: a for n, a in sorted(mdegs.items()) if a}
+        C.modules = {n: tuple(map(sum, a)) for n, a in C._mdegs.items()}  # |mdeg|
         C._cols = {n: c for n, c in cols.items() if any(c)}
         return C
 
@@ -170,17 +174,30 @@ class ChainComplex:
                     )
 
     # queries ------------------------------------------------------------
+    def is_multigraded(self) -> bool:
+        """Whether the complex carries labels (see mdegs)."""
+        return self._cols is not None
+
+    @property
+    def mdegs(self) -> dict:
+        """{n: the exponent tuple of each generator of C_n}, or ValueError."""
+        if self._cols is None:
+            raise ValueError("complex is not multigraded with single-term entries")
+        return self._mdegs
+
     @property
     def diffs(self) -> dict:
         """{n: PolyMatrix} for every nonzero differential."""
         if self._diffs is None:
-            self._diffs = {n: _poly_matrix(self.ring, self.mdegs.get(n - 1, ()), self.mdegs[n], cols)
+            self._diffs = {n: _poly_matrix(self.ring, self._mdegs.get(n - 1, ()), self._mdegs[n], cols)
                            for n, cols in sorted(self._cols.items())}
         return self._diffs
 
     def columns(self, n: int) -> list:
         """Column g of d_n as {row i: c} for the entry c x^(mdeg_g - mdeg_i),
-        not to be modified; needs labels."""
+        not to be modified; ValueError when the complex is not multigraded."""
+        if self._cols is None:
+            raise ValueError("complex is not multigraded with single-term entries")
         return self._cols.get(n) or [{}] * self.rank(n)
 
     def rank(self, n: int) -> int:
@@ -244,8 +261,8 @@ class ChainMap:
     @property
     def mats(self) -> Dict[int, PolyMatrix]:
         if self._mats is None:
-            S, T = with_labels(self.source), with_labels(self.target)
-            self._mats = {n: _poly_matrix(S.ring, T.mdegs.get(n, ()), S.mdegs.get(n, ()), c)
+            S, T = self.source.mdegs, self.target.mdegs
+            self._mats = {n: _poly_matrix(self.source.ring, T.get(n, ()), S.get(n, ()), c)
                           for n, c in sorted(self.cols.items()) if c}
         return self._mats
 
@@ -263,16 +280,14 @@ class ChainMap:
 
 def suspension(C: ChainComplex, l: int) -> ChainComplex:
     """Shift degrees up by l; differentials pick up the sign (-1)^l."""
-    C = with_labels(C)
-    F = C.ring.coeff_field
+    F, mdegs = C.ring.coeff_field, C.mdegs
     cols = {n + l: [{i: F.of_int(-c) for i, c in col.items()} for col in d] if l % 2 else d
             for n, d in C._cols.items()}
-    return ChainComplex.from_labels(C.ring, {n + l: a for n, a in C.mdegs.items()}, cols)
+    return ChainComplex.from_labels(C.ring, {n + l: a for n, a in mdegs.items()}, cols)
 
 
 def truncate_geq(C: ChainComplex, p: int) -> ChainComplex:
     """Hard truncation: keep degrees >= p, zero the differential at p."""
-    C = with_labels(C)
     return ChainComplex.from_labels(C.ring, {n: a for n, a in C.mdegs.items() if n >= p},
                                     {n: d for n, d in C._cols.items() if n > p})
 
@@ -309,10 +324,10 @@ def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
         raise ValueError("tensor factors live in different rings")
     if C.is_empty() or D.is_empty():
         return zero_complex(C.ring)
-    C, D = with_labels(C), with_labels(D)
+    left, right = C.mdegs, D.mdegs
     degrees = sorted({i + j for i in C.modules for j in D.modules})
     bases = {n: tensor_basis(C, D, n) for n in degrees}
-    mdegs = {n: tuple(mono_mul(C.mdegs[i][a], D.mdegs[j][b]) for (i, a, j, b) in basis)
+    mdegs = {n: tuple(mono_mul(left[i][a], right[j][b]) for (i, a, j, b) in basis)
              for n, basis in bases.items()}
     cols = {n: pair_map(bases[n], bases[n - 1],
                         lambda i, j: (C.columns(i), i - 1, False),
@@ -324,7 +339,6 @@ def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
 def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("summands live in different rings")
-    C, D = with_labels(C), with_labels(D)
     degrees = set(C.modules) | set(D.modules)
     cols = {n: C.columns(n) + [{C.rank(n - 1) + i: c for i, c in col.items()} for col in D.columns(n)]
             for n in degrees}
@@ -369,12 +383,12 @@ def chain_map_defect(f: ChainMap):
     have the wrong shape, a nonzero entry c x^(mdeg_g - mdeg_i) whose row
     label mdeg_i does not divide its column label mdeg_g, or the square
     d_target f - f d_source fails; None if there is no such degree."""
-    S, T = with_labels(f.source), with_labels(f.target)
-    F = T.ring.coeff_field
+    S, T = f.source, f.target
+    F, src, tgt = T.ring.coeff_field, S.mdegs, T.mdegs
     for n in sorted(set(S.modules) | set(T.modules) | set(f.cols)):
-        cols, t, rows = f.columns(n), T.rank(n), T.mdegs.get(n, ())
+        cols, t, rows = f.columns(n), T.rank(n), tgt.get(n, ())
         if len(cols) != S.rank(n) or any(i >= t or not mono_divides(rows[i], b) and F.of_int(c)
-                                         for b, col in zip(S.mdegs.get(n, ()), cols) for i, c in col.items()):
+                                         for b, col in zip(src.get(n, ()), cols) for i, c in col.items()):
             return n
         pairs = ((T.columns(n), cols, 1), (f.columns(n - 1), S.columns(n), -1))
         if not _products_vanish(F, pairs, S.rank(n)):
@@ -391,8 +405,8 @@ def cone(f: ChainMap) -> ChainComplex:
     [[d_target, f], [0, -d_source]].  Refuses maps that are not chain maps."""
     bad = chain_map_defect(f)
     if bad is not None:
-        raise ValueError(f"not a chain map: square at degree {bad} does not commute")
-    S, T = with_labels(f.source), with_labels(f.target)
+        raise ValueError(f"not a chain map at degree {bad}")
+    S, T = f.source, f.target
     F = T.ring.coeff_field
     mdegs, cols = {}, {}
     for n in set(T.modules) | {m + 1 for m in S.modules}:
@@ -407,7 +421,7 @@ def is_complex(C: ChainComplex) -> bool:
     """d_{n-1} d_n = 0 for all n: by scalar sums under labels, otherwise by
     the terms of the Polynomial entries."""
     F = C.ring.coeff_field
-    if C.mdegs is None:
+    if not C.is_multigraded():
         return all(_polynomial_product_vanishes(F, C.diff(n - 1), C.diff(n)) for n in C.diffs)
     return all(_products_vanish(F, ((C.columns(n - 1), C.columns(n), 1),), C.rank(n))
                for n in C.modules if n - 1 in C.modules)
@@ -434,31 +448,18 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
     return mdegs
 
 
-def with_labels(C: ChainComplex) -> ChainComplex:
-    """C if it carries labels; otherwise the labelled complex equal to C
-    when multidegrees(C) finds its labels, else ValueError."""
-    if C.mdegs is not None:
-        return C
-    mdegs = multidegrees(C)
-    if mdegs is None:
-        raise ValueError("complex is not multigraded with single-term entries")
-    return ChainComplex.from_labels(C.ring, mdegs, {
-        n: [{i: c for i, p in col.items() for c in p.terms.values()} for col in mat.columns()]
-        for n, mat in C.diffs.items()})
-
-
 def entry_monomials(C: ChainComplex) -> Iterator[tuple]:
     """The monomial of every nonzero differential entry."""
-    C = with_labels(C)
-    return (mono_div(b, C.mdegs[n - 1][i])
-            for n, cols in C._cols.items() for col, b in zip(cols, C.mdegs[n]) for i in col)
+    mdegs = C.mdegs
+    return (mono_div(b, mdegs[n - 1][i])
+            for n, cols in C._cols.items() for col, b in zip(cols, mdegs[n]) for i in col)
 
 
 def is_minimal(C: ChainComplex) -> bool:
     """No differential entry is a unit: no nonzero entry has mdeg_i == mdeg_g."""
-    C = with_labels(C)
-    return all(C.mdegs[n - 1][i] != b for n, cols in C._cols.items() if not set(C.mdegs[n - 1]).isdisjoint(C.mdegs[n])
-               for col, b in zip(cols, C.mdegs[n]) for i in col)
+    mdegs = C.mdegs
+    return all(mdegs[n - 1][i] != b for n, cols in C._cols.items() if not set(mdegs[n - 1]).isdisjoint(mdegs[n])
+               for col, b in zip(cols, mdegs[n]) for i in col)
 
 
 # ------------------------------------------------------------ power series

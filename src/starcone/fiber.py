@@ -50,7 +50,6 @@ from .complexes import (
     tensor,
     tensor_basis,
     truncate_geq,
-    with_labels,
 )
 from .homcheck import is_tor_independent
 from .resolutions import is_regular_sequence_monomials, minimize, resolution_of
@@ -92,10 +91,10 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
 
     Both complexes must start with a single twist-0 generator and be
     multigraded with single-term entries, as every complex resolution_of
-    builds is; others raise ValueError.  The map runs between with_labels(S)
-    and with_labels(X), and phi_j is kept as scalar columns {i: c}, entry
-    c x^(mdeg_g - mdeg_i): column g is one solve of d_j v = phi_{j-1} d_j e_g
-    over the generators whose multidegrees divide mdeg_g.  With constrain_to
+    builds is; their mdegs refuse others with a ValueError.  phi_j is kept
+    as scalar columns {i: c} on the labels of S and X, entry c x^(mdeg_g -
+    mdeg_i): column g is one solve of d_j v = phi_{j-1} d_j e_g over the
+    generators whose multidegrees divide mdeg_g.  With constrain_to
     given, every positive-degree entry must lie in that ideal (feasible
     whenever H_0(S)'s defining ideal sits in the square of X's), or
     LiftError is raised.  A result that is not a chain map raises
@@ -103,7 +102,6 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
     """
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
-    S, X = with_labels(S), with_labels(X)
     F, src, tgt = X.ring.coeff_field, S.mdegs, X.mdegs
     phi = {0: [{0: 1}]}
     for j in range(1, S.max_degree() + 1):
@@ -320,10 +318,6 @@ def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild
         tor_reports=tor_reports,
         constrained=phi.constrained and psi.constrained,
     )
-
-
-def fiber_resolution(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
-    return build_fiber(instance, constrained=constrained).resolution
 
 
 def _single_cone(instance: FiberInstance, side: int, constrained: bool) -> ChainComplex:

@@ -49,18 +49,6 @@ def _convolve(out: dict, A: BettiTable, B: BettiTable, shift: int = 0) -> dict:
 
 # ---------------------------------------------------------------- products
 
-def betti_product(bI: BettiTable, bJ: BettiTable, ell: int) -> int:
-    """Total Betti number of R/IJ in homological degree ell >= 1."""
-    if ell < 0:
-        raise ValueError("homological degree must be nonnegative")
-    return betti_product_table(bI, bJ).total(ell)
-
-
-def graded_betti_product(bI: BettiTable, bJ: BettiTable, ell: int, k: int) -> int:
-    """Graded Betti number beta_{ell,k}(R/IJ)."""
-    return betti_product_table(bI, bJ).entry(ell, k)
-
-
 def betti_product_table(bI: BettiTable, bJ: BettiTable) -> BettiTable:
     """beta(R/IJ): the positive parts convolved, one homological degree down."""
     entries = _convolve({}, _positive(bI), _positive(bJ), shift=-1)
@@ -144,9 +132,3 @@ def poincare_identity_2(PF: PowerSeries, PIp: PowerSeries, PJp: PowerSeries,
     t_plus_1 = PowerSeries.of([1, 1], N + 1)
     rhs = t_plus_1 * (kozm - one) * (kozn - one)
     return lhs - rhs
-
-
-def vandermonde_check(m: int, n: int, r: int) -> bool:
-    """C(m+n, r) = sum_k C(m, k) C(n, r-k): the combinatorial identity the
-    rank counts reduce to."""
-    return comb(m + n, r) == sum(comb(m, k) * comb(n, r - k) for k in range(0, r + 1))

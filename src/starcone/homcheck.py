@@ -21,11 +21,11 @@ degree bound only limits the printed table.  The distinct blocks, each
 ranked once, are the points of the LCM lattice (Gasharov-Peeva-Welker, Math.
 Res. Lett. 6, 1999).  The multidegrees and scalars are the labels C
 carries (see complexes).  The labels define the complex, so the certifier
-ranks exactly what is exported, and `verify --in` re-infers everything
-from the text.  A complex without them falls back to total degree: the
-piece of each degree d up to the bound, the labels (j, m) with twist_j +
-|m| = d, is ranked as one block by the same routine, so the verdicts are
-bounded.
+ranks exactly what is exported, and a complex parsed by `verify --in`
+gets them from the text when it is made.  A complex without them falls
+back to total degree: the piece of each degree d up to the bound, the
+labels (j, m) with twist_j + |m| = d, is ranked as one block by the same
+routine, so the verdicts are bounded.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
@@ -52,7 +52,7 @@ from operator import eq
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, InvariantViolation, entry_monomials, is_complex, with_labels
+from .complexes import ChainComplex, InvariantViolation, entry_monomials, is_complex
 from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
 
 # The most points of an lcm box that one certification walks: the walk keeps
@@ -207,13 +207,10 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
-    try:
-        G = with_labels(C)
-    except ValueError:
-        G = None
-    if not is_complex(C if G is None else G):
+    if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
-    pieces = list(_dense_pieces(C, d_max, modulo) if G is None else _box_pieces(G, modulo, against))
+    graded = C.is_multigraded()
+    pieces = list(_box_pieces(C, modulo, against) if graded else _dense_pieces(C, d_max, modulo))
     weights = Counter((n, deg, free, v) for _, deg, free, h in pieces for n, v in h.items() if v)
     dims: Counter = Counter()
     for (n, deg, free, v), count in weights.items():
@@ -222,16 +219,16 @@ def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] =
     h0 = [dims[0, d] for d in range(d_max + 1)]
     at = min(((n, deg, b) for b, deg, _, h in pieces for n, v in h.items() if n >= 1 and v), default=None)
     h0_matches = None if against is None else (
-        h0 == hilbert_function(against, d_max) if G is None
+        h0 == hilbert_function(against, d_max) if not graded
         else all(h.get(0, 0) == (not against.contains_monomial(b)) for b, _, _, h in pieces))
     return HomologyReport(
         dims={cell: v for cell, v in dims.items() if v},
         degree_bound=d_max,
-        complete=G is not None,
+        complete=graded,
         h0=h0,
         exact_in_positive=at is None,
         h0_matches=h0_matches,
-        homology_at=(at[0], at[2]) if at and G is not None else None,
+        homology_at=(at[0], at[2]) if at and graded else None,
     )
 
 

@@ -5,7 +5,8 @@ No Groebner machinery anywhere: Taylor + minimize is the general route,
 and for generators forming a regular sequence the Taylor complex already
 IS the (minimal) Koszul complex on them.  Taylor complexes carry labels
 (see complexes), which minimize reads and keeps; koszul takes arbitrary
-polynomials and gives PolyMatrix differentials.
+polynomials and gives PolyMatrix differentials, labelled when they are
+monomials.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import heapq
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import ChainComplex, PolyMatrix, with_labels
+from .complexes import ChainComplex, PolyMatrix
 from .ring import (
     MonomialIdeal,
     Polynomial,
@@ -90,7 +91,7 @@ def taylor(I: MonomialIdeal) -> ChainComplex:
 
 def minimize(C: ChainComplex) -> ChainComplex:
     """Cancel unit entries (nonzero entries with mdeg_i == mdeg_g) until
-    none remain; a complex without labels gets the ones with_labels infers.
+    none remain; a complex without labels is refused with a ValueError.
 
     Pivot choice is deterministic: first unit entry in (homological degree,
     row, column) order.  Cancelling d_n[i, j] removes generator j of C_n and
@@ -100,7 +101,6 @@ def minimize(C: ChainComplex) -> ChainComplex:
     Generators keep their input indices until the end, so this order is the
     input's.  Labels and homology are untouched.
     """
-    C = with_labels(C)
     F, mdegs = C.ring.coeff_field, C.mdegs
     unit = lambda n, i, k: mdegs[n - 1][i] == mdegs[n][k]
     mats = {n: dict(enumerate(map(dict, C.columns(n)))) for n in C.modules}

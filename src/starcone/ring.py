@@ -382,14 +382,13 @@ def mono_parse(text: str, ring: RingSpec) -> Monomial:
 # ----------------------------------------------------------------- ideals
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple:
-    """Drop any monomial that another one divides; sort by degree then lex."""
-    uniq = set(monos)
-    kept = [
-        m
-        for m in uniq
-        if not any(other != m and mono_divides(other, m) for other in uniq)
-    ]
-    return tuple(sorted(kept, key=lambda m: (mono_degree(m), tuple(-e for e in m))))
+    """Drop any monomial that another one divides; sort by degree then lex.
+    A proper divisor has lower degree, so it is kept before its multiples."""
+    kept: list = []
+    for m in sorted(set(monos), key=lambda m: (mono_degree(m), tuple(-e for e in m))):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 class MonomialIdeal:

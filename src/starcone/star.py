@@ -14,7 +14,7 @@ X and Y are.
 """
 from __future__ import annotations
 
-from .complexes import ChainComplex, graded_betti, is_minimal, pair_map, with_labels
+from .complexes import ChainComplex, graded_betti, is_minimal, pair_map
 from .formulas import betti_product_table
 from .ring import mono_mul
 
@@ -40,17 +40,16 @@ def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
         raise ValueError("star factors live in different rings")
     _check_bottom(X, "left factor")
     _check_bottom(Y, "right factor")
-    X, Y = with_labels(X), with_labels(Y)
-    F = X.ring.coeff_field
+    F, left, right = X.ring.coeff_field, X.mdegs, Y.mdegs
 
     top = X.max_degree() + Y.max_degree() - 1
-    mdegs = {0: X.mdegs[0]}
+    mdegs = {0: left[0]}
     bases = {}
     for n in range(1, max(top, 0) + 1):
         basis = star_basis(X, Y, n)
         if basis:
             bases[n] = basis
-            mdegs[n] = tuple(mono_mul(X.mdegs[i][a], Y.mdegs[j][b]) for (i, a, j, b) in basis)
+            mdegs[n] = tuple(mono_mul(left[i][a], right[j][b]) for (i, a, j, b) in basis)
     cols = {}
     for n, basis in sorted(bases.items()):
         if n == 1:

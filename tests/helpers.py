@@ -492,3 +492,11 @@ def loop_fiber_betti_table(bIJ, bIp, bI, bJp, bJ):
                     acc += bI.entry(ell - i, k - j) * bJp.entry(i, j)
             entries[ell, k] = acc
     return BettiTable(entries)
+
+
+def pairwise_minimal_generators(monos) -> tuple:
+    """Oracle for MonomialIdeal.gens: keep each monomial no other one
+    divides, comparing every pair, then sort by degree, then lex."""
+    uniq = set(monos)
+    kept = [m for m in uniq if not any(o != m and mono_divides(o, m) for o in uniq)]
+    return tuple(sorted(kept, key=lambda m: (sum(m), tuple(-e for e in m))))

@@ -32,7 +32,7 @@ from starcone import (
     tensor,
     truncate_geq,
 )
-from starcone.complexes import chain_map_defect, multidegrees, tensor_basis, with_labels
+from starcone.complexes import chain_map_defect, multidegrees, tensor_basis
 
 from helpers import load_perfbench, reference_cone_diff, small_ideals
 
@@ -188,21 +188,24 @@ def test_cone_rejects_non_chain_map():
     C = K("x")
     bad = ChainMap(C, C, {0: [{0: 1}], 1: [{0: 2}]})
     assert not is_chain_map(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a chain map at degree 1$"):
         cone(bad)
 
 
 def test_misshapen_columns_outside_both_complexes():
     """A column at a degree neither complex has, or a row index outside the
-    target, is named by chain_map_defect, so is_chain_map and cone refuse."""
-    C = with_labels(K("x"))
+    target, or a column too many, is named by chain_map_defect, so
+    is_chain_map and cone refuse."""
+    C = K("x")
     ident = _identity(C).cols
     bad = ChainMap(C, C, cols={**ident, 5: [{0: 1}]})
     assert chain_map_defect(bad) == 5
     assert not is_chain_map(bad)
-    with pytest.raises(ValueError, match="at degree 5"):
+    with pytest.raises(ValueError, match=r"^not a chain map at degree 5$"):
         cone(bad)
     assert chain_map_defect(ChainMap(C, C, cols={**ident, 1: [{1: 1}]})) == 1
+    with pytest.raises(ValueError, match=r"^not a chain map at degree 1$"):
+        cone(ChainMap(C, C, {0: [{0: 1}], 1: [{0: 1}, {0: 1}]}))
     assert is_chain_map(ChainMap(C, C, cols={**ident, 5: []}))
 
 
@@ -213,7 +216,7 @@ def test_entry_outside_its_labels_is_not_a_chain_map():
     bad = ChainMap(K("y"), K("x"), {0: [{0: 1}], 1: [{0: 1}]})
     assert chain_map_defect(bad) == 1
     assert not is_chain_map(bad)
-    with pytest.raises(ValueError, match="at degree 1"):
+    with pytest.raises(ValueError, match=r"^not a chain map at degree 1$"):
         cone(bad)
 
 
@@ -231,17 +234,20 @@ def test_cone_on_scalar_columns_matches_polynomial_cone():
 
 
 def test_operations_read_labels():
-    """The operations and checks give a complex without labels the ones
-    with_labels finds, and refuse one that has none."""
+    """A complex given by PolyMatrix differentials carries, from when it is
+    made, the labels multidegrees finds, and the operations and checks read
+    them as they read those of the same complex from_labels; one that has
+    none is refused by mdegs and columns, and so by every operation."""
     C, J = K("x", "y"), MonomialIdeal.parse(["x"], RING)
-    assert C.mdegs is None and suspension(C, 1).mdegs == {n + 1: a for n, a in multidegrees(C).items()}
-    labelled = with_labels(C)
-    assert cone(_identity(C)) == cone(_identity(labelled)) and cone(_identity(C)).mdegs is not None
-    assert minimize(C) == minimize(labelled) == C and minimize(C).mdegs is not None
+    assert C.mdegs == multidegrees(C) and suspension(C, 1).mdegs == {n + 1: a for n, a in C.mdegs.items()}
+    labelled = ChainComplex.from_labels(RING, C.mdegs, {n: C.columns(n) for n in C.support()})
+    assert labelled == C and cone(_identity(C)) == cone(_identity(labelled))
+    assert minimize(C) == minimize(labelled) == C and minimize(C).mdegs == C.mdegs
     assert is_minimal(C) and chain_map_defect(_identity(C)) is None
     assert is_tor_independent(C, J) == is_tor_independent(labelled, J)
     bad = K("x + y")
-    for op in (lambda: suspension(bad, 1), lambda: truncate_geq(bad, 0),
+    assert not bad.is_multigraded() and multidegrees(bad) is None
+    for op in (lambda: bad.mdegs, lambda: bad.columns(1), lambda: suspension(bad, 1), lambda: truncate_geq(bad, 0),
                lambda: tensor(bad, C), lambda: direct_sum(C, bad), lambda: cone(_identity(bad)),
                lambda: minimize(bad), lambda: is_minimal(bad), lambda: chain_map_defect(_identity(bad)),
                lambda: is_tor_independent(bad, J)):
@@ -317,9 +323,8 @@ def test_complex_json_rejects_inhomogeneous():
 def _assert_labels_round_trip(C):
     """The document's text re-infers C's labels and scalars exactly."""
     again = complex_from_json(complex_to_json(C))
-    assert again.mdegs is None and multidegrees(again) == C.mdegs
-    relabelled = with_labels(again)
-    assert all(relabelled.columns(n) == C.columns(n) for n in C.support())
+    assert again.mdegs == C.mdegs
+    assert all(again.columns(n) == C.columns(n) for n in C.support())
 
 
 @given(small_ideals())

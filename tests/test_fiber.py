@@ -18,7 +18,6 @@ from starcone import (
     cone_phi,
     cone_psi,
     default_degree_bound,
-    fiber_resolution,
     generating_function,
     graded_betti,
     hilbert_function,
@@ -208,7 +207,7 @@ def test_omega_concatenates():
 
 def test_quadratic_instance_frozen():
     inst = quadratic()
-    res = fiber_resolution(inst)
+    res = build_fiber(inst).resolution
     assert [res.rank(n) for n in range(3)] == [1, 3, 2]
     assert mat_strings(res, 1) == [["x*y", "x^2", "y^2"]]
     assert mat_strings(res, 2) == [["x", "32002*y"], ["32002*y", "0"], ["0", "x"]]
@@ -229,7 +228,7 @@ def test_quadratic_certified():
 
 def test_quadratic_against_taylor_oracle():
     inst = quadratic()
-    res = fiber_resolution(inst)
+    res = build_fiber(inst).resolution
     oracle = minimize(taylor(inst.quotient_ideal()))
     assert graded_betti(res) == graded_betti(oracle)
 
@@ -300,12 +299,12 @@ def test_cone_phi_and_psi_certified():
 
 def test_default_degree_bound_covers_twists():
     inst = quadratic()
-    res = fiber_resolution(inst)
+    res = build_fiber(inst).resolution
     assert default_degree_bound(inst, res) >= res.max_twist()
     assert default_degree_bound(inst, res) == 6
     # E's top twist, 11, lies above max generator degree + length + 2 = 10
     inst = instance_e()
-    res = fiber_resolution(inst)
+    res = build_fiber(inst).resolution
     assert res.max_twist() == 11
     assert default_degree_bound(inst, res) == 11
 

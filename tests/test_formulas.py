@@ -7,21 +7,18 @@ from starcone import (
     BettiTable,
     PowerSeries,
     betti_fiber,
-    betti_product,
     betti_product_table,
     block_instance,
     build_fiber,
     fiber_betti_table,
     generating_function,
     graded_betti,
-    graded_betti_product,
     poincare_identity_1,
     poincare_identity_2,
     poincare_product,
     resolution_of,
     series_of_ideal,
     tensor,
-    vandermonde_check,
 )
 
 from helpers import loop_betti_product_table, loop_fiber_betti_table
@@ -32,12 +29,9 @@ QUAD = BettiTable({(0, 0): 1, (1, 2): 1})
 
 def test_betti_product_quadratic():
     # R/<x> (x) R/<y> convolution: R/<xy> has betti 1, 1
-    assert betti_product(KOSZUL1, KOSZUL1, 0) == 1
-    assert betti_product(KOSZUL1, KOSZUL1, 1) == 1
-    assert betti_product(KOSZUL1, KOSZUL1, 2) == 0
-    assert graded_betti_product(KOSZUL1, KOSZUL1, 1, 2) == 1
-    with pytest.raises(ValueError):
-        betti_product(KOSZUL1, KOSZUL1, -1)
+    table = betti_product_table(KOSZUL1, KOSZUL1)
+    assert [table.total(l) for l in range(3)] == [1, 1, 0]
+    assert table.entry(1, 2) == 1
 
 
 def test_graded_fiber_formula_quadratic_frozen():
@@ -116,13 +110,6 @@ def test_identity_residual_nonzero_negative_control():
     assert not poincare_identity_2(PF, PIp, PJp, 1, 2).is_zero()
     corrupted = PF + PowerSeries.of([0, 1], tr)
     assert not poincare_identity_2(corrupted, PIp, PJp, 2, 1).is_zero()
-
-
-def test_vandermonde():
-    for m in range(1, 5):
-        for n in range(1, 5):
-            for r in range(0, m + n + 1):
-                assert vandermonde_check(m, n, r)
 
 
 # Arbitrary tables, not only those of resolutions: any (l, k) >= 0, any

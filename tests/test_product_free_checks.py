@@ -2,6 +2,7 @@
 each one agrees with its mat_mul reference on perturbed complexes and maps,
 and the certifier runs with polynomial arithmetic switched off."""
 from functools import lru_cache
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -19,16 +20,21 @@ from starcone import (
     block_instance,
     build_fiber,
     certify_minimal,
+    complex_from_json,
+    cone,
     default_degree_bound,
     graded_betti,
     homology_dims,
     is_complex,
     is_minimal,
+    koszul,
     lift_chain_map,
     minimize,
     poly_parse,
     resolution_of,
+    suspension,
     taylor,
+    tensor,
     tor_dims,
 )
 from starcone.complexes import chain_map_defect, multidegrees
@@ -178,6 +184,32 @@ def test_build_and_certification_build_no_polynomial():
                 assert tor_dims(res, inst.J, 4).complete
                 certify_minimal(inst, build)
                 graded_betti(minimize(res))
+
+
+def test_parsed_and_koszul_complexes_are_labelled_when_made():
+    """A complex given by PolyMatrix differentials, parsed from an exported
+    document or a Koszul complex on monomials, gets its labels when it is
+    made: the checks and operations on it then run with Polynomial
+    construction and multidegree inference switched off."""
+    star = complex_from_json((Path(__file__).parent / "data" / "export_star.out").read_text())
+    ring = RingSpec(("x", "y", "z"))
+    K = koszul(ring, [poly_parse("x", ring), poly_parse("y*z", ring)])
+    cases = [(star, MonomialIdeal.parse(["x1*y", "x2*y"], star.ring)), (K, MonomialIdeal.parse(["x", "y*z"], ring))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Polynomial or inferred multidegrees")
+
+    with patch.object(Polynomial, "__init__", refuse), patch.object(starcone.complexes, "multidegrees", refuse):
+        for C, Q in cases:
+            identity = ChainMap(C, C, {n: [{g: 1} for g in range(C.rank(n))] for n in C.support()})
+            assert is_complex(C) and is_minimal(C)
+            rep = homology_dims(C, 4, against=Q)
+            assert rep.complete and rep.exact_in_positive and rep.h0_matches
+            assert tor_dims(C, Q, 4).complete
+            assert minimize(C).mdegs == C.mdegs
+            assert suspension(C, 1).mdegs == {n + 1: a for n, a in C.mdegs.items()}
+            assert is_complex(tensor(C, C))
+            assert is_complex(cone(identity))
 
 
 def test_mat_mul_by_hand():

@@ -23,6 +23,8 @@ from starcone import (
 )
 from starcone.ring import ideal_monomial_count, mono_degree, monomials_of_degree
 
+from helpers import pairwise_minimal_generators
+
 RING = RingSpec(("x", "y"))
 RING3 = RingSpec(("x", "y", "z"))
 
@@ -161,6 +163,17 @@ def monomial_ideals(draw):
     exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda e: sum(e) > 0)
     ring = RingSpec(tuple(f"v{i}" for i in range(nvars)))
     return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=5)))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                                                     min_size=1, max_size=8)), st.randoms())
+def test_minimal_generators_match_pairwise_reference(exps, rng):
+    """Shuffled, duplicated and non-minimal generators give the gens the
+    pairwise definition gives."""
+    monos = exps + exps[: len(exps) // 2] + [tuple(e + 1 for e in m) for m in exps[::3]]
+    rng.shuffle(monos)
+    ring = RingSpec(tuple(f"v{i}" for i in range(len(exps[0]))))
+    assert MonomialIdeal(ring, monos).gens == pairwise_minimal_generators(monos)
 
 
 @given(monomial_ideals())
