@@ -27,8 +27,8 @@ from starcone import (
     minimize,
     poincare_residuals,
     poly_parse,
-    resolution_of,
     star_product,
+    taylor,
 )
 
 
@@ -101,7 +101,7 @@ def part_fiber():
     print(f"formula:     {formula.totals()}")
     print(f"graded tables agree: {constructed == formula}")
 
-    independent_oracle = minimize(resolution_of(inst.quotient_ideal()))
+    independent_oracle = minimize(taylor(inst.quotient_ideal()))
     print(f"agrees with minimized Taylor resolution: "
           f"{graded_betti(independent_oracle) == constructed}")
 

@@ -111,9 +111,6 @@ class PolyMatrix:
             and self._cols == other._cols
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols))
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.rows) + "]"
 
@@ -486,10 +483,6 @@ class PowerSeries:
         return PowerSeries(tuple(cs))
 
     @staticmethod
-    def one(truncation: int) -> "PowerSeries":
-        return PowerSeries.of([1], truncation)
-
-    @staticmethod
     def one_plus_t_power(m: int, truncation: int) -> "PowerSeries":
         from math import comb
 
@@ -572,9 +565,6 @@ class BettiTable:
             out[l] = out.get(l, 0) + v
         return dict(sorted(out.items()))
 
-    def total(self, l: int) -> int:
-        return sum(v for (ll, _), v in self.entries.items() if ll == l)
-
     def max_l(self) -> int:
         return max((l for l, _ in self.entries), default=0)
 
@@ -588,14 +578,6 @@ class BettiTable:
             for (l, k), v in sorted(self.entries.items())
         }
         return {"totals": totals, "graded": graded}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "BettiTable":
-        entries = {}
-        for key, v in doc["graded"].items():
-            l, k = key.split(",")
-            entries[(int(l), int(k))] = int(v)
-        return BettiTable(entries)
 
     def render_text(self) -> str:
         """Aligned table, rows indexed by k - l, columns by l, '.' for zero."""
@@ -644,7 +626,8 @@ def complex_to_json_dict(C: ChainComplex) -> dict:
     return {"ring": C.ring.describe(), "modules": modules, "differentials": diffs}
 
 
-def complex_from_json_dict(doc: dict) -> ChainComplex:
+def complex_from_json(text: str) -> ChainComplex:
+    doc = json.loads(text)
     ring = RingSpec.from_description(doc["ring"])
     modules = {}
     for n, tw in doc["modules"].items():
@@ -666,7 +649,3 @@ def complex_from_json_dict(doc: dict) -> ChainComplex:
 
 def complex_to_json(C: ChainComplex) -> str:
     return json.dumps(complex_to_json_dict(C), indent=2, sort_keys=True)
-
-
-def complex_from_json(text: str) -> ChainComplex:
-    return complex_from_json_dict(json.loads(text))

@@ -281,31 +281,27 @@ class FiberBuild:
     constrained: bool
 
 
-def _lift_with_fallback(S, X, ideal, constrained: bool):
+def _lift(instance: FiberInstance, side: int, constrained: bool) -> LiftReport:
+    """phi : S -> X (side 0) or psi : T -> Y (side 1), with its entries
+    inside I resp. J when constrained and such a lift exists, and
+    unconstrained otherwise."""
+    source, target, ideal = ((instance.S, instance.X, instance.I) if side == 0
+                             else (instance.T, instance.Y, instance.J))
     if constrained:
         try:
-            return lift_chain_map(S, X, constrain_to=ideal)
+            return lift_chain_map(source, target, constrain_to=ideal)
         except LiftError:
             pass
-    return lift_chain_map(S, X, constrain_to=None)
-
-
-def _lift_and_compare(instance: FiberInstance, side: int, constrained: bool,
-                      star_XY: ChainComplex) -> tuple:
-    """Lift one side (0: phi : S -> X inside I, 1: psi : T -> Y inside J)
-    and build its comparison map into X * Y; returns (lift, map)."""
-    if side == 0:
-        phi = _lift_with_fallback(instance.S, instance.X, instance.I, constrained)
-        return phi, build_phi(phi, instance.S, instance.Y, star_XY)
-    psi = _lift_with_fallback(instance.T, instance.Y, instance.J, constrained)
-    return psi, build_psi(psi, instance.X, instance.T, star_XY)
+    return lift_chain_map(source, target, constrain_to=None)
 
 
 def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild:
     tor_reports = certify_tor_hypotheses(instance)
     star_XY = star_product(instance.X, instance.Y)
-    phi, Phi = _lift_and_compare(instance, 0, constrained, star_XY)
-    psi, Psi = _lift_and_compare(instance, 1, constrained, star_XY)
+    phi = _lift(instance, 0, constrained)
+    Phi = build_phi(phi, instance.S, instance.Y, star_XY)
+    psi = _lift(instance, 1, constrained)
+    Psi = build_psi(psi, instance.X, instance.T, star_XY)
     resolution = cone(omega(Phi, Psi))
     return FiberBuild(
         instance=instance,
@@ -320,19 +316,16 @@ def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild
     )
 
 
-def _single_cone(instance: FiberInstance, side: int, constrained: bool) -> ChainComplex:
-    star_XY = star_product(instance.X, instance.Y)
-    return cone(_lift_and_compare(instance, side, constrained, star_XY)[1])
-
-
 def cone_phi(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
     """Cone on Phi alone: resolves R/(I' + IJ)."""
-    return _single_cone(instance, 0, constrained)
+    star_XY = star_product(instance.X, instance.Y)
+    return cone(build_phi(_lift(instance, 0, constrained), instance.S, instance.Y, star_XY))
 
 
 def cone_psi(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
     """Cone on Psi alone: resolves R/(IJ + J')."""
-    return _single_cone(instance, 1, constrained)
+    star_XY = star_product(instance.X, instance.Y)
+    return cone(build_psi(_lift(instance, 1, constrained), instance.X, instance.T, star_XY))
 
 
 @dataclass

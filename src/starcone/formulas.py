@@ -56,21 +56,10 @@ def betti_product_table(bI: BettiTable, bJ: BettiTable) -> BettiTable:
     return BettiTable(entries)
 
 
-def poincare_product(PI: PowerSeries, PJ: PowerSeries) -> PowerSeries:
-    """Poincare series of R/IJ from those of R/I and R/J:
-    P = 1 + (PI - 1)(PJ - 1)/t."""
-    one = PowerSeries.one(PI.truncation)
-    for P in (PI, PJ):
-        if P.coeffs[0] != 1:
-            raise ValueError("a quotient's Poincare series starts at 1")
-    prod = (PI - one) * (PJ - PowerSeries.one(PJ.truncation))
-    return prod.shift_down(1) + PowerSeries.one(prod.truncation - 1)
-
-
 def series_of_ideal(P_quotient: PowerSeries) -> PowerSeries:
     """Pass from the series of R/L to the series of the module L:
     (P - 1)/t."""
-    one = PowerSeries.one(P_quotient.truncation)
+    one = PowerSeries.of([1], P_quotient.truncation)
     return (P_quotient - one).shift_down(1)
 
 
@@ -127,7 +116,7 @@ def poincare_identity_2(PF: PowerSeries, PIp: PowerSeries, PJp: PowerSeries,
     kozm = PowerSeries.one_plus_t_power(m, N + 1)
     kozn = PowerSeries.one_plus_t_power(n, N + 1)
     kozmn = PowerSeries.one_plus_t_power(m + n, N + 1)
-    one = PowerSeries.one(N + 1)
+    one = PowerSeries.of([1], N + 1)
     lhs = (PF - kozn * PIp - kozm * PJp + kozmn).shift_up(1)
     t_plus_1 = PowerSeries.of([1, 1], N + 1)
     rhs = t_plus_1 * (kozm - one) * (kozn - one)

@@ -1,12 +1,12 @@
 """Free resolutions of monomial quotients: Koszul and Taylor complexes,
 plus Gaussian minimization of an arbitrary complex by sparse Schur updates.
 
-No Groebner machinery anywhere: Taylor + minimize is the general route,
-and for generators forming a regular sequence the Taylor complex already
-IS the (minimal) Koszul complex on them.  Taylor complexes carry labels
-(see complexes), which minimize reads and keeps; koszul takes arbitrary
-polynomials and gives PolyMatrix differentials, labelled when they are
-monomials.
+No Groebner machinery anywhere: Taylor + minimize is the one route, and
+for generators forming a regular sequence the Taylor complex already IS
+the (minimal) Koszul complex on them, which minimize leaves as it is.
+Taylor complexes carry labels (see complexes), which minimize reads and
+keeps; koszul takes arbitrary polynomials and gives PolyMatrix
+differentials, labelled when they are monomials.
 """
 from __future__ import annotations
 
@@ -91,7 +91,8 @@ def taylor(I: MonomialIdeal) -> ChainComplex:
 
 def minimize(C: ChainComplex) -> ChainComplex:
     """Cancel unit entries (nonzero entries with mdeg_i == mdeg_g) until
-    none remain; a complex without labels is refused with a ValueError.
+    none remain; a complex without unit entries is returned as it is, and
+    one without labels is refused with a ValueError.
 
     Pivot choice is deterministic: first unit entry in (homological degree,
     row, column) order.  Cancelling d_n[i, j] removes generator j of C_n and
@@ -103,8 +104,10 @@ def minimize(C: ChainComplex) -> ChainComplex:
     """
     F, mdegs = C.ring.coeff_field, C.mdegs
     unit = lambda n, i, k: mdegs[n - 1][i] == mdegs[n][k]
+    units = [(n, i, j) for n in C.modules for j, col in enumerate(C.columns(n)) for i in col if unit(n, i, j)]
+    if not units:
+        return C
     mats = {n: dict(enumerate(map(dict, C.columns(n)))) for n in C.modules}
-    units = [(n, i, j) for n, cols in mats.items() for j, col in cols.items() for i in col if unit(n, i, j)]
     heapq.heapify(units)  # may hold stale positions, skipped when popped
     while units:
         n, pi, pj = heapq.heappop(units)
@@ -140,7 +143,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
 
 def resolution_of(I: MonomialIdeal) -> ChainComplex:
     """Minimal free resolution of R/I for a monomial ideal I: the Taylor
-    complex, minimized unless the generators form a regular sequence."""
-    if is_regular_sequence_monomials(I.gens):
-        return taylor(I)
+    complex, minimized.  On a regular sequence Taylor is already the
+    minimal Koszul complex (lcm(T) != lcm(T minus i), so there is no unit
+    entry) and minimize returns its labels and columns unchanged."""
     return minimize(taylor(I))

@@ -173,14 +173,6 @@ class Polynomial:
         return Polynomial(ring, {})
 
     @staticmethod
-    def constant(ring: RingSpec, c) -> "Polynomial":
-        return Polynomial.monomial(ring, mono_one(ring.nvars), c)
-
-    @staticmethod
-    def one(ring: RingSpec) -> "Polynomial":
-        return Polynomial.constant(ring, 1)
-
-    @staticmethod
     def monomial(ring: RingSpec, m: Monomial, coeff=1) -> "Polynomial":
         c = _scalar(ring.coeff_field, coeff)
         if not c:
@@ -237,13 +229,6 @@ class Polynomial:
                 else:
                     out[m] = s
         return Polynomial(self.ring, out)
-
-    def scale(self, c) -> "Polynomial":
-        norm = self.ring.coeff_field.of_int
-        c = _scalar(self.ring.coeff_field, c)
-        if not c:
-            return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {m: norm(v * c) for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -511,11 +496,19 @@ def ideal_monomial_count(I: MonomialIdeal, d: int) -> int:
 
 
 def fiber_ideal_check(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """(Ip + J) cap (I + Jp) == Ip + I*J + Jp, given Ip <= I and Jp <= J."""
+    """(Ip + J) cap (I + Jp) == Ip + I*J + Jp, given Ip <= I and Jp <= J:
+    whether R/(Ip + I*J + Jp) is the fiber product of R/(Ip + J) and
+    R/(I + Jp) over R/(I + J).
+
+    Monomial ideals form a distributive lattice under + and cap, so
+    (Ip + J) cap (I + Jp) = Ip + Jp + (I cap J), which contains
+    Q = Ip + I*J + Jp since I*J <= I cap J.  Equality is thus the one
+    containment I cap J <= Q.  Tor_1(R/I, R/J) = (I cap J)/IJ, so it holds
+    whenever I and J are Tor-independent, as certify_tor_hypotheses demands
+    of every instance build_fiber accepts."""
     if not ideal_contains(I, Ip):
         raise ValueError("Ip must be contained in I")
     if not ideal_contains(J, Jp):
         raise ValueError("Jp must be contained in J")
-    left = ideal_intersection(ideal_sum(Ip, J), ideal_sum(I, Jp))
-    right = ideal_sum(ideal_sum(Ip, Jp), ideal_product(I, J))
-    return left == right
+    Q = ideal_sum(ideal_sum(Ip, Jp), ideal_product(I, J))
+    return ideal_contains(Q, ideal_intersection(I, J))

@@ -14,8 +14,7 @@ X and Y are.
 """
 from __future__ import annotations
 
-from .complexes import ChainComplex, graded_betti, is_minimal, pair_map
-from .formulas import betti_product_table
+from .complexes import ChainComplex, pair_map
 from .ring import mono_mul
 
 
@@ -63,16 +62,3 @@ def star_product(X: ChainComplex, Y: ChainComplex) -> ChainComplex:
             F,
         )
     return ChainComplex.from_labels(X.ring, mdegs, cols)
-
-
-def star_betti_check(X: ChainComplex, Y: ChainComplex) -> bool:
-    """Verify, for minimal X and Y, that the star product's Betti table is
-    the shifted convolution of the factors' tables:
-
-        beta_{l,k}(X * Y) = sum_{i=1..l} sum_j beta_{i,j}(X) beta_{l+1-i, k-j}(Y)
-
-    for l >= 1, and beta(X * Y) is 1 in degree (0, 0)."""
-    if not (is_minimal(X) and is_minimal(Y)):
-        raise ValueError("star_betti_check wants minimal inputs")
-    product = betti_product_table(graded_betti(X), graded_betti(Y))
-    return graded_betti(star_product(X, Y)) == product

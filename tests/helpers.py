@@ -24,6 +24,9 @@ from starcone import (
     RingSpec,
     block_instance,
     build_fiber,
+    ideal_intersection,
+    ideal_product,
+    ideal_sum,
     linalg,
     make_instance,
     poly_parse,
@@ -265,7 +268,7 @@ def reference_lift(S, X, constrain_to=None):
     mdegs = multidegrees(X)
     if mdegs is None:
         raise ValueError("lift target is not multigraded with single-term entries")
-    mats = {0: PolyMatrix.from_entries(ring, 1, 1, {(0, 0): Polynomial.one(ring)})}
+    mats = {0: PolyMatrix.from_entries(ring, 1, 1, {(0, 0): Polynomial.monomial(ring, (0,) * ring.nvars)})}
     for j in range(1, S.max_degree() + 1):
         if S.rank(j) == 0:
             continue
@@ -442,8 +445,8 @@ def dense_minimize(C):
             break
         n, pi, pj = units[0]
         mat = mats[n]
-        inv = F.inv(constant_coeff(mat[pi][pj]))
-        mats[n] = [[mat[i][j] - mat[i][pj] * mat[pi][j].scale(inv)
+        inv = Polynomial.monomial(C.ring, (0,) * C.ring.nvars, F.inv(constant_coeff(mat[pi][pj])))
+        mats[n] = [[mat[i][j] - mat[i][pj] * mat[pi][j] * inv
                     for j in range(len(mat[i])) if j != pj]
                    for i in range(len(mat)) if i != pi]
         if n + 1 in mats:
@@ -500,3 +503,12 @@ def pairwise_minimal_generators(monos) -> tuple:
     uniq = set(monos)
     kept = [m for m in uniq if not any(o != m and mono_divides(o, m) for o in uniq)]
     return tuple(sorted(kept, key=lambda m: (sum(m), tuple(-e for e in m))))
+
+
+def reference_fiber_ideal_check(Ip, I, Jp, J) -> bool:
+    """Reference for fiber_ideal_check: both sides of (Ip + J) cap (I + Jp)
+    == Ip + I*J + Jp built by pairwise lcms and compared on their minimal
+    generators."""
+    left = ideal_intersection(ideal_sum(Ip, J), ideal_sum(I, Jp))
+    right = ideal_sum(ideal_sum(Ip, Jp), ideal_product(I, J))
+    return left == right

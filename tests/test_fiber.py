@@ -18,6 +18,7 @@ from starcone import (
     cone_phi,
     cone_psi,
     default_degree_bound,
+    fiber_ideal_check,
     generating_function,
     graded_betti,
     hilbert_function,
@@ -355,6 +356,13 @@ def test_closed_forms_match_the_construction(suite):
         report = poincare_residuals(inst, build)
         assert report.identity_1.is_zero() and report.identity_2.is_zero()
         assert report
+
+
+def test_suite_instances_are_fiber_products(suite):
+    """certify_tor_hypotheses passed on each (I, J), so I cap J = IJ and the
+    quotient is the fiber product."""
+    for inst, _ in suite:
+        assert fiber_ideal_check(inst.Ip, inst.I, inst.Jp, inst.J)
 
 
 def test_poincare_residuals_agree_with_the_kunneth_wiring(suite):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dense_minimize
+from helpers import dense_minimize, small_ideals
 from starcone import (
     ChainComplex,
     ChainMap,
@@ -87,9 +87,22 @@ def test_minimize_preserves_homology():
     assert is_minimal(M)
 
 
+def same_labels_and_columns(A, B) -> bool:
+    return A.mdegs == B.mdegs and all(A.columns(n) == B.columns(n) for n in A.modules)
+
+
 def test_minimize_fixes_minimal_complex():
     C = K(RING, "x", "y")
     assert minimize(C) == C
+    # Taylor on a regular sequence has no unit entry: it is the Koszul complex
+    T = taylor(MonomialIdeal.parse(["x^2", "y*z"], RING3))
+    assert same_labels_and_columns(minimize(T), T)
+
+
+@given(small_ideals())
+def test_minimize_fixes_resolution_of(I):
+    R = resolution_of(I)
+    assert same_labels_and_columns(minimize(R), R)
 
 
 def _matrix(ring, nrows, ncols, texts):

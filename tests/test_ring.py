@@ -23,7 +23,7 @@ from starcone import (
 )
 from starcone.ring import ideal_monomial_count, mono_degree, monomials_of_degree
 
-from helpers import pairwise_minimal_generators
+from helpers import pairwise_minimal_generators, reference_fiber_ideal_check
 
 RING = RingSpec(("x", "y"))
 RING3 = RingSpec(("x", "y", "z"))
@@ -208,6 +208,10 @@ def test_fiber_ideal_identity_quadratic():
     Jp = ideal(["y^2"])
     J = ideal(["y"])
     assert fiber_ideal_check(Ip, I, Jp, J)
+    with pytest.raises(ValueError, match="Ip must be contained in I"):
+        fiber_ideal_check(I, Ip, Jp, J)
+    with pytest.raises(ValueError, match="Jp must be contained in J"):
+        fiber_ideal_check(Ip, I, J, Jp)
 
 
 def test_fiber_ideal_identity_two_blocks():
@@ -219,6 +223,27 @@ def test_fiber_ideal_identity_two_blocks():
         idl(["y1^3"]),
         idl(["y1", "y2"]),
     )
+
+
+EXPONENTS3 = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@st.composite
+def nested_pairs(draw):
+    """(I', I) in x, y, z: I has 1-3 generators with exponents at most 2,
+    and each generator of I' is a generator of I times such a monomial or 1."""
+    I = MonomialIdeal(RING3, draw(st.lists(EXPONENTS3.filter(any), min_size=1, max_size=3)))
+    multiples = st.tuples(st.sampled_from(I.gens), EXPONENTS3)
+    return MonomialIdeal(RING3, [tuple(map(sum, zip(g, u))) for g, u in
+                                 draw(st.lists(multiples, min_size=1, max_size=3))]), I
+
+
+@given(nested_pairs(), nested_pairs())
+def test_fiber_ideal_check_matches_pairwise_reference(left, right):
+    """The one containment I cap J <= I' + IJ + J' decides the identity the
+    reference checks by comparing both sides."""
+    (Ip, I), (Jp, J) = left, right
+    assert fiber_ideal_check(Ip, I, Jp, J) == reference_fiber_ideal_check(Ip, I, Jp, J)
 
 
 def test_ring_spec_partition_validation():

@@ -18,7 +18,6 @@ from starcone import (
     koszul,
     poly_parse,
     resolution_of,
-    star_betti_check,
     star_product,
 )
 
@@ -96,13 +95,6 @@ def test_star_resolves_product_ideal():
     IJ = ideal_product(I, J)
     assert certifies_resolution_of(S, IJ, 9)
     assert is_minimal(S)
-
-
-def test_star_betti_check_runs():
-    ring, xs, ys = block_ring(3, 2)
-    X = resolution_of(MonomialIdeal.parse(xs, ring))
-    Y = resolution_of(MonomialIdeal.parse(ys, ring))
-    assert star_betti_check(X, Y)
 
 
 def test_star_graded_betti_convolution():
