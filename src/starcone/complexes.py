@@ -628,6 +628,11 @@ def complex_to_json_dict(C: ChainComplex) -> dict:
 
 def complex_from_json(text: str) -> ChainComplex:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("the document is not a JSON object")
+    for key in ("ring", "modules", "differentials"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"{key} is not a JSON object")
     ring = RingSpec.from_description(doc["ring"])
     modules = {}
     for n, tw in doc["modules"].items():

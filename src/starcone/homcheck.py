@@ -35,20 +35,26 @@ d_{n-1} d_n = 0 (which holds modulo J too) makes them combinations of the
 rest, so every column set between "not cancelled" and "all" has the same
 rank.  So d^2 = 0 is checked (`is_complex`) before any block is ranked: by
 scalar sums under labels, by polynomial products on the fallback.  Without
-J a column's entries lie in rows of multidegree <= its own, so the block at
-b - e_i is a subcomplex of the one at b (Bayer-Sturmfels's X_{<=b}), and b
-only adds the columns of its new generators to the bases of its largest
-such block: pivot rows only accumulate, so the set reduced stays in that
-range.  Modulo J a generator leaves the block once mdeg_j + u <= b, so each
-block is ranked on its own.
+J a column's entries lie in rows of multidegree <= its own, so the block A
+at b - e_i is a subcomplex of the block B at b (Bayer-Sturmfels's X_{<=b}),
+and Q = B/A is spanned by the new generators N, with d on N's rows.  When
+H_n(A) = 0 for every n > lo, C's lowest degree, the long exact sequence of
+0 -> A -> B -> Q -> 0 (Weibel, An Introduction to Homological Algebra, Thm
+1.3.1) gives H_n(B) = H_n(Q) for n >= lo + 2, dim H_lo(B) = |B_lo| - rank
+d_{lo+1} and dim H_{lo+1}(B) = dim H_{lo+1}(Q) - dim H_lo(A) + dim H_lo(B)
+- dim H_lo(Q).  So b ranks only Q, once per distinct N, and extends an
+echelon basis of d_{lo+1} by N's columns; a block with homology above lo
+(never one of a resolution, whose blocks are its exact strands) is ranked
+whole.  Modulo J a generator leaves the block once mdeg_j + u <= b, so the
+blocks are not nested and each is ranked whole.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, prod
-from operator import eq
+from operator import eq, mul
 from typing import Optional
 
 from . import linalg
@@ -56,7 +62,8 @@ from .complexes import ChainComplex, InvariantViolation, entry_monomials, is_com
 from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
 
 # The most points of an lcm box that one certification walks: the walk keeps
-# a mask per point, so a box such as that of x^(10^30) would never finish.
+# a mask and a state per point, so a box such as that of x^(10^30) would
+# never finish.
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
 # the tests and the benchmark walk, and 531441 at 6+6.
 MAX_BOX_POINTS = 1_000_000
@@ -101,87 +108,112 @@ def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
     """Per degree d <= d_max, (None, d, 0, homology of the degree-d piece),
     ranked as one block whose generators are the piece's labels."""
     for d in range(d_max + 1):
-        columns = {n: graded_piece(C, n, d, modulo) for n in C.support()}
-        block = [(n, j) for n, cols in columns.items() for j in range(len(cols))]
-        _, h = _block_homology(C.ring.coeff_field, lambda n, j: columns[n][j], {}, block, lambda: f"degree {d}")
-        yield None, d, 0, h
+        columns, degrees = _numbered({n: graded_piece(C, n, d, modulo) for n in C.support()})
+        h, _ = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
+        yield None, d, 0, _checked(h, f"degree {d}")
+
+
+def _numbered(pieces: dict) -> tuple:
+    """Number the generators degree by degree, lowest first, given pieces
+    {n: the columns of d_n}: d's columns as {row generator: c}, and
+    [(n, the mask of C_n's generators)]."""
+    first = dict(zip(pieces, accumulate(map(len, pieces.values()), initial=0)))
+    columns = [{first[n - 1] + i: c for i, c in col.items()} for n, cols in pieces.items() for col in cols]
+    return columns, [(n, (1 << len(cols)) - 1 << first[n]) for n, cols in pieces.items()]
 
 
 def _box_pieces(C: ChainComplex, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
     """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M,
-    for C carrying labels.  Generators (n, j, mdeg_j) are numbered degree by
-    degree, and column g of d as {row generator: c}.  The block at b, the
-    labels (g, x^(b - mdeg_g)) of _degree_basis, is the generators g with
-    mdeg_g <= b less those with mdeg_g + u <= b for some u in modulo.gens.
-    Both sets are bits of one mask per b, the OR of the masks at every
-    b - e_i, walked first, and the bits seeded at b.  M also covers
-    against's generators, so x^b is in against iff x^min(b, M) is."""
-    gens = [(n, j, a) for n, mdeg in C.mdegs.items() for j, a in enumerate(mdeg)]
-    first = dict(zip(C.mdegs, accumulate(map(len, C.mdegs.values()), initial=0)))
-    columns = [{first[n - 1] + i: c for i, c in col.items()} for n in C.mdegs for col in C.columns(n)]
-    G = len(gens)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
-    seeds = [(G + g, a) for g, (_, _, a) in enumerate(gens)]
-    seeds += [(g, mono_mul(a, u)) for g, (_, _, a) in enumerate(gens) for u in (modulo.gens if modulo else ())]
+    for C carrying labels.  The block at b, the labels (g, x^(b - mdeg_g)) of
+    _degree_basis, is the generators g with mdeg_g <= b less those with
+    mdeg_g + u <= b for some u in modulo.gens.  Both sets are bits of one
+    mask per b, the OR of the masks at every b - e_i, walked first, and the
+    bits seeded at b.  M also covers against's generators, so x^b is in
+    against iff x^min(b, M) is.  Without modulo, a state (block, homology,
+    echelon basis of d_{lo+1}) is kept per point, shared while the block
+    does not change; b extends that of its predecessor with the largest
+    block by the long exact sequence when it can."""
+    mdegs = [a for mdeg in C.mdegs.values() for a in mdeg]
+    columns, degrees = _numbered({n: C.columns(n) for n in C.mdegs})
+    G = len(mdegs)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
+    seeds = [(G + g, a) for g, a in enumerate(mdegs)]
+    seeds += [(g, mono_mul(a, u)) for g, a in enumerate(mdegs) for u in (modulo.gens if modulo else ())]
     top = tuple(map(max, zip((0,) * C.ring.nvars, *(b for _, b in seeds), *(against.gens if against else ()))))
     if (points := prod(e + 1 for e in top)) > MAX_BOX_POINTS:
         raise BoxTooLarge(f"lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked")
     steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
     masks = [0] * points
     for k, b in seeds:
-        masks[sum(e * s for e, s in zip(b, steps))] |= 1 << k
-    walk, last = [], {}  # last[p]: the last point that extends p's state
-    for code in range(len(masks)):
-        b = tuple(code // s % (e + 1) for s, e in zip(steps, top))
-        preds = [code - s for s, e in zip(steps, b) if e]
-        for p in preds:
-            masks[code] |= masks[p]
-        walk.append((b, None if modulo else max(preds, key=lambda p: masks[p].bit_count(), default=None)))
-        last[walk[-1][1]] = code
-    F, memo, kept = C.ring.coeff_field, {}, {None: (0, {}, {})}
-    copy = lambda n, g: dict(columns[g])
-    for code, (b, p) in enumerate(walk):
+        masks[sum(map(mul, b, steps))] |= 1 << k
+    F, ring, memo, states = C.ring.coeff_field, C.ring, {}, [(0, {}, {})] * points
+    lo, low_gens = degrees[0] if degrees else (0, 0)
+    up_gens = dict(degrees).get(lo + 1, 0)
+    for code, last_first in enumerate(product(*(range(e + 1) for e in reversed(top)))):
+        b, state = last_first[::-1], states[code]  # the empty block's, until a b - e_i has a larger one
+        for s, e in zip(steps, b):
+            if e:
+                masks[code] |= masks[code - s]
+                if states[code - s][0].bit_count() > state[0].bit_count():
+                    state = states[code - s]
         block = masks[code] >> G & ~masks[code]
         if modulo:
             if block not in memo:
-                on_rows = lambda n, g: {i: c for i, c in columns[g].items() if block >> i & 1}
-                memo[block] = _block_homology(F, on_rows, {}, _bits(gens, block), lambda: mono_str(b, C.ring))[1]
+                memo[block] = _checked(_block_homology(F, columns, degrees, block)[0], b, ring)
             h = memo[block]
         else:
-            base, state, h = kept.pop(p) if last[p] == code else kept[p]
-            if block != base:
-                state, h = _block_homology(F, copy, state, _bits(gens, block & ~base), lambda: mono_str(b, C.ring))
-            if code in last:
-                kept[code] = block, state, h
-        yield b, mono_degree(b), sum(map(eq, b, top)), h
+            A, hA, low = state
+            if block != A and hA.keys() <= {lo}:  # the long exact sequence of A -> B -> B/A
+                if (N := block & ~A) not in memo:
+                    memo[N] = _checked(_block_homology(F, columns, degrees, N)[0], b, ring)
+                hQ, size = memo[N], (block & low_gens).bit_count()
+                if N & up_gens and len(low) < size:
+                    low = linalg.echelon(F, (dict(columns[g]) for g in _bits(N & up_gens)), basis=low)
+                h = {n: v for n, v in hQ.items() if n > lo + 1}
+                if h_lo := size - len(low):
+                    h[lo] = h_lo
+                if up := hQ.get(lo + 1, 0) - hA.get(lo, 0) + h_lo - hQ.get(lo, 0):
+                    h[lo + 1] = up
+                state = block, _checked(h, b, ring) if up < 0 else h, low  # hQ is checked
+            elif block != A:
+                h, basis = _block_homology(F, columns, degrees, block)
+                state = block, _checked(h, b, ring), {p: v for p, v in basis.items() if low_gens >> p & 1}
+            states[code], h = state, state[1]
+        yield b, sum(b), sum(map(eq, b, top)), h
 
 
-def _bits(gens: list, mask: int):
+def _bits(mask: int):
+    """The set bits of mask, highest first."""
     while mask:
-        yield gens[(g := (mask & -mask).bit_length() - 1)][0], g
-        mask &= mask - 1
+        yield (g := mask.bit_length() - 1)
+        mask ^= 1 << g
 
 
-def _block_homology(F, column, state: dict, new, where) -> tuple:
-    """Extend state, a block's {n: (size, echelon basis of d_n)} (never
-    modified, so blocks share it), by the generators (n, j) in new, j also
-    their row in d_{n+1}: top degree down, column(n, j), a fresh {row: c}
-    dict of d_n on the block's rows, is reduced unless j is a pivot row of
-    d_{n+1}'s new basis.  Returns the new state and dim H_n = size_n - rank
-    d_n - rank d_{n+1}, checked: none is negative at where(), Euler sums agree."""
-    state, fresh = dict(state), {}
-    for n, j in new:
-        fresh.setdefault(n, []).append(j)
-    for n in sorted(fresh, reverse=True):
-        size, basis = state.get(n, (0, None))
-        cols = (column(n, j) for j in fresh[n] if j not in state.get(n + 1, (0, ()))[1])
-        state[n] = size + len(fresh[n]), linalg.echelon(F, cols, basis=basis)
-    h = {n: s - len(r) - len(state.get(n + 1, (0, ()))[1]) for n, (s, r) in sorted(state.items())}
-    for n, v in h.items():
-        if v < 0:
-            raise InvariantViolation(f"negative homology dimension in H_{n} at {where()}")
-    if sum((-1) ** n * (state[n][0] - v) for n, v in h.items()):
+def _block_homology(F, columns: list, degrees: list, block: int) -> tuple:
+    """(dim H_n for each n, echelon basis) of the generators in the mask
+    block, with d on the block's rows.  One basis serves every degree, since
+    the pivot rows of d_n are generators of degree n - 1: top degree down, a
+    generator's column is reduced unless it is a pivot row already.  dim H_n
+    = size_n - rank d_n - rank d_{n+1}, checked: the Euler sums agree."""
+    basis, present = {}, {n: block & gens for n, gens in degrees if block & gens}
+    for n, gens in reversed(present.items()):
+        if n - 1 in present:
+            cols = ({i: c for i, c in columns[g].items() if block >> i & 1} for g in _bits(gens) if g not in basis)
+            basis = linalg.echelon(F, cols, basis=basis)
+    pivots = sum(1 << p for p in basis)  # rank d_n: the pivots of degree n - 1
+    h = {n: v for n, gens in present.items()
+         if (v := (gens & ~pivots).bit_count() - (pivots & present.get(n - 1, 0)).bit_count())}
+    if sum((-1) ** n * (gens.bit_count() - h.get(n, 0)) for n, gens in present.items()):
         raise InvariantViolation("rank-nullity bookkeeping broke")
-    return state, h
+    return h, basis
+
+
+def _checked(h: dict, where, ring=None) -> dict:
+    """h, unless a dimension is negative: InvariantViolation naming where, a
+    box point when ring is given."""
+    if min(h.values(), default=0) < 0:
+        n, at = min(n for n, v in h.items() if v < 0), mono_str(where, ring) if ring else where
+        raise InvariantViolation(f"negative homology dimension in H_{n} at {at}")
+    return h
 
 
 @dataclass

@@ -400,6 +400,16 @@ MALFORMED = {
     "variables_object": lambda: _broken_export(lambda d: d["ring"].update(variables={"x": 1, "y": 2})),
     "partition_blocks_strings": lambda: _broken_export(
         lambda d: d["ring"].update(partition={"a": "x", "b": "y"})),
+    "top_level_list": lambda: f"[{_broken_export(lambda d: None)}]",
+    "ring_list": lambda: _broken_export(lambda d: d.update(ring=[])),
+    "differentials_list": lambda: _broken_export(lambda d: d.update(differentials=[])),
+}
+# The reason given for a part of the document that is not a JSON object.
+MALFORMED_REASONS = {
+    "top_level_list": "the document is not a JSON object",
+    "ring_list": "ring is not a JSON object",
+    "wrong_type": "modules is not a JSON object",
+    "differentials_list": "differentials is not a JSON object",
 }
 
 
@@ -411,6 +421,8 @@ def test_malformed_verify_input_is_usage(tmp_path, case):
     assert code == 2
     assert text.startswith(f"usage error: cannot read a complex from {path}: ")
     assert text.count("\n") == 1
+    if case in MALFORMED_REASONS:
+        assert text.endswith(f": {MALFORMED_REASONS[case]}\n")
 
 
 # ------------------------------------------- certificates above every twist

@@ -20,6 +20,7 @@ from starcone import (
     certifies_resolution_of,
     cone,
     default_degree_bound,
+    direct_sum,
     hilbert_function,
     homology_dims,
     is_complex,
@@ -27,6 +28,7 @@ from starcone import (
     koszul,
     poly_parse,
     resolution_of,
+    suspension,
     taylor,
     tor_dims,
 )
@@ -213,8 +215,17 @@ def _oracle_corpus():
     yield "koszul without its syzygy", koszul_without_syzygy()[0], 3, None
     for name, F in (("", None), (" over Q", RationalField())):
         C = fiber_without_top_module(F)[0]
-        lcm = reduce(mono_lcm, [a for mdeg in multidegrees(C).values() for a in mdeg])
-        yield "fiber without its top module" + name, C, mono_degree(lcm), None
+        yield "fiber without its top module" + name, C, _lcm_degree(C), None
+    # Without modulo a block is ranked from its predecessor's by the long
+    # exact sequence, or from scratch when that block has homology above the
+    # lowest degree lo.  A suspension moves lo off 0 (an odd one negates every
+    # entry), a sum of two resolutions has rank 2 at lo, so that the echelon
+    # basis of d_(lo+1) grows past one column, and a summand without its top
+    # module has homology above lo.
+    ring = RingSpec(("x", "y", "z"))
+    for name, C in _sequence_shapes(resolution_of(MonomialIdeal.parse(["x^2", "x*y", "y*z^2"], ring)),
+                                    resolution_of(MonomialIdeal.parse(["x*z", "y^2"], ring))):
+        yield name, C, _lcm_degree(C), None
     # Modulo the maximal ideal, the block at b is the generators of
     # multidegree b.  I is the Stanley-Reisner ideal of a point and a
     # 2-sphere, so b = abcde has generators in degrees 2 and 4 but none in 3.
@@ -228,6 +239,21 @@ def _oracle_corpus():
     ring = RingSpec(("x", "y", "z"))
     yield "non-multigraded koszul with homology", K(ring, "x + y", "x*z + y*z"), 5, None
     yield "non-multigraded koszul modulo z", K(ring, "x + y", "z^2"), 5, MonomialIdeal.parse(["z"], ring)
+
+
+def _lcm_degree(C):
+    """The degree of the lcm of C's generator multidegrees: the top of its box."""
+    return mono_degree(reduce(mono_lcm, [a for mdeg in multidegrees(C).values() for a in mdeg]))
+
+
+def _sequence_shapes(R, S):
+    """(name, complex) for the shapes the long exact sequence walk treats
+    apart, built from resolutions R and S over one ring."""
+    yield "suspension by 1", suspension(R, 1)
+    yield "suspension by -1", suspension(R, -1)
+    yield "sum of two resolutions", direct_sum(R, S)
+    yield "suspension by 1 of that sum", suspension(direct_sum(R, S), 1)
+    yield "sum with a complex without its top module", direct_sum(R, without_top_module(S))
 
 
 def test_blocks_agree_with_dense_oracle():
@@ -324,14 +350,39 @@ def test_three_plus_three_rung_certifies_complete():
     """The 3+3 rung certifies complete, well inside a 512 MiB cap that turns
     a runaway allocation into a MemoryError rather than an exhausted
     machine."""
-    inst = block_instance(3, 3, ["x1^2", "x2^2", "x3^2", "x1*x2*x3"], ["y1^2", "y2^2", "y3^2"])
+    _assert_rung_certifies(3, 3, ["x1^2", "x2^2", "x3^2", "x1*x2*x3"], ["y1^2", "y2^2", "y3^2"],
+                           [1, 16, 48, 67, 52, 22, 4])
+
+
+def _assert_rung_certifies(m, n, iprime, jprime, ranks):
+    inst = block_instance(m, n, iprime, jprime)
     res = build_fiber(inst).resolution
-    assert [res.rank(n) for n in res.support()] == [1, 16, 48, 67, 52, 22, 4]
+    assert [res.rank(k) for k in res.support()] == ranks
     bound = default_degree_bound(inst, res)
     with address_space_cap(512):
         rep = homology_dims(res, bound)
     assert rep.complete and rep.exact_in_positive
     assert rep.h0 == hilbert_function(inst.quotient_ideal(), bound)
+
+
+def test_four_plus_three_rung_certifies_complete():
+    """The 4+3 rung, the largest of the benchmark's frontier, certifies
+    complete under the same cap."""
+    _assert_rung_certifies(4, 3, ["x1^2", "x2^2", "x3^2", "x4^2", "x1*x2*x3"], ["y1^2", "y2^2", "y3^2"],
+                           [1, 20, 70, 119, 120, 74, 26, 4])
+
+
+@seed(20261023)
+@given(small_ideals())
+def test_long_exact_sequence_shapes_agree_with_dense_oracle(I):
+    """Suspensions by 1 and -1, the sum of a resolution with itself, that
+    sum's suspension and its sum with itself less the top module agree with
+    the dense oracle up to the top of the box, which every block lies below."""
+    R = resolution_of(I)
+    for name, C in _sequence_shapes(R, R):
+        bound = _lcm_degree(C)
+        rep = homology_dims(C, bound)
+        assert rep.complete and (rep.dims, rep.h0) == dense_homology(C, bound), name
 
 
 @seed(20261018)
