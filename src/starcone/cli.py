@@ -36,6 +36,7 @@ from .fiber import (
     LiftError,
     build_fiber,
     certify_minimal,
+    certify_tor_hypotheses,
     closed_form_table,
     cone_phi,
     cone_psi,
@@ -164,10 +165,11 @@ def _built(job: argparse.Namespace, block_only: bool = False) -> tuple:
 
 
 def _star_of(job: argparse.Namespace):
-    """The ring, I, J and the star product of their resolutions."""
-    ring, _, I, _, J = _ideals_of(job)
+    """The ring, I, J and the star product of their resolutions, for (I, J) Tor-independent."""
+    ring, Ip, I, Jp, J = _ideals_of(job)
     if I.is_zero() or J.is_zero():
         raise UsageError("star needs two nonzero ideals")
+    certify_tor_hypotheses(Ip, I, Jp, J)
     return ring, I, J, star_product(resolution_of(I), resolution_of(J))
 
 

@@ -445,13 +445,6 @@ def multidegrees(C: ChainComplex) -> Optional[dict]:
     return mdegs
 
 
-def entry_monomials(C: ChainComplex) -> Iterator[tuple]:
-    """The monomial of every nonzero differential entry."""
-    mdegs = C.mdegs
-    return (mono_div(b, mdegs[n - 1][i])
-            for n, cols in C._cols.items() for col, b in zip(cols, mdegs[n]) for i in col)
-
-
 def is_minimal(C: ChainComplex) -> bool:
     """No differential entry is a unit: no nonzero entry has mdeg_i == mdeg_g."""
     mdegs = C.mdegs

@@ -1,7 +1,8 @@
 """Resolutions of R/(I' + IJ + J') by a mapping cone over the star product.
 
-The pipeline, for ideals I' <= I and J' <= J with minimal resolutions
-S, X, T, Y of the four quotients:
+The pipeline, for ideals I' <= I and J' <= J with (I, J), (I', J) and
+(I, J') Tor-independent (certify_tor_hypotheses decides it on the ideals
+alone) and minimal resolutions S, X, T, Y of the four quotients:
 
   1. lift the identity on R to comparison maps phi : S -> X, psi : T -> Y;
   2. form the star product X * Y;
@@ -51,7 +52,6 @@ from .complexes import (
     tensor_basis,
     truncate_geq,
 )
-from .homcheck import is_tor_independent
 from .resolutions import is_regular_sequence_monomials, minimize, resolution_of
 from .ring import (
     MonomialIdeal,
@@ -59,6 +59,7 @@ from .ring import (
     ideal_contains,
     ideal_product,
     ideal_sum,
+    is_tor_independent,
     mono_div,
     mono_divides,
 )
@@ -249,13 +250,14 @@ def default_degree_bound(instance: FiberInstance, resolution: ChainComplex) -> i
     return max(instance.max_gen_degree() + resolution.max_degree() + 2, resolution.max_twist())
 
 
-def certify_tor_hypotheses(instance: FiberInstance) -> dict:
-    """Tor-independence of the pairs (I, J), (I', J), (I, J'); raises a
-    HypothesisViolation naming the first failing pair."""
+def certify_tor_hypotheses(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J: MonomialIdeal) -> dict:
+    """Tor-independence of the pairs (I, J), (I', J), (I, J'), decided on
+    the ideals by ring.is_tor_independent; raises a HypothesisViolation
+    naming the first failing pair.  The star product's R/IJ is I' = J' = 0."""
     checks = {
-        "(I,J)": is_tor_independent(instance.X, instance.J),
-        "(I',J)": is_tor_independent(instance.S, instance.J),
-        "(I,J')": is_tor_independent(instance.X, instance.Jp),
+        "(I,J)": is_tor_independent(I, J),
+        "(I',J)": is_tor_independent(Ip, J),
+        "(I,J')": is_tor_independent(I, Jp),
     }
     for pair, rep in checks.items():
         if not rep:
@@ -296,7 +298,7 @@ def _lift(instance: FiberInstance, side: int, constrained: bool) -> LiftReport:
 
 
 def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild:
-    tor_reports = certify_tor_hypotheses(instance)
+    tor_reports = certify_tor_hypotheses(instance.Ip, instance.I, instance.Jp, instance.J)
     star_XY = star_product(instance.X, instance.Y)
     phi = _lift(instance, 0, constrained)
     Phi = build_phi(phi, instance.S, instance.Y, star_XY)

@@ -8,7 +8,8 @@ the structural shortcuts the constructions themselves rely on.
 dim H_n(C)_b = dim ker(d_n)_b - rank(d_{n+1})_b, with the kernel dimension
 coming from rank-nullity.  Reducing all matrix entries modulo a monomial
 ideal J (and restricting to standard monomials) computes H(C tensor R/J)
-instead, which for a resolution of R/I is Tor(R/I, R/J).
+instead, which for a resolution of R/I is Tor(R/I, R/J): the tests' oracle
+for ring.is_tor_independent, which decides Tor-independence on the ideals.
 
 Complexes of monomial ideals are Z^N-graded with single-term entries, so a
 piece splits into multidegree blocks: label (j, m) of C_n lies in block
@@ -58,8 +59,8 @@ from operator import eq, mul
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, InvariantViolation, entry_monomials, is_complex
-from .ring import MonomialIdeal, hilbert_function, mono_degree, mono_mul, mono_str, mono_support, monomials_of_degree
+from .complexes import ChainComplex, InvariantViolation, is_complex
+from .ring import MonomialIdeal, hilbert_function, mono_mul, mono_str, monomials_of_degree
 
 # The most points of an lcm box that one certification walks: the walk keeps
 # a mask and a state per point, so a box such as that of x^(10^30) would
@@ -274,30 +275,7 @@ def certifies_resolution_of(C: ChainComplex, I: MonomialIdeal, d_max: int) -> bo
 def tor_dims(X: ChainComplex, J: MonomialIdeal, d_max: int) -> HomologyReport:
     """Tor_n(H_0(X), R/J) dimensions by internal degree, for X a resolution:
     reduce the differentials of X modulo J and take homology over the
-    standard-monomial basis of R/J."""
+    standard-monomial basis of R/J.  Its homology_at, even at bound 0, is
+    the first (n, b) with Tor_n nonzero at b, in every degree."""
     return homology_dims(X, d_max, modulo=J)
 
-
-@dataclass
-class TorReport:
-    independent: bool
-    mode: str                   # "structural" or "complete"
-    witness: Optional[tuple] = None  # first (n, d) with Tor_n nonzero, n >= 1
-
-    def __bool__(self) -> bool:
-        return self.independent
-
-
-def is_tor_independent(X: ChainComplex, J: MonomialIdeal) -> TorReport:
-    """Is H_0(X) Tor-independent from R/J?
-
-    X must be multigraded with single-term entries, or ValueError is
-    raised.  Structural fast path: if the variables appearing in X's
-    differentials are disjoint from J's support, X stays a resolution after
-    reduction (the two sides live in tensor-complementary subrings).
-    Otherwise compute Tor on the lcm box, which covers every degree.
-    """
-    if not frozenset().union(*map(mono_support, entry_monomials(X))) & J.support():
-        return TorReport(independent=True, mode="structural")
-    at = tor_dims(X, J, 0).homology_at
-    return TorReport(independent=at is None, mode="complete", witness=at and (at[0], mono_degree(at[1])))

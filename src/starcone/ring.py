@@ -503,12 +503,36 @@ def fiber_ideal_check(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J:
     Monomial ideals form a distributive lattice under + and cap, so
     (Ip + J) cap (I + Jp) = Ip + Jp + (I cap J), which contains
     Q = Ip + I*J + Jp since I*J <= I cap J.  Equality is thus the one
-    containment I cap J <= Q.  Tor_1(R/I, R/J) = (I cap J)/IJ, so it holds
-    whenever I and J are Tor-independent, as certify_tor_hypotheses demands
-    of every instance build_fiber accepts."""
+    containment I cap J <= Q.  Tor-independence of I and J is I cap J = IJ
+    (is_tor_independent), so every instance build_fiber accepts, which
+    certify_tor_hypotheses checks, is a fiber product."""
     if not ideal_contains(I, Ip):
         raise ValueError("Ip must be contained in I")
     if not ideal_contains(J, Jp):
         raise ValueError("Jp must be contained in J")
     Q = ideal_sum(ideal_sum(Ip, Jp), ideal_product(I, J))
     return ideal_contains(Q, ideal_intersection(I, J))
+
+
+@dataclass
+class TorReport:
+    independent: bool
+    mode: str                   # "structural" (disjoint supports) or "complete"
+    witness: Optional[tuple] = None  # first (n, d) with Tor_n nonzero, n >= 1
+
+    def __bool__(self) -> bool:
+        return self.independent
+
+
+def is_tor_independent(I: MonomialIdeal, J: MonomialIdeal) -> TorReport:
+    """Is Tor_n(R/I, R/J) = 0 for every n >= 1?  Tor_1 = (I cap J)/IJ, and
+    Tor_1 = 0 gives Tor_n = 0 for all n >= 1: modules over a regular local
+    ring are Tor-rigid (Auslander, Illinois J. Math. 5, 1961; Lichtenbaum,
+    Illinois J. Math. 10, 1966), and graded Tor over R vanishes iff it does
+    at the homogeneous maximal ideal.  So Tor_1 is the first nonzero Tor, in
+    the least degree of a generator of I cap J outside IJ."""
+    if not I.support() & J.support():  # every lcm of generators is their product
+        return TorReport(independent=True, mode="structural")
+    IJ = ideal_product(I, J)
+    outside = [mono_degree(g) for g in ideal_intersection(I, J).gens if not IJ.contains_monomial(g)]
+    return TorReport(independent=not outside, mode="complete", witness=(1, min(outside)) if outside else None)

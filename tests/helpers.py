@@ -143,10 +143,14 @@ def fiber_without_top_module(coeff_field=None):
 
 
 @st.composite
-def small_ideals(draw):
-    """Up to 4 generators of degree 1..3 in up to 3 variables."""
-    ring = RingSpec(("x", "y", "z")[:draw(st.integers(1, 3))])
-    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(lambda e: 1 <= sum(e) <= 3)
+def small_ideals(draw, ring=None):
+    """Up to 4 generators of degree 1..3 in up to 3 variables; given a ring,
+    in a drawn nonempty subset of its variables."""
+    if ring is None:
+        ring, top = RingSpec(("x", "y", "z")[:draw(st.integers(1, 3))]), [3] * 3
+    else:
+        top = draw(st.lists(st.sampled_from([0, 3]), min_size=ring.nvars, max_size=ring.nvars).filter(any))
+    exps = st.tuples(*(st.integers(0, e) for e in top[:ring.nvars])).filter(lambda e: 1 <= sum(e) <= 3)
     return MonomialIdeal(ring, draw(st.lists(exps, min_size=1, max_size=4)))
 
 

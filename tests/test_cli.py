@@ -155,6 +155,29 @@ def test_tor_violation_exit_one():
     assert "Tor" in text or "tor" in text
 
 
+@pytest.mark.parametrize("e", [999, 99])
+def test_tor_violation_on_a_huge_lcm_box_exit_one(e):
+    """Tor-independence is decided on the ideals, whatever the lcm box of
+    their resolutions: at e = 999 that box has 2002000 points, more than the
+    certifier walks, and the gate still names the first nonzero Tor."""
+    start = time.perf_counter()
+    code, text = run_argv(["fiber", "--vars-a", "x,y", "--vars-b", "z", "--ideal-i", f"x^{e}*y",
+                           "--iprime", f"x^{2 * e}*y^2", "--ideal-j", f"y^{e}*z", "--jprime", f"y^{2 * e}*z^2"])
+    assert time.perf_counter() - start < 1
+    assert (code, text) == (1, "hypothesis violation: Tor-independence fails for (I,J): "
+                               f"nonzero Tor at (homological, internal) = (1, {2 * e + 1})\n")
+
+
+@pytest.mark.parametrize("argv", [["star"], ["export", "--what", "star"]], ids=["star", "export"])
+def test_star_of_tor_dependent_ideals_is_refused(argv):
+    """The star product resolves R/IJ only when (I, J) is Tor-independent:
+    that of <x, y> with itself once claimed R/<x^2, x*y, y^2> and failed
+    --verify with H_1 at x*y."""
+    code, text = run_argv([*argv, "--vars-a", "x", "--vars-b", "y", "--ideal-i", "x,y", "--ideal-j", "x,y"])
+    assert (code, text) == (1, "hypothesis violation: Tor-independence fails for (I,J): "
+                               "nonzero Tor at (homological, internal) = (1, 1)\n")
+
+
 # ------------------------------------------------------------ determinism
 
 def test_byte_identical_output():

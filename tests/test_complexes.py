@@ -22,7 +22,6 @@ from starcone import (
     is_chain_map,
     is_complex,
     is_minimal,
-    is_tor_independent,
     koszul,
     lift_chain_map,
     minimize,
@@ -238,19 +237,17 @@ def test_operations_read_labels():
     made, the labels multidegrees finds, and the operations and checks read
     them as they read those of the same complex from_labels; one that has
     none is refused by mdegs and columns, and so by every operation."""
-    C, J = K("x", "y"), MonomialIdeal.parse(["x"], RING)
+    C = K("x", "y")
     assert C.mdegs == multidegrees(C) and suspension(C, 1).mdegs == {n + 1: a for n, a in C.mdegs.items()}
     labelled = ChainComplex.from_labels(RING, C.mdegs, {n: C.columns(n) for n in C.support()})
     assert labelled == C and cone(_identity(C)) == cone(_identity(labelled))
     assert minimize(C) == minimize(labelled) == C and minimize(C).mdegs == C.mdegs
     assert is_minimal(C) and chain_map_defect(_identity(C)) is None
-    assert is_tor_independent(C, J) == is_tor_independent(labelled, J)
     bad = K("x + y")
     assert not bad.is_multigraded() and multidegrees(bad) is None
     for op in (lambda: bad.mdegs, lambda: bad.columns(1), lambda: suspension(bad, 1), lambda: truncate_geq(bad, 0),
                lambda: tensor(bad, C), lambda: direct_sum(C, bad), lambda: cone(_identity(bad)),
-               lambda: minimize(bad), lambda: is_minimal(bad), lambda: chain_map_defect(_identity(bad)),
-               lambda: is_tor_independent(bad, J)):
+               lambda: minimize(bad), lambda: is_minimal(bad), lambda: chain_map_defect(_identity(bad))):
         with pytest.raises(ValueError, match="not multigraded"):
             op()
 

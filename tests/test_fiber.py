@@ -156,18 +156,24 @@ def test_lift_check_is_not_an_assert(monkeypatch):
 
 
 def test_construction_does_not_call_the_certifier(monkeypatch):
-    """The lifts solve in multidegree blocks, not in homcheck's graded pieces."""
+    """The lifts solve in multidegree blocks, not in homcheck's graded
+    pieces, and the Tor gate decides on the ideals, ranking no homology."""
     import starcone.fiber
     import starcone.homcheck
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the construction called homcheck.graded_piece")
+        raise AssertionError("the construction called homcheck's certifier")
 
-    # also in fiber's namespace, in case it imports the function by name
+    # also in fiber's namespace, in case it imports the functions by name
     for module in (starcone.homcheck, starcone.fiber):
-        monkeypatch.setattr(module, "graded_piece", refuse, raising=False)
+        for name in ("graded_piece", "homology_dims"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     for inst in (instance_e(), block_instance(2, 2, ["x1^2", "x1*x2"], ["y1^2", "y1*y2"])):
         assert build_fiber(inst).constrained
+    ring = RingSpec(("x", "y"))
+    dependent = make_instance(ring, *(MonomialIdeal.parse([g], ring) for g in ("x^2", "x", "x^2*y", "x*y")))
+    with pytest.raises(HypothesisViolation, match=r"for \(I,J\): .* = \(1, 2\)$"):
+        build_fiber(dependent)
 
 
 def test_lift_entries_constrained_on_suite():

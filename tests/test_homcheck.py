@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, seed
+from hypothesis import strategies as st
 
 import starcone.homcheck
 from starcone import (
@@ -21,6 +22,7 @@ from starcone import (
     cone,
     default_degree_bound,
     direct_sum,
+    fiber_ideal_check,
     hilbert_function,
     homology_dims,
     is_complex,
@@ -34,7 +36,7 @@ from starcone import (
 )
 from starcone.complexes import multidegrees
 from starcone.homcheck import MAX_BOX_POINTS, BoxTooLarge
-from starcone.ring import mono_degree, mono_lcm
+from starcone.ring import mono_degree, mono_lcm, mono_mul
 
 from helpers import (
     address_space_cap,
@@ -129,17 +131,16 @@ def test_tor_self_pair_frozen():
 
 def test_tor_disjoint_blocks_vanish():
     X = K(RING, "x")
-    J = MonomialIdeal.parse(["y"], RING)
-    rep = is_tor_independent(X, J)
+    I, J = MonomialIdeal.parse(["x"], RING), MonomialIdeal.parse(["y"], RING)
+    rep = is_tor_independent(I, J)
     assert rep and rep.mode == "structural"
     dims = tor_dims(X, J, 5).dims
     assert all(cell[0] == 0 for cell in dims)
 
 
 def test_tor_computed_mode_detects_dependence():
-    X = resolution_of(MonomialIdeal.parse(["x*y"], RING))
-    J = MonomialIdeal.parse(["y"], RING)
-    rep = is_tor_independent(X, J)
+    I, J = MonomialIdeal.parse(["x*y"], RING), MonomialIdeal.parse(["y"], RING)
+    rep = is_tor_independent(I, J)
     assert not rep
     assert rep.mode == "complete"
     assert rep.witness is not None and rep.witness[0] >= 1
@@ -147,18 +148,31 @@ def test_tor_computed_mode_detects_dependence():
 
 def test_tor_computed_mode_witness_location():
     # Tor_1(R/<x^2>, R/<x*y^3>) = <x^2*y^3>/<x^3*y^3> first lives in degree 5
-    X = resolution_of(MonomialIdeal.parse(["x^2"], RING))
-    J = MonomialIdeal.parse(["x*y^3"], RING)
-    rep = is_tor_independent(X, J)
+    I, J = MonomialIdeal.parse(["x^2"], RING), MonomialIdeal.parse(["x*y^3"], RING)
+    rep = is_tor_independent(I, J)
     assert not rep.independent
     assert rep.mode == "complete"
     assert rep.witness == (1, 5)
 
 
-def test_tor_of_non_multigraded_complex_is_refused():
-    ring = RingSpec(("x", "y", "z"))
-    with pytest.raises(ValueError):
-        is_tor_independent(K(ring, "x + y", "z^2"), MonomialIdeal.parse(["x"], ring))
+@seed(20261024)
+@given(st.data())
+def test_tor_independence_agrees_with_the_tor_oracle(data):
+    """Decided on the ideals (I cap J = IJ, by rigidity), Tor-independence
+    agrees with Tor computed by the box walk modulo J in every degree, and
+    the witness with the walk's first (n, |b|).  An independent pair, with
+    I' and J' multiples of some of its generators, is a fiber product."""
+    ring = RingSpec(("x", "y", "z")[:data.draw(st.integers(1, 3))])
+    I, J = data.draw(small_ideals(ring)), data.draw(small_ideals(ring))
+    rep, at = is_tor_independent(I, J), tor_dims(resolution_of(I), J, 0).homology_at
+    assert bool(rep) == (at is None)
+    if at is not None:
+        assert rep.witness == (at[0], mono_degree(at[1]))
+        return
+    factor = st.tuples(*[st.integers(0, 2)] * I.ring.nvars)
+    Ip, Jp = (MonomialIdeal(A.ring, [mono_mul(g, data.draw(factor)) for g in A.gens if data.draw(st.booleans())])
+              for A in (I, J))
+    assert fiber_ideal_check(Ip, I, Jp, J)
 
 
 def _mutated_fiber():
