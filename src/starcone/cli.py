@@ -36,7 +36,6 @@ from .fiber import (
     LiftError,
     build_fiber,
     certify_minimal,
-    certify_tor_hypotheses,
     closed_form_table,
     cone_phi,
     cone_psi,
@@ -46,7 +45,7 @@ from .fiber import (
 )
 from .formulas import betti_fiber
 from .homcheck import BoxTooLarge, homology_dims
-from .resolutions import minimize, resolution_of
+from .resolutions import minimize
 from .ring import (
     MonomialIdeal,
     PolyParseError,
@@ -165,12 +164,12 @@ def _built(job: argparse.Namespace, block_only: bool = False) -> tuple:
 
 
 def _star_of(job: argparse.Namespace):
-    """The ring, I, J and the star product of their resolutions, for (I, J) Tor-independent."""
-    ring, Ip, I, Jp, J = _ideals_of(job)
+    """The ring, I, J and the star product of make_instance(ring, 0, I, 0, J), which gates (I, J)."""
+    ring, _, I, _, J = _ideals_of(job)
     if I.is_zero() or J.is_zero():
         raise UsageError("star needs two nonzero ideals")
-    certify_tor_hypotheses(Ip, I, Jp, J)
-    return ring, I, J, star_product(resolution_of(I), resolution_of(J))
+    inst = make_instance(ring, MonomialIdeal(ring, []), I, MonomialIdeal(ring, []), J)
+    return ring, I, J, star_product(inst.X, inst.Y)
 
 
 # --------------------------------------------------------------- rendering
@@ -261,7 +260,7 @@ def _certificate_doc(build, cert, bound: int) -> dict:
     return {
         "tor": {
             pair: {"independent": bool(rep), "mode": rep.mode}
-            for pair, rep in sorted(build.tor_reports.items())
+            for pair, rep in sorted(build.instance.tor_reports.items())
         },
         "constrained_lifts": build.constrained,
         "hypotheses": {

@@ -495,8 +495,7 @@ class PowerSeries:
         for i, a in enumerate(self.coeffs[: D + 1]):
             if a == 0:
                 continue
-            for j in range(0, D + 1 - i):
-                b = other.coeffs[j] if j <= other.truncation else 0
+            for j, b in enumerate(other.coeffs[: D + 1 - i]):
                 out[i + j] += a * b
         return PowerSeries(tuple(out))
 

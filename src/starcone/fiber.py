@@ -1,8 +1,8 @@
 """Resolutions of R/(I' + IJ + J') by a mapping cone over the star product.
 
 The pipeline, for ideals I' <= I and J' <= J with (I, J), (I', J) and
-(I, J') Tor-independent (certify_tor_hypotheses decides it on the ideals
-alone) and minimal resolutions S, X, T, Y of the four quotients:
+(I, J') Tor-independent (make_instance decides it on the ideals, before
+step 1) and minimal resolutions S, X, T, Y of the four quotients:
 
   1. lift the identity on R to comparison maps phi : S -> X, psi : T -> Y;
   2. form the star product X * Y;
@@ -182,8 +182,9 @@ def omega(Phi: ChainMap, Psi: ChainMap) -> ChainMap:
 
 @dataclass
 class FiberInstance:
-    """The input data: nested ideal pairs and minimal resolutions of the
-    four quotients (S for R/I', X for R/I, T for R/J', Y for R/J)."""
+    """The input data: nested ideal pairs, the Tor gate's reports on them,
+    and minimal resolutions of the four quotients (S for R/I', X for R/I,
+    T for R/J', Y for R/J)."""
 
     ring: RingSpec
     Ip: MonomialIdeal
@@ -194,6 +195,7 @@ class FiberInstance:
     X: ChainComplex
     T: ChainComplex
     Y: ChainComplex
+    tor_reports: dict
 
     def quotient_ideal(self) -> MonomialIdeal:
         return ideal_sum(ideal_sum(self.Ip, self.Jp), ideal_product(self.I, self.J))
@@ -215,8 +217,9 @@ def make_instance(ring: RingSpec, Ip: MonomialIdeal, I: MonomialIdeal,
         raise HypothesisViolation(f"containment fails: {Jp} is not inside {J}")
     if I.is_zero() or J.is_zero():
         raise HypothesisViolation("I and J must be nonzero")
+    tor_reports = certify_tor_hypotheses(Ip, I, Jp, J)
     return FiberInstance(
-        ring=ring, Ip=Ip, I=I, Jp=Jp, J=J,
+        ring=ring, Ip=Ip, I=I, Jp=Jp, J=J, tor_reports=tor_reports,
         S=resolution_of(Ip), X=resolution_of(I),
         T=resolution_of(Jp), Y=resolution_of(J),
     )
@@ -279,7 +282,6 @@ class FiberBuild:
     psi_lift: LiftReport
     Phi: ChainMap
     Psi: ChainMap
-    tor_reports: dict
     constrained: bool
 
 
@@ -298,7 +300,6 @@ def _lift(instance: FiberInstance, side: int, constrained: bool) -> LiftReport:
 
 
 def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild:
-    tor_reports = certify_tor_hypotheses(instance.Ip, instance.I, instance.Jp, instance.J)
     star_XY = star_product(instance.X, instance.Y)
     phi = _lift(instance, 0, constrained)
     Phi = build_phi(phi, instance.S, instance.Y, star_XY)
@@ -313,21 +314,18 @@ def build_fiber(instance: FiberInstance, constrained: bool = True) -> FiberBuild
         psi_lift=psi,
         Phi=Phi,
         Psi=Psi,
-        tor_reports=tor_reports,
         constrained=phi.constrained and psi.constrained,
     )
 
 
 def cone_phi(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
-    """Cone on Phi alone: resolves R/(I' + IJ)."""
-    star_XY = star_product(instance.X, instance.Y)
-    return cone(build_phi(_lift(instance, 0, constrained), instance.S, instance.Y, star_XY))
+    """Cone on build_fiber's Phi alone: resolves R/(I' + IJ)."""
+    return cone(build_fiber(instance, constrained).Phi)
 
 
 def cone_psi(instance: FiberInstance, constrained: bool = True) -> ChainComplex:
-    """Cone on Psi alone: resolves R/(IJ + J')."""
-    star_XY = star_product(instance.X, instance.Y)
-    return cone(build_psi(_lift(instance, 1, constrained), instance.X, instance.T, star_XY))
+    """Cone on build_fiber's Psi alone: resolves R/(IJ + J')."""
+    return cone(build_fiber(instance, constrained).Psi)
 
 
 @dataclass

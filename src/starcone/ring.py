@@ -504,7 +504,7 @@ def fiber_ideal_check(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J:
     (Ip + J) cap (I + Jp) = Ip + Jp + (I cap J), which contains
     Q = Ip + I*J + Jp since I*J <= I cap J.  Equality is thus the one
     containment I cap J <= Q.  Tor-independence of I and J is I cap J = IJ
-    (is_tor_independent), so every instance build_fiber accepts, which
+    (is_tor_independent), so every instance make_instance accepts, which
     certify_tor_hypotheses checks, is a fiber product."""
     if not ideal_contains(I, Ip):
         raise ValueError("Ip must be contained in I")

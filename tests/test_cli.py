@@ -178,6 +178,18 @@ def test_star_of_tor_dependent_ideals_is_refused(argv):
                                "nonzero Tor at (homological, internal) = (1, 1)\n")
 
 
+@pytest.mark.parametrize("what", ["cone-phi", "cone-psi"])
+def test_cone_export_of_tor_dependent_ideals_is_refused(what):
+    """A cone is built only from an instance that passed the Tor gate: the
+    cone on Phi of this pair once exported exit 0 and failed verify --in
+    with H_1 at x^2*z."""
+    argv = ["--vars-a", "x,y", "--vars-b", "z", "--ideal-i", "x,y", "--ideal-j", "x*z", "--iprime", "x^2,y^2"]
+    refused = (1, "hypothesis violation: Tor-independence fails for (I,J): "
+                  "nonzero Tor at (homological, internal) = (1, 2)\n")
+    assert run_argv(["fiber", *argv]) == refused
+    assert run_argv(["export", "--what", what, *argv]) == refused
+
+
 # ------------------------------------------------------------ determinism
 
 def test_byte_identical_output():

@@ -171,9 +171,8 @@ def test_construction_does_not_call_the_certifier(monkeypatch):
     for inst in (instance_e(), block_instance(2, 2, ["x1^2", "x1*x2"], ["y1^2", "y1*y2"])):
         assert build_fiber(inst).constrained
     ring = RingSpec(("x", "y"))
-    dependent = make_instance(ring, *(MonomialIdeal.parse([g], ring) for g in ("x^2", "x", "x^2*y", "x*y")))
     with pytest.raises(HypothesisViolation, match=r"for \(I,J\): .* = \(1, 2\)$"):
-        build_fiber(dependent)
+        make_instance(ring, *(MonomialIdeal.parse([g], ring) for g in ("x^2", "x", "x^2*y", "x*y")))
 
 
 def test_lift_entries_constrained_on_suite():
@@ -254,15 +253,31 @@ def test_containment_violation_rejected():
 
 def test_tor_dependence_rejected():
     ring = RingSpec(("x", "y"))
-    inst = make_instance(
-        ring,
-        MonomialIdeal.parse(["x^2"], ring),
-        MonomialIdeal.parse(["x"], ring),
-        MonomialIdeal.parse(["x^2*y"], ring),
-        MonomialIdeal.parse(["x*y"], ring),
-    )
     with pytest.raises(HypothesisViolation):
-        build_fiber(inst)
+        make_instance(
+            ring,
+            MonomialIdeal.parse(["x^2"], ring),
+            MonomialIdeal.parse(["x"], ring),
+            MonomialIdeal.parse(["x^2*y"], ring),
+            MonomialIdeal.parse(["x*y"], ring),
+        )
+
+
+def test_tor_gate_runs_before_any_resolution(monkeypatch):
+    """make_instance refuses a Tor-dependent pair from the ideals alone, so
+    no quotient is resolved first and no cone is built from the instance:
+    here (I, J) = (<x, y>, <x*z>) has I cap J = <x*z>, outside IJ."""
+    import starcone.fiber
+
+    ring = RingSpec(("x", "y", "z"), partition=(("x", "y"), ("z",)))
+    ideals = [MonomialIdeal.parse(gens, ring) for gens in (["x^2", "y^2"], ["x", "y"], [], ["x*z"])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient was resolved before the Tor gate")
+
+    monkeypatch.setattr(starcone.fiber, "resolution_of", refuse)
+    with pytest.raises(HypothesisViolation, match=r"for \(I,J\): .* = \(1, 2\)$"):
+        make_instance(ring, *ideals)
 
 
 def test_unconstrained_fallback_when_iprime_equals_i():
