@@ -23,7 +23,6 @@ import sys
 
 from .complexes import (
     ChainComplex,
-    InvariantViolation,
     complex_from_json,
     complex_to_json_dict,
     graded_betti,
@@ -31,6 +30,7 @@ from .complexes import (
 )
 from .fields import PrimeField, RationalField, is_prime
 from .fiber import (
+    TOR_PAIRS,
     FiberInstance,
     HypothesisViolation,
     LiftError,
@@ -47,6 +47,7 @@ from .formulas import betti_fiber
 from .homcheck import BoxTooLarge, homology_dims
 from .resolutions import minimize
 from .ring import (
+    InvariantViolation,
     MonomialIdeal,
     PolyParseError,
     RingSpec,
@@ -164,10 +165,9 @@ def _built(job: argparse.Namespace, block_only: bool = False) -> tuple:
 
 
 def _star_of(job: argparse.Namespace):
-    """The ring, I, J and the star product of make_instance(ring, 0, I, 0, J), which gates (I, J)."""
+    """The ring, I, J and the star product of make_instance(ring, 0, I, 0, J),
+    which refuses a zero I or J and a Tor-dependent (I, J)."""
     ring, _, I, _, J = _ideals_of(job)
-    if I.is_zero() or J.is_zero():
-        raise UsageError("star needs two nonzero ideals")
     inst = make_instance(ring, MonomialIdeal(ring, []), I, MonomialIdeal(ring, []), J)
     return ring, I, J, star_product(inst.X, inst.Y)
 
@@ -257,11 +257,9 @@ def cmd_star(job: argparse.Namespace):
 
 
 def _certificate_doc(build, cert, bound: int) -> dict:
+    """The certificate of a build, whose pairs make_instance accepted: disjoint supports."""
     return {
-        "tor": {
-            pair: {"independent": bool(rep), "mode": rep.mode}
-            for pair, rep in sorted(build.instance.tor_reports.items())
-        },
+        "tor": {pair: {"independent": True, "mode": "structural"} for pair in TOR_PAIRS},
         "constrained_lifts": build.constrained,
         "hypotheses": {
             "regular_sequence_i": cert.regular_sequence_i,
@@ -277,20 +275,14 @@ def _certificate_doc(build, cert, bound: int) -> dict:
 
 
 def _certificate_text(cert_doc: dict) -> list:
-    tor_lines = [
-        f"  tor {pair}: {'independent' if v['independent'] else 'DEPENDENT'} ({v['mode']})"
-        for pair, v in sorted(cert_doc["tor"].items())
+    return [
+        "certificate:",
+        *(f"  tor {pair}: independent (structural)" for pair in sorted(cert_doc["tor"])),
+        f"  constrained lifts: {'yes' if cert_doc['constrained_lifts'] else 'no'}",
+        f"  minimality hypotheses: {'hold' if cert_doc['hypotheses_ok'] else 'do not hold'}",
+        f"  minimal: {'yes' if cert_doc['minimal'] else 'no'}",
+        f"  degree bound: {cert_doc['degree_bound']}",
     ]
-    return (
-        ["certificate:"]
-        + tor_lines
-        + [
-            f"  constrained lifts: {'yes' if cert_doc['constrained_lifts'] else 'no'}",
-            f"  minimality hypotheses: {'hold' if cert_doc['hypotheses_ok'] else 'do not hold'}",
-            f"  minimal: {'yes' if cert_doc['minimal'] else 'no'}",
-            f"  degree bound: {cert_doc['degree_bound']}",
-        ]
-    )
 
 
 def cmd_fiber(job: argparse.Namespace):

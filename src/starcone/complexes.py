@@ -32,12 +32,6 @@ from typing import Dict, Iterator, Optional, Tuple
 from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_divides, mono_mul, mono_one, poly_parse
 
 
-class InvariantViolation(RuntimeError):
-    """A computed result broke an invariant the code relies on, such as a
-    lift that is not a chain map or a negative homology dimension: a fault
-    in the program, not in its input."""
-
-
 class PolyMatrix:
     """Sparse matrix of polynomials, stored by column.
 
@@ -626,7 +620,7 @@ def complex_from_json(text: str) -> ChainComplex:
         if not isinstance(doc.get(key, {}), dict):
             raise ValueError(f"{key} is not a JSON object")
     ring = RingSpec.from_description(doc["ring"])
-    modules = {}
+    modules, zero = {}, Polynomial.zero(ring)  # most cells are "0": one shared zero, never parsed
     for n, tw in doc["modules"].items():
         if not isinstance(tw, list) or any(type(w) is not int for w in tw):
             raise ValueError(f"twists of module {n} are not a list of integers")
@@ -639,7 +633,7 @@ def complex_from_json(text: str) -> ChainComplex:
         n = int(n)
         nrows = len(modules.get(n - 1, ()))
         ncols = len(modules.get(n, ()))
-        mat_rows = [[poly_parse(s, ring) for s in row] for row in rows]
+        mat_rows = [[zero if s == "0" else poly_parse(s, ring) for s in row] for row in rows]
         diffs[n] = PolyMatrix(ring, nrows, ncols, mat_rows)
     return ChainComplex(ring, modules, diffs)
 

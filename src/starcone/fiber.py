@@ -1,8 +1,10 @@
 """Resolutions of R/(I' + IJ + J') by a mapping cone over the star product.
 
-The pipeline, for ideals I' <= I and J' <= J with (I, J), (I', J) and
-(I, J') Tor-independent (make_instance decides it on the ideals, before
-step 1) and minimal resolutions S, X, T, Y of the four quotients:
+The pipeline, for nonzero ideals I and J, I' <= I and J' <= J with (I, J),
+(I', J) and (I, J') Tor-independent, and minimal resolutions S, X, T, Y of
+the four quotients.  make_instance decides all of it before step 1; by
+ring.is_tor_independent, I and I' then share no variable with J, nor I
+with J', so only I' and J' may share one.
 
   1. lift the identity on R to comparison maps phi : S -> X, psi : T -> Y;
   2. form the star product X * Y;
@@ -38,7 +40,6 @@ from .complexes import (
     BettiTable,
     ChainComplex,
     ChainMap,
-    InvariantViolation,
     PowerSeries,
     cone,
     direct_sum,
@@ -54,6 +55,7 @@ from .complexes import (
 )
 from .resolutions import is_regular_sequence_monomials, minimize, resolution_of
 from .ring import (
+    InvariantViolation,
     MonomialIdeal,
     RingSpec,
     ideal_contains,
@@ -182,7 +184,7 @@ def omega(Phi: ChainMap, Psi: ChainMap) -> ChainMap:
 
 @dataclass
 class FiberInstance:
-    """The input data: nested ideal pairs, the Tor gate's reports on them,
+    """The input data: nested ideal pairs that passed make_instance's gate,
     and minimal resolutions of the four quotients (S for R/I', X for R/I,
     T for R/J', Y for R/J)."""
 
@@ -195,7 +197,6 @@ class FiberInstance:
     X: ChainComplex
     T: ChainComplex
     Y: ChainComplex
-    tor_reports: dict
 
     def quotient_ideal(self) -> MonomialIdeal:
         return ideal_sum(ideal_sum(self.Ip, self.Jp), ideal_product(self.I, self.J))
@@ -209,17 +210,25 @@ class FiberInstance:
         )
 
 
+TOR_PAIRS = ("(I,J)", "(I',J)", "(I,J')")  # make_instance gates them in this order
+
+
 def make_instance(ring: RingSpec, Ip: MonomialIdeal, I: MonomialIdeal,
                   Jp: MonomialIdeal, J: MonomialIdeal) -> FiberInstance:
+    """The instance, or a HypothesisViolation naming the first hypothesis that
+    fails, before anything is resolved.  The star product's R/IJ is I' = J' = 0."""
     if not ideal_contains(I, Ip):
         raise HypothesisViolation(f"containment fails: {Ip} is not inside {I}")
     if not ideal_contains(J, Jp):
         raise HypothesisViolation(f"containment fails: {Jp} is not inside {J}")
     if I.is_zero() or J.is_zero():
         raise HypothesisViolation("I and J must be nonzero")
-    tor_reports = certify_tor_hypotheses(Ip, I, Jp, J)
+    for pair, (A, B) in zip(TOR_PAIRS, ((I, J), (Ip, J), (I, Jp))):
+        if not (rep := is_tor_independent(A, B)):
+            raise HypothesisViolation(f"Tor-independence fails for {pair}: "
+                                      f"nonzero Tor at (homological, internal) = {rep.witness}")
     return FiberInstance(
-        ring=ring, Ip=Ip, I=I, Jp=Jp, J=J, tor_reports=tor_reports,
+        ring=ring, Ip=Ip, I=I, Jp=Jp, J=J,
         S=resolution_of(Ip), X=resolution_of(I),
         T=resolution_of(Jp), Y=resolution_of(J),
     )
@@ -251,24 +260,6 @@ def default_degree_bound(instance: FiberInstance, resolution: ChainComplex) -> i
     length, plus 2, raised to the top twist of the resolution if that is
     higher.  It only limits printing: certification covers every degree."""
     return max(instance.max_gen_degree() + resolution.max_degree() + 2, resolution.max_twist())
-
-
-def certify_tor_hypotheses(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J: MonomialIdeal) -> dict:
-    """Tor-independence of the pairs (I, J), (I', J), (I, J'), decided on
-    the ideals by ring.is_tor_independent; raises a HypothesisViolation
-    naming the first failing pair.  The star product's R/IJ is I' = J' = 0."""
-    checks = {
-        "(I,J)": is_tor_independent(I, J),
-        "(I',J)": is_tor_independent(Ip, J),
-        "(I,J')": is_tor_independent(I, Jp),
-    }
-    for pair, rep in checks.items():
-        if not rep:
-            raise HypothesisViolation(
-                f"Tor-independence fails for {pair}: "
-                f"nonzero Tor at (homological, internal) = {rep.witness}"
-            )
-    return checks
 
 
 @dataclass

@@ -9,7 +9,7 @@ dim H_n(C)_b = dim ker(d_n)_b - rank(d_{n+1})_b, with the kernel dimension
 coming from rank-nullity.  Reducing all matrix entries modulo a monomial
 ideal J (and restricting to standard monomials) computes H(C tensor R/J)
 instead, which for a resolution of R/I is Tor(R/I, R/J): the tests' oracle
-for ring.is_tor_independent, which decides Tor-independence on the ideals.
+for ring.is_tor_independent, which proves it is disjointness of supports.
 
 Complexes of monomial ideals are Z^N-graded with single-term entries, so a
 piece splits into multidegree blocks: label (j, m) of C_n lies in block
@@ -59,12 +59,12 @@ from operator import eq, mul
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, InvariantViolation, is_complex
-from .ring import MonomialIdeal, hilbert_function, mono_mul, mono_str, monomials_of_degree
+from .complexes import ChainComplex, is_complex
+from .ring import InvariantViolation, MonomialIdeal, hilbert_function, mono_mul, mono_str, monomials_of_degree
 
-# The most points of an lcm box that one certification walks: the walk keeps
-# a mask and a state per point, so a box such as that of x^(10^30) would
-# never finish.
+# The most points of an lcm box that one certification walks: the walk visits
+# every point, keeping its masks and states one slab back but a piece of
+# homology_dims for each, so a box such as that of x^(10^30) would not finish.
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
 # the tests and the benchmark walk, and 531441 at 6+6.
 MAX_BOX_POINTS = 1_000_000
@@ -133,20 +133,21 @@ def _box_pieces(C: ChainComplex, modulo: Optional[MonomialIdeal], against: Optio
     against iff x^min(b, M) is.  Without modulo, a state (block, homology,
     echelon basis of d_{lo+1}) is kept per point, shared while the block
     does not change; b extends that of its predecessor with the largest
-    block by the long exact sequence when it can."""
+    block by the long exact sequence when it can.  Masks and states are
+    dropped one slab (b - e_N, the furthest any b reaches back) behind."""
     mdegs = [a for mdeg in C.mdegs.values() for a in mdeg]
     columns, degrees = _numbered({n: C.columns(n) for n in C.mdegs})
-    G = len(mdegs)  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b
+    G = len(mdegs) if modulo else 0  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b, never without modulo
     seeds = [(G + g, a) for g, a in enumerate(mdegs)]
     seeds += [(g, mono_mul(a, u)) for g, a in enumerate(mdegs) for u in (modulo.gens if modulo else ())]
     top = tuple(map(max, zip((0,) * C.ring.nvars, *(b for _, b in seeds), *(against.gens if against else ()))))
     if (points := prod(e + 1 for e in top)) > MAX_BOX_POINTS:
         raise BoxTooLarge(f"lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked")
     steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
-    masks = [0] * points
+    masks, slab, empty = [0] * points, steps[-1], (0, {}, {})
     for k, b in seeds:
         masks[sum(map(mul, b, steps))] |= 1 << k
-    F, ring, memo, states = C.ring.coeff_field, C.ring, {}, [(0, {}, {})] * points
+    F, ring, memo, states = C.ring.coeff_field, C.ring, {}, [empty] * points
     lo, low_gens = degrees[0] if degrees else (0, 0)
     up_gens = dict(degrees).get(lo + 1, 0)
     for code, last_first in enumerate(product(*(range(e + 1) for e in reversed(top)))):
@@ -156,7 +157,9 @@ def _box_pieces(C: ChainComplex, modulo: Optional[MonomialIdeal], against: Optio
                 masks[code] |= masks[code - s]
                 if states[code - s][0].bit_count() > state[0].bit_count():
                     state = states[code - s]
-        block = masks[code] >> G & ~masks[code]
+        block = masks[code] >> G & ~masks[code] if modulo else masks[code]
+        if code >= slab:
+            masks[code - slab], states[code - slab] = 0, empty
         if modulo:
             if block not in memo:
                 memo[block] = _checked(_block_homology(F, columns, degrees, block)[0], b, ring)

@@ -27,6 +27,12 @@ class PolyParseError(ValueError):
     """Raised for malformed polynomial text or out-of-ring symbols."""
 
 
+class InvariantViolation(RuntimeError):
+    """A computed result broke an invariant the code relies on, such as a
+    lift that is not a chain map or a negative homology dimension: a fault
+    in the program, not in its input."""
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """A polynomial ring: ordered variables, optional two-block partition,
@@ -503,9 +509,9 @@ def fiber_ideal_check(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J:
     Monomial ideals form a distributive lattice under + and cap, so
     (Ip + J) cap (I + Jp) = Ip + Jp + (I cap J), which contains
     Q = Ip + I*J + Jp since I*J <= I cap J.  Equality is thus the one
-    containment I cap J <= Q.  Tor-independence of I and J is I cap J = IJ
-    (is_tor_independent), so every instance make_instance accepts, which
-    certify_tor_hypotheses checks, is a fiber product."""
+    containment I cap J <= Q.  Tor-independent I and J (is_tor_independent)
+    share no variable, so I cap J = IJ, and every instance make_instance
+    accepts is a fiber product."""
     if not ideal_contains(I, Ip):
         raise ValueError("Ip must be contained in I")
     if not ideal_contains(J, Jp):
@@ -517,22 +523,33 @@ def fiber_ideal_check(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J:
 @dataclass
 class TorReport:
     independent: bool
-    mode: str                   # "structural" (disjoint supports) or "complete"
-    witness: Optional[tuple] = None  # first (n, d) with Tor_n nonzero, n >= 1
+    witness: Optional[tuple] = None  # (1, d) for a dependent pair: Tor_1 is nonzero in degree d
 
     def __bool__(self) -> bool:
         return self.independent
 
 
 def is_tor_independent(I: MonomialIdeal, J: MonomialIdeal) -> TorReport:
-    """Is Tor_n(R/I, R/J) = 0 for every n >= 1?  Tor_1 = (I cap J)/IJ, and
-    Tor_1 = 0 gives Tor_n = 0 for all n >= 1: modules over a regular local
-    ring are Tor-rigid (Auslander, Illinois J. Math. 5, 1961; Lichtenbaum,
-    Illinois J. Math. 10, 1966), and graded Tor over R vanishes iff it does
-    at the homogeneous maximal ideal.  So Tor_1 is the first nonzero Tor, in
-    the least degree of a generator of I cap J outside IJ."""
-    if not I.support() & J.support():  # every lcm of generators is their product
-        return TorReport(independent=True, mode="structural")
+    """Is Tor_n(R/I, R/J) = 0 for every n >= 1?  Exactly when no variable
+    divides a generator of I and one of J.  If none does, the tensor product
+    of resolutions of R/I and R/J, in disjoint variables, resolves R/(I + J).
+    If x does, Tor_1 = (I cap J)/IJ is nonzero:
+      * polarize I and J together; the polarizing linear forms are regular
+        on both quotients, so by graded Nakayama, one form at a time, Tor_1
+        vanishing before polarizing gives it after.  x stays shared as its
+        first copy, and I = I_D, J = I_E are Stanley-Reisner ideals;
+      * Tor_1^R(R/I_D, R/I_E) is H_1 of the Koszul complex of the diagonal
+        forms x_i - y_i on k[D * E], the Stanley-Reisner ring of the join.
+        H_1 = 0 makes them a regular sequence, so each a nonzerodivisor;
+      * x lies in a minimal nonface N of D, and N - x in a facet F without
+        x; likewise a facet G of E misses x.  So x - y lies in the minimal
+        prime of the facet F + G of D * E: a zero divisor.
+    The witness is (1, d), d the least degree of a generator of I cap J
+    outside IJ; a shared variable with none raises InvariantViolation."""
+    if not I.support() & J.support():
+        return TorReport(independent=True)
     IJ = ideal_product(I, J)
     outside = [mono_degree(g) for g in ideal_intersection(I, J).gens if not IJ.contains_monomial(g)]
-    return TorReport(independent=not outside, mode="complete", witness=(1, min(outside)) if outside else None)
+    if not outside:
+        raise InvariantViolation(f"{I} and {J} share a variable, yet I cap J = IJ")
+    return TorReport(independent=False, witness=(1, min(outside)))

@@ -9,8 +9,8 @@ piece of X_{>=1} (x) Y_{>=1}, degree 0 is R again.  On a basis pair a * b,
              + [ |a| = |b| = 1 ]  (d a) (d b)
 
 where the last case multiplies the two augmentation images inside R.  When
-I and J are Tor-independent this resolves R/IJ, and it is minimal whenever
-X and Y are.
+I and J share no variable (Tor-independence, by ring.is_tor_independent)
+this resolves R/IJ, and it is minimal whenever X and Y are.
 """
 from __future__ import annotations
 

@@ -178,6 +178,25 @@ def test_star_of_tor_dependent_ideals_is_refused(argv):
                                "nonzero Tor at (homological, internal) = (1, 1)\n")
 
 
+@pytest.mark.parametrize("argv", [["star"], ["export", "--what", "star"]], ids=["star", "export"])
+def test_star_of_a_zero_ideal_is_a_hypothesis_violation(argv):
+    """make_instance alone refuses a zero I or J, with the exit code and the
+    line fiber gives; star once refused it itself, as a usage error."""
+    code, text = run_argv([*argv, "--vars-a", "x", "--vars-b", "y", "--ideal-i", "0"])
+    assert (code, text) == (1, "hypothesis violation: I and J must be nonzero\n")
+    assert run_argv(["fiber", "--vars-a", "x", "--vars-b", "y", "--ideal-i", "0"]) == (code, text)
+
+
+def test_shared_variable_without_a_witness_is_verification_failure(monkeypatch):
+    """A shared variable is a refusal only with a generator of I cap J
+    outside IJ to name; with none the proof in is_tor_independent broke."""
+    import starcone.ring
+
+    monkeypatch.setattr(starcone.ring, "ideal_intersection", starcone.ring.ideal_product)
+    code, text = run_argv(["star", "--vars-a", "x", "--vars-b", "y", "--ideal-i", "x", "--ideal-j", "x*y"])
+    assert (code, text) == (3, "verification failure: <x> and <x*y> share a variable, yet I cap J = IJ\n")
+
+
 @pytest.mark.parametrize("what", ["cone-phi", "cone-psi"])
 def test_cone_export_of_tor_dependent_ideals_is_refused(what):
     """A cone is built only from an instance that passed the Tor gate: the
@@ -404,6 +423,13 @@ def test_out_of_memory_is_resource_error(monkeypatch):
 
 # ------------------------------------------------- malformed verify input
 
+def _short_zero_row(doc):
+    """Row 0 of d_2 made of "0" cells, one too few: no cell is parsed, and
+    the row is still the wrong length."""
+    rows = doc["differentials"]["2"]
+    rows[0] = ["0"] * (len(rows[0]) - 1)
+
+
 def _broken_export(mutate):
     code, text = run_argv(
         ["export", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--jprime", "y^2"]
@@ -417,6 +443,7 @@ MALFORMED = {
     "not_json": lambda: "{not json",
     "missing_key": lambda: _broken_export(lambda d: d.pop("modules")),
     "shape_mismatch": lambda: _broken_export(lambda d: d["differentials"]["2"][0].pop()),
+    "short_zero_row": lambda: _broken_export(_short_zero_row),
     "wrong_type": lambda: _broken_export(lambda d: d.update(modules=[[0], [1, 1]])),
     "unknown_field": lambda: _broken_export(lambda d: d["ring"].update(field={"p": 5})),
     "float_prime": lambda: _broken_export(lambda d: d["ring"].update(field={"prime": 7.9})),
@@ -439,8 +466,10 @@ MALFORMED = {
     "ring_list": lambda: _broken_export(lambda d: d.update(ring=[])),
     "differentials_list": lambda: _broken_export(lambda d: d.update(differentials=[])),
 }
-# The reason given for a part of the document that is not a JSON object.
+# The reason given for a part of the document that is not a JSON object, and
+# for a row of the wrong length.
 MALFORMED_REASONS = {
+    "short_zero_row": "matrix shape mismatch",
     "top_level_list": "the document is not a JSON object",
     "ring_list": "ring is not a JSON object",
     "wrong_type": "modules is not a JSON object",

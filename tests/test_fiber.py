@@ -380,8 +380,8 @@ def test_closed_forms_match_the_construction(suite):
 
 
 def test_suite_instances_are_fiber_products(suite):
-    """certify_tor_hypotheses passed on each (I, J), so I cap J = IJ and the
-    quotient is the fiber product."""
+    """make_instance's Tor gate passed on each (I, J), so I cap J = IJ and
+    the quotient is the fiber product."""
     for inst, _ in suite:
         assert fiber_ideal_check(inst.Ip, inst.I, inst.Jp, inst.J)
 

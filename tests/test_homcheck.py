@@ -133,7 +133,7 @@ def test_tor_disjoint_blocks_vanish():
     X = K(RING, "x")
     I, J = MonomialIdeal.parse(["x"], RING), MonomialIdeal.parse(["y"], RING)
     rep = is_tor_independent(I, J)
-    assert rep and rep.mode == "structural"
+    assert rep and rep.witness is None
     dims = tor_dims(X, J, 5).dims
     assert all(cell[0] == 0 for cell in dims)
 
@@ -142,7 +142,7 @@ def test_tor_computed_mode_detects_dependence():
     I, J = MonomialIdeal.parse(["x*y"], RING), MonomialIdeal.parse(["y"], RING)
     rep = is_tor_independent(I, J)
     assert not rep
-    assert rep.mode == "complete"
+    assert rep.witness == (1, 2)
     assert rep.witness is not None and rep.witness[0] >= 1
 
 
@@ -151,7 +151,7 @@ def test_tor_computed_mode_witness_location():
     I, J = MonomialIdeal.parse(["x^2"], RING), MonomialIdeal.parse(["x*y^3"], RING)
     rep = is_tor_independent(I, J)
     assert not rep.independent
-    assert rep.mode == "complete"
+    assert not rep
     assert rep.witness == (1, 5)
 
 
