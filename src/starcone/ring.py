@@ -522,11 +522,10 @@ def fiber_ideal_check(Ip: MonomialIdeal, I: MonomialIdeal, Jp: MonomialIdeal, J:
 
 @dataclass
 class TorReport:
-    independent: bool
     witness: Optional[tuple] = None  # (1, d) for a dependent pair: Tor_1 is nonzero in degree d
 
     def __bool__(self) -> bool:
-        return self.independent
+        return self.witness is None
 
 
 def is_tor_independent(I: MonomialIdeal, J: MonomialIdeal) -> TorReport:
@@ -547,9 +546,9 @@ def is_tor_independent(I: MonomialIdeal, J: MonomialIdeal) -> TorReport:
     The witness is (1, d), d the least degree of a generator of I cap J
     outside IJ; a shared variable with none raises InvariantViolation."""
     if not I.support() & J.support():
-        return TorReport(independent=True)
+        return TorReport()
     IJ = ideal_product(I, J)
     outside = [mono_degree(g) for g in ideal_intersection(I, J).gens if not IJ.contains_monomial(g)]
     if not outside:
         raise InvariantViolation(f"{I} and {J} share a variable, yet I cap J = IJ")
-    return TorReport(independent=False, witness=(1, min(outside)))
+    return TorReport(witness=(1, min(outside)))

@@ -143,14 +143,12 @@ def test_tor_computed_mode_detects_dependence():
     rep = is_tor_independent(I, J)
     assert not rep
     assert rep.witness == (1, 2)
-    assert rep.witness is not None and rep.witness[0] >= 1
 
 
 def test_tor_computed_mode_witness_location():
     # Tor_1(R/<x^2>, R/<x*y^3>) = <x^2*y^3>/<x^3*y^3> first lives in degree 5
     I, J = MonomialIdeal.parse(["x^2"], RING), MonomialIdeal.parse(["x*y^3"], RING)
     rep = is_tor_independent(I, J)
-    assert not rep.independent
     assert not rep
     assert rep.witness == (1, 5)
 
