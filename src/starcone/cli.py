@@ -371,7 +371,7 @@ def _read_complex(path: str) -> ChainComplex:
             return complex_from_json(fh.read())
     except (FileNotFoundError, PolyParseError):
         raise  # reported as usage and parse errors by run()
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
         reason = f"missing key {e}" if isinstance(e, KeyError) else " ".join(str(e).split())
         raise UsageError(f"cannot read a complex from {path}: {reason}") from None
 
@@ -380,7 +380,7 @@ def cmd_verify(job: argparse.Namespace):
     if job.in_path:
         C = _read_complex(job.in_path)
         Q = _parse_ideal(C.ring, job.against, "--against") if job.against else None
-        bound = job.degree_bound if job.degree_bound is not None else C.max_twist()
+        bound = job.degree_bound if job.degree_bound is not None else max(C.max_twist(), 0)
         try:
             v, ok = _verification(C, Q, bound)
         except (UsageError, BoxTooLarge):

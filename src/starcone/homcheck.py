@@ -6,48 +6,49 @@ exactly, and read off homology dimensions.  Nothing in this module reuses
 the structural shortcuts the constructions themselves rely on.
 
 dim H_n(C)_b = dim ker(d_n)_b - rank(d_{n+1})_b, with the kernel dimension
-coming from rank-nullity.  Reducing all matrix entries modulo a monomial
-ideal J (and restricting to standard monomials) computes H(C tensor R/J)
-instead, which for a resolution of R/I is Tor(R/I, R/J): the tests' oracle
-for ring.is_tor_independent, which proves it is disjointness of supports.
+coming from rank-nullity.  For resolutions X of R/I and Y of R/J, Tor(R/I,
+R/J) = H(X (x) Y) as Z^N-graded modules (balance of Tor, Weibel 2.7), so
+tor_dims ranks X (x) Y by the same walk: the tests' oracle for
+ring.is_tor_independent, which proves it is disjointness of supports.  It
+builds X (x) Y with complexes.tensor and resolutions.resolution_of, so its
+independence from the construction rests on the test reference in
+tests/helpers.py, which ranks X (x) R/J on the standard monomials directly.
 
 Complexes of monomial ideals are Z^N-graded with single-term entries, so a
 piece splits into multidegree blocks: label (j, m) of C_n lies in block
 mdeg_j + m, and its matrix is d_n's scalar coefficients on the block's
 generators (Miller-Sturmfels, ch. 1-4).  It is fixed by the generators with
-mdeg_j <= b (less, modulo J, those with mdeg_j + u <= b for a generator u of
-J).  These all lie below their lcm M, so the block at b is the one at
-min(b, M), and one walk over the box 0 <= b <= M decides every degree; a
+mdeg_j <= b.  These all lie below their lcm M, so the block at b is the one
+at min(b, M), and one walk over the box 0 <= b <= M decides every degree; a
 degree bound only limits the printed table.  The distinct blocks, each
 ranked once, are the points of the LCM lattice (Gasharov-Peeva-Welker, Math.
-Res. Lett. 6, 1999).  The multidegrees and scalars are the labels C
-carries (see complexes).  The labels define the complex, so the certifier
-ranks exactly what is exported, and a complex parsed by `verify --in`
-gets them from the text when it is made.  A complex without them falls
-back to total degree: the piece of each degree d up to the bound, the
-labels (j, m) with twist_j + |m| = d, is ranked as one block by the same
-routine, so the verdicts are bounded.
+Res. Lett. 6, 1999).  The multidegrees and scalars are the labels C carries
+(see complexes).  The labels define the complex, so the certifier ranks
+exactly what is exported, and a complex parsed by `verify --in` gets them
+from the text when it is made.  A complex without them falls back to total
+degree: the piece of each degree d up to the bound, the labels (j, m) with
+twist_j + |m| = d, is ranked as one block by the same routine, so the
+verdicts are bounded.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
 entry d_n[h, g] != 0 keeps homology, deleting row g of d_{n+1} and column h
 of d_{n-1}.  Columns of d_{n-1} that are pivot rows of d_n are skipped:
-d_{n-1} d_n = 0 (which holds modulo J too) makes them combinations of the
-rest, so every column set between "not cancelled" and "all" has the same
-rank.  So d^2 = 0 is checked (`is_complex`) before any block is ranked: by
-scalar sums under labels, by polynomial products on the fallback.  Without
-J a column's entries lie in rows of multidegree <= its own, so the block A
-at b - e_i is a subcomplex of the block B at b (Bayer-Sturmfels's X_{<=b}),
-and Q = B/A is spanned by the new generators N, with d on N's rows.  When
-H_n(A) = 0 for every n > lo, C's lowest degree, the long exact sequence of
-0 -> A -> B -> Q -> 0 (Weibel, An Introduction to Homological Algebra, Thm
-1.3.1) gives H_n(B) = H_n(Q) for n >= lo + 2, dim H_lo(B) = |B_lo| - rank
-d_{lo+1} and dim H_{lo+1}(B) = dim H_{lo+1}(Q) - dim H_lo(A) + dim H_lo(B)
-- dim H_lo(Q).  So b ranks only Q, once per distinct N, and extends an
-echelon basis of d_{lo+1} by N's columns; a block with homology above lo
-(never one of a resolution, whose blocks are its exact strands) is ranked
-whole.  Modulo J a generator leaves the block once mdeg_j + u <= b, so the
-blocks are not nested and each is ranked whole.
+d_{n-1} d_n = 0 makes them combinations of the rest, so every column set
+between "not cancelled" and "all" has the same rank.  So d^2 = 0 is checked
+(`is_complex`) before any block is ranked: by scalar sums under labels, by
+polynomial products on the fallback.  A column's entries lie in rows of
+multidegree <= its own, so the block A at b - e_i is a subcomplex of the
+block B at b (Bayer-Sturmfels's X_{<=b}), and Q = B/A is spanned by the new
+generators N, with d on N's rows.  When H_n(A) = 0 for every n > lo, C's
+lowest degree, the long exact sequence of 0 -> A -> B -> Q -> 0 (Weibel, An
+Introduction to Homological Algebra, Thm 1.3.1) gives H_n(B) = H_n(Q) for
+n >= lo + 2, dim H_lo(B) = |B_lo| - rank d_{lo+1} and dim H_{lo+1}(B) =
+dim H_{lo+1}(Q) - dim H_lo(A) + dim H_lo(B) - dim H_lo(Q).  So b ranks only
+Q, once per distinct N, and extends an echelon basis of d_{lo+1} by N's
+columns.  A block after one with homology above lo (never one of a
+resolution, whose blocks are its exact strands, but one of X (x) Y for a
+Tor-dependent pair) is ranked whole.
 """
 from __future__ import annotations
 
@@ -59,14 +60,16 @@ from operator import eq, mul
 from typing import Optional
 
 from . import linalg
-from .complexes import ChainComplex, is_complex
+from .complexes import ChainComplex, is_complex, tensor
+from .resolutions import resolution_of
 from .ring import InvariantViolation, MonomialIdeal, hilbert_function, mono_mul, mono_str, monomials_of_degree
 
 # The most points of an lcm box that one certification walks: the walk visits
 # every point, keeping its masks and states one slab back but a piece of
 # homology_dims for each, so a box such as that of x^(10^30) would not finish.
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
-# the tests and the benchmark walk, and 531441 at 6+6.
+# the tests and the benchmark walk, and 531441 at 6+6.  Tor's box, that of
+# X (x) Y, reaches the lcm of X's generators times that of J's.
 MAX_BOX_POINTS = 1_000_000
 
 
@@ -74,42 +77,38 @@ class BoxTooLarge(ValueError):
     """The lcm box has more than MAX_BOX_POINTS points."""
 
 
-def _degree_basis(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal]):
+def _degree_basis(C: ChainComplex, n: int, d: int):
     labels = []
     for j, w in enumerate(C.twists(n)):
         rem = d - w
         if rem < 0:
             continue
         for m in monomials_of_degree(C.ring.nvars, rem):
-            if modulo is not None and modulo.contains_monomial(m):
-                continue
             labels.append((j, m))
     return labels
 
 
-def graded_piece(C: ChainComplex, n: int, d: int, modulo: Optional[MonomialIdeal] = None) -> list:
+def graded_piece(C: ChainComplex, n: int, d: int) -> list:
     """The columns of d_n : (C_n)_d -> (C_{n-1})_d over the coefficient field,
     one {row: coefficient} dict per label (generator index, monomial) of the
     source; labels are ordered generator-major, monomials descending lex."""
-    row_index = {lab: i for i, lab in enumerate(_degree_basis(C, n - 1, d, modulo))}
+    row_index = {lab: i for i, lab in enumerate(_degree_basis(C, n - 1, d))}
     mat = C.diff(n)
     columns = []
-    for j, m in _degree_basis(C, n, d, modulo):
+    for j, m in _degree_basis(C, n, d):
         col = {}
         for i, p in mat.column(j).items():
             for me, c in p.terms.items():
-                mono = mono_mul(me, m)
-                if modulo is None or not modulo.contains_monomial(mono):
-                    col[row_index[i, mono]] = c
+                col[row_index[i, mono_mul(me, m)]] = c
         columns.append(col)
     return columns
 
 
-def _dense_pieces(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal]):
+def _dense_pieces(C: ChainComplex, d_max: int):
     """Per degree d <= d_max, (None, d, 0, homology of the degree-d piece),
     ranked as one block whose generators are the piece's labels."""
     for d in range(d_max + 1):
-        columns, degrees = _numbered({n: graded_piece(C, n, d, modulo) for n in C.support()})
+        columns, degrees = _numbered({n: graded_piece(C, n, d) for n in C.support()})
         h, _ = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
         yield None, d, 0, _checked(h, f"degree {d}")
 
@@ -123,30 +122,27 @@ def _numbered(pieces: dict) -> tuple:
     return columns, [(n, (1 << len(cols)) - 1 << first[n]) for n, cols in pieces.items()]
 
 
-def _box_pieces(C: ChainComplex, modulo: Optional[MonomialIdeal], against: Optional[MonomialIdeal]):
+def _box_pieces(C: ChainComplex, against: Optional[MonomialIdeal]):
     """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M,
     for C carrying labels.  The block at b, the labels (g, x^(b - mdeg_g)) of
-    _degree_basis, is the generators g with mdeg_g <= b less those with
-    mdeg_g + u <= b for some u in modulo.gens.  Both sets are bits of one
-    mask per b, the OR of the masks at every b - e_i, walked first, and the
-    bits seeded at b.  M also covers against's generators, so x^b is in
-    against iff x^min(b, M) is.  Without modulo, a state (block, homology,
-    echelon basis of d_{lo+1}) is kept per point, shared while the block
-    does not change; b extends that of its predecessor with the largest
-    block by the long exact sequence when it can.  Masks and states are
-    dropped one slab (b - e_N, the furthest any b reaches back) behind."""
+    _degree_basis, is the generators g with mdeg_g <= b: bit g of one mask
+    per b, the OR of the masks at every b - e_i, walked first, and the bits
+    seeded at b.  M also covers against's generators, so x^b is in against
+    iff x^min(b, M) is.  A state (block, homology, echelon basis of
+    d_{lo+1}) is kept per point, shared while the block does not change; b
+    extends that of its predecessor with the largest block by the long exact
+    sequence when it can, and ranks its block whole when that predecessor
+    has homology above lo.  Masks and states are dropped one slab (b - e_N,
+    the furthest any b reaches back) behind."""
     mdegs = [a for mdeg in C.mdegs.values() for a in mdeg]
     columns, degrees = _numbered({n: C.columns(n) for n in C.mdegs})
-    G = len(mdegs) if modulo else 0  # bit G + g: mdeg_g <= b; bit g: mdeg_g + u <= b, never without modulo
-    seeds = [(G + g, a) for g, a in enumerate(mdegs)]
-    seeds += [(g, mono_mul(a, u)) for g, a in enumerate(mdegs) for u in (modulo.gens if modulo else ())]
-    top = tuple(map(max, zip((0,) * C.ring.nvars, *(b for _, b in seeds), *(against.gens if against else ()))))
+    top = tuple(map(max, zip((0,) * C.ring.nvars, *mdegs, *(against.gens if against else ()))))
     if (points := prod(e + 1 for e in top)) > MAX_BOX_POINTS:
         raise BoxTooLarge(f"lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked")
     steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
     masks, slab, empty = [0] * points, steps[-1], (0, {}, {})
-    for k, b in seeds:
-        masks[sum(map(mul, b, steps))] |= 1 << k
+    for g, b in enumerate(mdegs):
+        masks[sum(map(mul, b, steps))] |= 1 << g
     F, ring, memo, states = C.ring.coeff_field, C.ring, {}, [empty] * points
     lo, low_gens = degrees[0] if degrees else (0, 0)
     up_gens = dict(degrees).get(lo + 1, 0)
@@ -157,32 +153,27 @@ def _box_pieces(C: ChainComplex, modulo: Optional[MonomialIdeal], against: Optio
                 masks[code] |= masks[code - s]
                 if states[code - s][0].bit_count() > state[0].bit_count():
                     state = states[code - s]
-        block = masks[code] >> G & ~masks[code] if modulo else masks[code]
+        block = masks[code]
         if code >= slab:
             masks[code - slab], states[code - slab] = 0, empty
-        if modulo:
-            if block not in memo:
-                memo[block] = _checked(_block_homology(F, columns, degrees, block)[0], b, ring)
-            h = memo[block]
-        else:
-            A, hA, low = state
-            if block != A and hA.keys() <= {lo}:  # the long exact sequence of A -> B -> B/A
-                if (N := block & ~A) not in memo:
-                    memo[N] = _checked(_block_homology(F, columns, degrees, N)[0], b, ring)
-                hQ, size = memo[N], (block & low_gens).bit_count()
-                if N & up_gens and len(low) < size:
-                    low = linalg.echelon(F, (dict(columns[g]) for g in _bits(N & up_gens)), basis=low)
-                h = {n: v for n, v in hQ.items() if n > lo + 1}
-                if h_lo := size - len(low):
-                    h[lo] = h_lo
-                if up := hQ.get(lo + 1, 0) - hA.get(lo, 0) + h_lo - hQ.get(lo, 0):
-                    h[lo + 1] = up
-                state = block, _checked(h, b, ring) if up < 0 else h, low  # hQ is checked
-            elif block != A:
-                h, basis = _block_homology(F, columns, degrees, block)
-                state = block, _checked(h, b, ring), {p: v for p, v in basis.items() if low_gens >> p & 1}
-            states[code], h = state, state[1]
-        yield b, sum(b), sum(map(eq, b, top)), h
+        A, hA, low = state
+        if block != A and hA.keys() <= {lo}:  # the long exact sequence of A -> B -> B/A
+            if (N := block & ~A) not in memo:
+                memo[N] = _checked(_block_homology(F, columns, degrees, N)[0], b, ring)
+            hQ, size = memo[N], (block & low_gens).bit_count()
+            if N & up_gens and len(low) < size:
+                low = linalg.echelon(F, (dict(columns[g]) for g in _bits(N & up_gens)), basis=low)
+            h = {n: v for n, v in hQ.items() if n > lo + 1}
+            if h_lo := size - len(low):
+                h[lo] = h_lo
+            if up := hQ.get(lo + 1, 0) - hA.get(lo, 0) + h_lo - hQ.get(lo, 0):
+                h[lo + 1] = up
+            state = block, _checked(h, b, ring) if up < 0 else h, low  # hQ is checked
+        elif block != A:
+            h, basis = _block_homology(F, columns, degrees, block)
+            state = block, _checked(h, b, ring), {p: v for p, v in basis.items() if low_gens >> p & 1}
+        states[code] = state
+        yield b, sum(b), sum(map(eq, b, top)), state[1]
 
 
 def _bits(mask: int):
@@ -236,17 +227,16 @@ class HomologyReport:
         return {(n, d): v for (n, d), v in self.dims.items() if n >= 1}
 
 
-def homology_dims(C: ChainComplex, d_max: int, modulo: Optional[MonomialIdeal] = None,
-                  against: Optional[MonomialIdeal] = None) -> HomologyReport:
-    """Dimensions of H_n(C (x) R/modulo)_d for every n and d <= d_max, and
-    whether H_0 is R/against.  The b of degree d with min(b, M) = c are
+def homology_dims(C: ChainComplex, d_max: int, against: Optional[MonomialIdeal] = None) -> HomologyReport:
+    """Dimensions of H_n(C)_d for every n and d <= d_max, and whether H_0 is
+    R/against.  The b of degree d with min(b, M) = c are
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
     if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
     graded = C.is_multigraded()
-    pieces = list(_box_pieces(C, modulo, against) if graded else _dense_pieces(C, d_max, modulo))
+    pieces = list(_box_pieces(C, against) if graded else _dense_pieces(C, d_max))
     weights = Counter((n, deg, free, v) for _, deg, free, h in pieces for n, v in h.items() if v)
     dims: Counter = Counter()
     for (n, deg, free, v), count in weights.items():
@@ -276,9 +266,9 @@ def certifies_resolution_of(C: ChainComplex, I: MonomialIdeal, d_max: int) -> bo
 
 
 def tor_dims(X: ChainComplex, J: MonomialIdeal, d_max: int) -> HomologyReport:
-    """Tor_n(H_0(X), R/J) dimensions by internal degree, for X a resolution:
-    reduce the differentials of X modulo J and take homology over the
-    standard-monomial basis of R/J.  Its homology_at, even at bound 0, is
-    the first (n, b) with Tor_n nonzero at b, in every degree."""
-    return homology_dims(X, d_max, modulo=J)
+    """Tor_n(H_0(X), R/J) dimensions by internal degree, for X a resolution
+    carrying labels: the homology of X (x) Y for Y the minimal resolution of
+    R/J (balance of Tor).  Its homology_at, even at bound 0, is the first
+    (n, b) with Tor_n nonzero at b, in every degree."""
+    return homology_dims(tensor(X, resolution_of(J)), d_max)
 

@@ -378,19 +378,44 @@ def dense_solve(F, nrows, ncols, entries, rhs):
     return x
 
 
-def dense_homology(C, d_max, modulo=None):
-    """Oracle for homology_dims: the columns of each graded piece (n, d),
-    read into a dense {(row, column): c} matrix and ranked whole by
-    dense_rank, with rank-nullity.  Shares no elimination with homcheck,
-    which ranks multidegree blocks on the box walk and, for a complex that
-    is not multigraded, each degree's piece as one block by the same routine
-    (a bounded verdict).  Returns (nonzero dims by (n, d), h0)."""
-    from starcone.homcheck import graded_piece
+def _reduced_piece(C, n, d, modulo=None):
+    """The columns of d_n : (C_n)_d -> (C_{n-1})_d over the coefficient
+    field, one {row: c} per label (generator j, monomial m) with twist_j +
+    |m| = d, generator-major, reduced modulo the monomial ideal modulo when
+    one is given: labels whose monomial lies in it are left out, and so are
+    the entries that land there.  The direct standard-monomial reduction of
+    C (x) R/modulo, built apart from homcheck, which computes Tor as the
+    homology of X (x) Y instead."""
+    def labels(k):
+        return [(j, m) for j, w in enumerate(C.twists(k)) if d >= w
+                for m in monomials_of_degree(C.ring.nvars, d - w)
+                if modulo is None or not modulo.contains_monomial(m)]
 
+    rows = {lab: i for i, lab in enumerate(labels(n - 1))}
+    columns = []
+    for j, m in labels(n):
+        col = {}
+        for i, p in C.diff(n).column(j).items():
+            for e, c in p.terms.items():
+                mono = mono_mul(e, m)
+                if modulo is None or not modulo.contains_monomial(mono):
+                    col[rows[i, mono]] = c
+        columns.append(col)
+    return columns
+
+
+def dense_homology(C, d_max, modulo=None):
+    """Oracle for homology_dims, and for tor_dims when modulo is given: the
+    columns of each _reduced_piece (n, d), read into a dense {(row, column):
+    c} matrix and ranked whole by dense_rank, with rank-nullity.  Shares no
+    slicing or elimination with homcheck, which ranks multidegree blocks on
+    the box walk and, for a complex that is not multigraded, each degree's
+    piece as one block by the same routine (a bounded verdict).  Returns
+    (nonzero dims by (n, d), h0)."""
     F = C.ring.coeff_field
     dims, h0 = {}, []
     for d in range(d_max + 1):
-        pieces = {n: graded_piece(C, n, d, modulo) for n in C.support()}
+        pieces = {n: _reduced_piece(C, n, d, modulo) for n in C.support()}
         ranks = {}
         for n, cols in pieces.items():
             entries = {(i, j): c for j, col in enumerate(cols) for i, c in col.items()}

@@ -105,6 +105,23 @@ def test_bound_above_the_printed_table_is_usage(tmp_path, capsys):
     assert f"at most {MAX_DEGREE_BOUND}" in " ".join(capsys.readouterr().out.split())
 
 
+# R(1), and R(2) <- R(1) by x: every twist is negative.
+NEGATIVE_TWISTS = {
+    "free_module": {"modules": {"0": [-1]}},
+    "map_by_x": {"modules": {"0": [-2], "1": [-1]}, "differentials": {"1": [["x"]]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_TWISTS))
+def test_negative_twists_certify_at_the_default_bound(tmp_path, case):
+    """The default degree bound is the largest twist, but never below 0."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"ring": RingSpec(("x",)).describe(), **NEGATIVE_TWISTS[case]}))
+    code, text = run_argv(["verify", "--in", str(path)])
+    assert code == 0, text
+    assert text.endswith("\nverdict: exact\n")
+
+
 @pytest.mark.parametrize("exponents", [(10 ** 30,), (200, 200, 200)], ids=["x_10_30", "xyz_200"])
 def test_box_too_large_to_walk_is_usage(tmp_path, capsys, exponents):
     """d_1 = (x^(10^30)) once overflowed allocating its lcm box, and
@@ -465,6 +482,7 @@ MALFORMED = {
     "top_level_list": lambda: f"[{_broken_export(lambda d: None)}]",
     "ring_list": lambda: _broken_export(lambda d: d.update(ring=[])),
     "differentials_list": lambda: _broken_export(lambda d: d.update(differentials=[])),
+    "deep_nesting": lambda: "[" * 200000 + "]" * 200000,
 }
 # The reason given for a part of the document that is not a JSON object, and
 # for a row of the wrong length.

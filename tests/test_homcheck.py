@@ -157,13 +157,18 @@ def test_tor_computed_mode_witness_location():
 @given(st.data())
 def test_tor_independence_agrees_with_the_tor_oracle(data):
     """Decided on the ideals (I cap J = IJ, by rigidity), Tor-independence
-    agrees with Tor computed by the box walk modulo J in every degree, and
-    the witness with the walk's first (n, |b|).  An independent pair, with
-    I' and J' multiples of some of its generators, is a fiber product."""
+    agrees with Tor computed by the box walk as H(X (x) Y) in every degree,
+    and the witness with the walk's first (n, |b|).  Up to the degree of the
+    lcm of I and J, that Tor agrees with the direct reduction of X modulo J,
+    dependent pairs included, whose X (x) Y has homology above its lowest
+    degree.  An independent pair, with I' and J' multiples of some of its
+    generators, is a fiber product."""
     ring = RingSpec(("x", "y", "z")[:data.draw(st.integers(1, 3))])
     I, J = data.draw(small_ideals(ring)), data.draw(small_ideals(ring))
-    rep, at = is_tor_independent(I, J), tor_dims(resolution_of(I), J, 0).homology_at
-    assert bool(rep) == (at is None)
+    X, bound = resolution_of(I), mono_degree(reduce(mono_lcm, I.gens + J.gens))
+    rep, tor = is_tor_independent(I, J), tor_dims(X, J, bound)
+    assert (tor.dims, tor.h0) == dense_homology(X, bound, J)
+    assert bool(rep) == ((at := tor.homology_at) is None)
     if at is not None:
         assert rep.witness == (at[0], mono_degree(at[1]))
         return
@@ -223,24 +228,25 @@ def _oracle_corpus():
     ident = ChainMap(C, C, {n: [{g: 1} for g in range(C.rank(n))] for n in C.support()})
     yield "cone of the identity", cone(ident), 4, None
     yield "mutated fiber", _mutated_fiber()[1], 6, None
-    # Not exact, without modulo; the homology sits above every twist.
+    # Not exact; the homology sits above every twist.
     yield "koszul without its syzygy", koszul_without_syzygy()[0], 3, None
     for name, F in (("", None), (" over Q", RationalField())):
         C = fiber_without_top_module(F)[0]
         yield "fiber without its top module" + name, C, _lcm_degree(C), None
-    # Without modulo a block is ranked from its predecessor's by the long
-    # exact sequence, or from scratch when that block has homology above the
-    # lowest degree lo.  A suspension moves lo off 0 (an odd one negates every
-    # entry), a sum of two resolutions has rank 2 at lo, so that the echelon
-    # basis of d_(lo+1) grows past one column, and a summand without its top
-    # module has homology above lo.
+    # A block is ranked from its predecessor's by the long exact sequence, or
+    # from scratch when that block has homology above the lowest degree lo.
+    # A suspension moves lo off 0 (an odd one negates every entry), a sum of
+    # two resolutions has rank 2 at lo, so that the echelon basis of
+    # d_(lo+1) grows past one column, and a summand without its top module
+    # has homology above lo.
     ring = RingSpec(("x", "y", "z"))
     for name, C in _sequence_shapes(resolution_of(MonomialIdeal.parse(["x^2", "x*y", "y*z^2"], ring)),
                                     resolution_of(MonomialIdeal.parse(["x*z", "y^2"], ring))):
         yield name, C, _lcm_degree(C), None
-    # Modulo the maximal ideal, the block at b is the generators of
+    # Tor by the maximal ideal at b is spanned by the generators of X of
     # multidegree b.  I is the Stanley-Reisner ideal of a point and a
-    # 2-sphere, so b = abcde has generators in degrees 2 and 4 but none in 3.
+    # 2-sphere, so b = abcde has generators in degrees 2 and 4 but none in 3,
+    # and X (x) Y has homology in both there.
     ring = RingSpec(tuple("abcde"))
     X = resolution_of(MonomialIdeal.parse(["a*e", "b*e", "c*e", "d*e", "a*b*c*d"], ring))
     at_b = {n for n, mdeg in multidegrees(X).items() if (1, 1, 1, 1, 1) in mdeg}
@@ -250,7 +256,8 @@ def _oracle_corpus():
     # first has H_1 != 0: both generators are multiples of x + y.
     ring = RingSpec(("x", "y", "z"))
     yield "non-multigraded koszul with homology", K(ring, "x + y", "x*z + y*z"), 5, None
-    yield "non-multigraded koszul modulo z", K(ring, "x + y", "z^2"), 5, MonomialIdeal.parse(["z"], ring)
+    pytest.raises(ValueError, tor_dims, K(ring, "x + y", "z^2"), MonomialIdeal.parse(["z"], ring), 5).match(
+        r"^complex is not multigraded with single-term entries$")
 
 
 def _lcm_degree(C):
@@ -430,8 +437,8 @@ def test_box_walk_agrees_with_dense_oracle_off_minimal_complexes(I):
 
 def test_box_limit_is_inclusive(monkeypatch):
     """A box of MAX_BOX_POINTS points is walked and one more is refused; the
-    box modulo J also covers mdeg + u for u in J.  The limit sits above the
-    6+6 block instances' box of 3^12 points."""
+    box of Tor, that of X (x) Y, also covers the generators of J.  The limit
+    sits above the 6+6 block instances' box of 3^12 points."""
     assert MAX_BOX_POINTS >= 3 ** 12
     monkeypatch.setattr(starcone.homcheck, "MAX_BOX_POINTS", 8)
     ring = RingSpec(("x", "y"))

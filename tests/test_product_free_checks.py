@@ -75,29 +75,28 @@ def complexes(draw):
     return taylor(I) if kind == "taylor" else resolution_of(I)
 
 
-def _assert_d2_check_agrees(C: ChainComplex, modulo):
+def _assert_d2_check_agrees(C: ChainComplex):
     squares_to_zero = product_is_complex(C)
     assert is_complex(C) == squares_to_zero
     if squares_to_zero:
-        homology_dims(C, 1, modulo=modulo)
+        homology_dims(C, 1)
         return
     refuse = AssertionError("a block was ranked before d^2 was checked")
     with patch.object(starcone.homcheck, "_block_homology", side_effect=refuse), \
             pytest.raises(ValueError, match=r"^d\^2 != 0: homology dimensions are undefined$"):
-        homology_dims(C, 1, modulo=modulo)
+        homology_dims(C, 1)
 
 
 @seed(20261020)
-@given(complexes(), PERTURBATIONS, st.booleans())
-def test_d2_check_agrees_with_products(C, perturbation, reduce_mod):
+@given(complexes(), PERTURBATIONS)
+def test_d2_check_agrees_with_products(C, perturbation):
     """homology_dims raises the d^2 error, before ranking any block, iff the
-    reference product d_{n-1} d_n is nonzero, with and without modulo; the
-    perturbed complex is multigraded or falls back to total degree."""
+    reference product d_{n-1} d_n is nonzero; the perturbed complex is
+    multigraded or falls back to total degree."""
     if not C.diffs:
         return
-    modulo = MonomialIdeal(C.ring, [(0,) * (C.ring.nvars - 1) + (1,)]) if reduce_mod else None
-    _assert_d2_check_agrees(C, modulo)
-    _assert_d2_check_agrees(_with_diffs(C, perturbed(C.diffs, *perturbation)), modulo)
+    _assert_d2_check_agrees(C)
+    _assert_d2_check_agrees(_with_diffs(C, perturbed(C.diffs, *perturbation)))
 
 
 def test_d2_check_covers_both_paths():
