@@ -6,13 +6,10 @@ exactly, and read off homology dimensions.  Nothing in this module reuses
 the structural shortcuts the constructions themselves rely on.
 
 dim H_n(C)_b = dim ker(d_n)_b - rank(d_{n+1})_b, with the kernel dimension
-coming from rank-nullity.  For resolutions X of R/I and Y of R/J, Tor(R/I,
-R/J) = H(X (x) Y) as Z^N-graded modules (balance of Tor, Weibel 2.7), so
-tor_dims ranks X (x) Y by the same walk: the tests' oracle for
-ring.is_tor_independent, which proves it is disjointness of supports.  It
-builds X (x) Y with complexes.tensor and resolutions.resolution_of, so its
-independence from the construction rests on the test reference in
-tests/helpers.py, which ranks X (x) R/J on the standard monomials directly.
+coming from rank-nullity.  tor_dims, the tests' oracle for
+ring.is_tor_independent, ranks X (x) Y by the same walk.  It builds X (x) Y
+with complexes.tensor and resolutions.resolution_of, so its independence
+from the construction rests on the test reference in tests/helpers.py.
 
 Complexes of monomial ideals are Z^N-graded with single-term entries, so a
 piece splits into multidegree blocks: label (j, m) of C_n lies in block
@@ -26,8 +23,8 @@ Res. Lett. 6, 1999).  The multidegrees and scalars are the labels C carries
 (see complexes).  The labels define the complex, so the certifier ranks
 exactly what is exported, and a complex parsed by `verify --in` gets them
 from the text when it is made.  A complex without them falls back to total
-degree: the piece of each degree d up to the bound, the labels (j, m) with
-twist_j + |m| = d, is ranked as one block by the same routine, so the
+degree: the piece of each degree d up to the bound, from the lowest twist
+if it is negative, the labels (j, m) with twist_j + |m| = d, is ranked as one block by the same routine, so the
 verdicts are bounded.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
@@ -47,8 +44,7 @@ n >= lo + 2, dim H_lo(B) = |B_lo| - rank d_{lo+1} and dim H_{lo+1}(B) =
 dim H_{lo+1}(Q) - dim H_lo(A) + dim H_lo(B) - dim H_lo(Q).  So b ranks only
 Q, once per distinct N, and extends an echelon basis of d_{lo+1} by N's
 columns.  A block after one with homology above lo (never one of a
-resolution, whose blocks are its exact strands, but one of X (x) Y for a
-Tor-dependent pair) is ranked whole.
+resolution, whose blocks are its exact strands) is ranked whole.
 """
 from __future__ import annotations
 
@@ -68,8 +64,7 @@ from .ring import InvariantViolation, MonomialIdeal, hilbert_function, mono_mul,
 # every point, keeping its masks and states one slab back but a piece of
 # homology_dims for each, so a box such as that of x^(10^30) would not finish.
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
-# the tests and the benchmark walk, and 531441 at 6+6.  Tor's box, that of
-# X (x) Y, reaches the lcm of X's generators times that of J's.
+# the tests and the benchmark walk, and 531441 at 6+6.
 MAX_BOX_POINTS = 1_000_000
 
 
@@ -105,9 +100,10 @@ def graded_piece(C: ChainComplex, n: int, d: int) -> list:
 
 
 def _dense_pieces(C: ChainComplex, d_max: int):
-    """Per degree d <= d_max, (None, d, 0, homology of the degree-d piece),
-    ranked as one block whose generators are the piece's labels."""
-    for d in range(d_max + 1):
+    """Per degree d <= d_max, from C's lowest twist if it is negative, (None,
+    d, 0, homology of the degree-d piece), ranked as one block whose
+    generators are the piece's labels."""
+    for d in range(min([0, *(w for n in C.support() for w in C.twists(n))]), d_max + 1):
         columns, degrees = _numbered({n: graded_piece(C, n, d) for n in C.support()})
         h, _ = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
         yield None, d, 0, _checked(h, f"degree {d}")
@@ -227,7 +223,7 @@ class HomologyReport:
         return {(n, d): v for (n, d), v in self.dims.items() if n >= 1}
 
 
-def homology_dims(C: ChainComplex, d_max: int, against: Optional[MonomialIdeal] = None) -> HomologyReport:
+def homology_dims(C: ChainComplex, d_max: int, *, against: Optional[MonomialIdeal] = None) -> HomologyReport:
     """Dimensions of H_n(C)_d for every n and d <= d_max, and whether H_0 is
     R/against.  The b of degree d with min(b, M) = c are
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
@@ -245,7 +241,8 @@ def homology_dims(C: ChainComplex, d_max: int, against: Optional[MonomialIdeal] 
     h0 = [dims[0, d] for d in range(d_max + 1)]
     at = min(((n, deg, b) for b, deg, _, h in pieces for n, v in h.items() if n >= 1 and v), default=None)
     h0_matches = None if against is None else (
-        h0 == hilbert_function(against, d_max) if not graded
+        h0 == hilbert_function(against, d_max) and not any(v for (n, d), v in dims.items() if n == 0 and d < 0)
+        if not graded
         else all(h.get(0, 0) == (not against.contains_monomial(b)) for b, _, _, h in pieces))
     return HomologyReport(
         dims={cell: v for cell, v in dims.items() if v},

@@ -105,21 +105,25 @@ def test_bound_above_the_printed_table_is_usage(tmp_path, capsys):
     assert f"at most {MAX_DEGREE_BOUND}" in " ".join(capsys.readouterr().out.split())
 
 
-# R(1), and R(2) <- R(1) by x: every twist is negative.
+# Every twist is negative: R(1), R(2) <- R(1) by x, both exact, and the
+# same map one homological degree up, whose H_1 = k(2) lies in degree -2 alone.
 NEGATIVE_TWISTS = {
-    "free_module": {"modules": {"0": [-1]}},
-    "map_by_x": {"modules": {"0": [-2], "1": [-1]}, "differentials": {"1": [["x"]]}},
+    "free_module": ({"modules": {"0": [-1]}}, 0, "exact"),
+    "map_by_x": ({"modules": {"0": [-2], "1": [-1]}, "differentials": {"1": [["x"]]}}, 0, "exact"),
+    "homology_below_0": ({"modules": {"1": [-2], "2": [-1]}, "differentials": {"2": [["x"]]}}, 3, "FAILED"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NEGATIVE_TWISTS))
 def test_negative_twists_certify_at_the_default_bound(tmp_path, case):
-    """The default degree bound is the largest twist, but never below 0."""
+    """The default degree bound is the largest twist, but never below 0, and
+    the degrees below 0 down to the lowest twist are ranked too."""
+    doc, expected_code, verdict = NEGATIVE_TWISTS[case]
     path = tmp_path / "in.json"
-    path.write_text(json.dumps({"ring": RingSpec(("x",)).describe(), **NEGATIVE_TWISTS[case]}))
+    path.write_text(json.dumps({"ring": RingSpec(("x",)).describe(), **doc}))
     code, text = run_argv(["verify", "--in", str(path)])
-    assert code == 0, text
-    assert text.endswith("\nverdict: exact\n")
+    assert code == expected_code, text
+    assert text.endswith(f"\nverdict: {verdict}\n")
 
 
 @pytest.mark.parametrize("exponents", [(10 ** 30,), (200, 200, 200)], ids=["x_10_30", "xyz_200"])

@@ -1,5 +1,6 @@
 """Degreewise homology computation, Tor independence, mutation detection."""
 import importlib.util
+import json
 import random
 from functools import reduce
 from pathlib import Path
@@ -19,6 +20,7 @@ from starcone import (
     block_instance,
     build_fiber,
     certifies_resolution_of,
+    complex_from_json,
     cone,
     default_degree_bound,
     direct_sum,
@@ -325,6 +327,19 @@ def test_non_multigraded_complex_falls_back_to_graded_pieces(monkeypatch):
     assert calls
     with pytest.raises(ValueError, match=r"^complex is not multigraded with single-term entries$"):
         tor_dims(C, MonomialIdeal.parse(["z"], ring), 5)
+
+
+def test_fallback_ranks_from_the_lowest_twist():
+    """R(2) <- R(1) by x in homological degrees 1 and 2 has H_1 = k(2), in
+    degree -2 alone; R(1) has H_0 in degree -1, so it is not R/(x)."""
+    ring = RingSpec(("x",))
+    def read(doc):
+        return complex_from_json(json.dumps({"ring": ring.describe(), **doc}))
+
+    rep = homology_dims(read({"modules": {"1": [-2], "2": [-1]}, "differentials": {"2": [["x"]]}}), 0)
+    assert rep.dims == {(1, -2): 1} and not rep.exact_in_positive
+    rep = homology_dims(read({"modules": {"0": [-1]}}), 0, against=MonomialIdeal.parse(["x"], ring))
+    assert rep.h0 == [1] and rep.h0_matches is False
 
 
 def test_both_walks_rank_without_linalg_rank(monkeypatch):
