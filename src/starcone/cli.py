@@ -369,8 +369,8 @@ def _read_complex(path: str) -> ChainComplex:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return complex_from_json(fh.read())
-    except (FileNotFoundError, PolyParseError):
-        raise  # reported as usage and parse errors by run()
+    except FileNotFoundError:
+        raise  # reported as a usage error by run()
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
         reason = f"missing key {e}" if isinstance(e, KeyError) else " ".join(str(e).split())
         raise UsageError(f"cannot read a complex from {path}: {reason}") from None

@@ -20,7 +20,7 @@ from .fields import PrimeField, field_from_description
 
 Monomial = tuple  # exponent tuple, one entry per ring variable
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"  # a variable name, in RingSpec and the parser
 
 
 class PolyParseError(ValueError):
@@ -47,7 +47,7 @@ class RingSpec:
         if not self.variables:
             raise ValueError("ring needs at least one variable")
         for v in self.variables:
-            if not _NAME_RE.match(v):
+            if not re.fullmatch(_NAME, v):
                 raise ValueError(f"bad variable name {v!r}")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
@@ -271,92 +271,47 @@ class Polynomial:
 
 # ------------------------------------------------------------------ parser
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+# The grammar of poly_parse's docstring, which has no nesting.  No two
+# whitespace runs are adjacent, so a refusal never backtracks far.
+_FACTOR = rf"(?:\d+(?:\s*/\s*\d+)?|{_NAME}(?:\s*\^\s*\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_POLY_RE = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+# Readers for accepted text: each term with its sign, then each factor.
+_SIGNED_TERM_RE = re.compile(r"\s*([+-]?)([^+-]+)")
+_FACTOR_RE = re.compile(rf"(\d+)(?:\s*/\s*(\d+))?|({_NAME})(?:\s*\^\s*(\d+))?")
 
 
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise PolyParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "int":
-            out.append(("int", int(m.group("int"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    return out
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise PolyParseError(f"integer literal of {len(digits)} digits is too long") from None
 
 
 def poly_parse(text: str, ring: RingSpec) -> Polynomial:
-    """Parse `term (+|- term)*` where a term is a '*'-joined product of an
-    optional integer (or integer/integer) coefficient and var^nat factors."""
-    toks = _tokenize(text)
-    if not toks:
-        raise PolyParseError("empty polynomial text")
-    F = ring.coeff_field
+    """Parse an optional sign, then `term ([+-] term)*`: a term is `factor
+    (* factor)*`, a factor `n`, `n/d`, `name` or `name^n`, and whitespace
+    may stand before any token.  Text outside the grammar raises one
+    PolyParseError naming the position where the grammar stops, and so do
+    an unknown variable, a zero or non-invertible denominator and an
+    integer too long for int()."""
+    if not _POLY_RE.fullmatch(text):
+        m = _POLY_RE.match(text)
+        raise PolyParseError(f"cannot parse {text!r} at position {m.end() if m else 0}")
     result = Polynomial.zero(ring)
-    i = 0
-
-    def parse_factor(i, coeff, expts):
-        kind, val = toks[i]
-        if kind == "int":
-            num, i = val, i + 1
-            if i < len(toks) and toks[i] == ("op", "/"):
-                i += 1
-                if i >= len(toks) or toks[i][0] != "int":
-                    raise PolyParseError("malformed rational coefficient")
+    for sign, term in _SIGNED_TERM_RE.findall(text):
+        coeff, expts = -1 if sign == "-" else 1, [0] * ring.nvars
+        for num, den, name, power in _FACTOR_RE.findall(term):
+            if name:
+                expts[ring.var_index(name)] += _int(power) if power else 1
+            elif den:
                 try:
-                    coeff *= F.of_fraction(num, toks[i][1])
+                    coeff *= ring.coeff_field.of_fraction(_int(num), _int(den))
                 except ZeroDivisionError as e:
                     raise PolyParseError(str(e)) from None
-                i += 1
             else:
-                coeff *= num
-            return i, coeff, expts
-        if kind == "name":
-            idx = ring.var_index(val)
-            i += 1
-            e = 1
-            if i < len(toks) and toks[i] == ("op", "^"):
-                i += 1
-                if i >= len(toks) or toks[i][0] != "int":
-                    raise PolyParseError(f"malformed exponent after {val!r}")
-                e = toks[i][1]
-                i += 1
-            expts[idx] += e
-            return i, coeff, expts
-        raise PolyParseError(f"unexpected token {val!r}")
-
-    sign = 1
-    if toks[0] == ("op", "-"):
-        sign, i = -1, 1
-    elif toks[0] == ("op", "+"):
-        i = 1
-    while i < len(toks):
-        coeff, expts = sign, [0] * ring.nvars
-        i, coeff, expts = parse_factor(i, coeff, expts)
-        while i < len(toks) and toks[i] == ("op", "*"):
-            i += 1
-            if i >= len(toks):
-                raise PolyParseError("dangling '*'")
-            i, coeff, expts = parse_factor(i, coeff, expts)
+                coeff *= _int(num)
         result = result + Polynomial.monomial(ring, tuple(expts), coeff)
-        if i >= len(toks):
-            break
-        kind, val = toks[i]
-        if kind != "op" or val not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {val!r}")
-        sign = 1 if val == "+" else -1
-        i += 1
-        if i >= len(toks):
-            raise PolyParseError(f"dangling {val!r}")
     return result
 
 

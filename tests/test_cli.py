@@ -52,6 +52,13 @@ def test_parse_error_is_usage():
     assert code == 2
 
 
+def test_lone_sign_ideal_is_parse_error():
+    # a lone sign is not the zero polynomial, so I' cannot silently become <0>
+    code, text = run_argv(["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime=-", "--jprime", "y^2"])
+    assert code == 2
+    assert text.startswith("parse error: ") and text.count("\n") == 1
+
+
 def test_composite_prime_rejected():
     # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
     # pseudoprime to the twelve prime bases 2..37
@@ -487,6 +494,10 @@ MALFORMED = {
     "ring_list": lambda: _broken_export(lambda d: d.update(ring=[])),
     "differentials_list": lambda: _broken_export(lambda d: d.update(differentials=[])),
     "deep_nesting": lambda: "[" * 200000 + "]" * 200000,
+    "unparsable_cell": lambda: _broken_export(
+        lambda d: d["differentials"].update({"1": [["x +", "x^2", "y^2"]]})),
+    "lone_sign_cell": lambda: _broken_export(
+        lambda d: d["differentials"].update({"1": [["-", "x^2", "y^2"]]})),
 }
 # The reason given for a part of the document that is not a JSON object, and
 # for a row of the wrong length.

@@ -1,4 +1,6 @@
 """Polynomial arithmetic, parsing, and monomial ideal calculus."""
+import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -52,9 +54,66 @@ def test_parse_canonical_order_is_graded_then_lex():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["x +", "^2", "q", "x^", "3*", "x^-2", "", "1/32003*x", "1/0"]:
+    for bad in ["x +", "^2", "q", "x^", "3*", "x^-2", "", "1/32003*x", "1/0", "+", "-", " - "]:
         with pytest.raises(PolyParseError):
             P(bad)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        for bad in ["1" * (limit + 1) + "*x", "x^" + "1" * (limit + 1)]:
+            with pytest.raises(PolyParseError, match="too long"):
+                P(bad)
+
+
+@pytest.mark.parametrize("text", ["x*" * 20000 + "!", "x + " * 20000 + "!", " " * 20000 + "!"])
+def test_parse_refuses_long_text_without_backtracking(text):
+    # each has 20000 tokens or blanks; an exponentially backtracking grammar hangs here
+    with pytest.raises(PolyParseError):
+        P(text)
+
+
+blank = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def texts_with_values(draw):
+    """Text drawn from the parser's grammar, with whitespace before every
+    token, and the polynomial it denotes, computed by Polynomial arithmetic."""
+    ring = draw(st.sampled_from([RING3, RingSpec(RING3.variables, coeff_field=RationalField())]))
+    one = (0,) * ring.nvars
+    text, value = "", Polynomial.zero(ring)
+    for i in range(draw(st.integers(1, 4))):
+        neg = draw(st.booleans())
+        if neg or i or draw(st.booleans()):  # the first term's + is optional
+            text += draw(blank) + ("-" if neg else "+")
+        term = Polynomial.monomial(ring, one, -1 if neg else 1)
+        factors = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["int", "fraction", "variable"]))
+            if kind == "int":
+                n = draw(st.integers(0, 40000))
+                factors.append(draw(blank) + str(n))
+                term *= Polynomial.monomial(ring, one, n)
+            elif kind == "fraction":
+                a, b = draw(st.integers(0, 99)), draw(st.integers(1, 99))
+                factors.append(f"{draw(blank)}{a}{draw(blank)}/{draw(blank)}{b}")
+                term *= Polynomial.monomial(ring, one, Fraction(a, b))
+            else:
+                v = draw(st.integers(0, ring.nvars - 1))
+                e = draw(st.one_of(st.none(), st.integers(0, 3)))
+                factors.append(draw(blank) + ring.variables[v]
+                               + ("" if e is None else f"{draw(blank)}^{draw(blank)}{e}"))
+                m = [0] * ring.nvars
+                m[v] = 1 if e is None else e
+                term *= Polynomial.monomial(ring, tuple(m))
+        text += (draw(blank) + "*").join(factors)
+        value += term
+    return text + draw(blank), ring, value
+
+
+@given(texts_with_values())
+def test_parse_follows_the_grammar(case):
+    text, ring, value = case
+    assert poly_parse(text, ring) == value
 
 
 def test_parse_rational_coefficients():
