@@ -61,8 +61,8 @@ from .resolutions import resolution_of
 from .ring import InvariantViolation, MonomialIdeal, hilbert_function, mono_mul, mono_str, monomials_of_degree
 
 # The most points of an lcm box that one certification walks: the walk visits
-# every point, keeping its masks and states one slab back but a piece of
-# homology_dims for each, so a box such as that of x^(10^30) would not finish.
+# every point, keeping masks and states one slab back and homology_dims only
+# running totals, so a box such as that of x^(10^30) would not finish.
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
 # the tests and the benchmark walk, and 531441 at 6+6.
 MAX_BOX_POINTS = 1_000_000
@@ -231,19 +231,21 @@ def homology_dims(C: ChainComplex, d_max: int, *, against: Optional[MonomialIdea
         raise ValueError("degree bound must be >= 0")
     if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
-    graded = C.is_multigraded()
-    pieces = list(_box_pieces(C, against) if graded else _dense_pieces(C, d_max))
-    weights = Counter((n, deg, free, v) for _, deg, free, h in pieces for n, v in h.items() if v)
+    graded, weights, at, h0_ok = C.is_multigraded(), Counter(), None, True
+    for b, deg, free, h in _box_pieces(C, against) if graded else _dense_pieces(C, d_max):
+        for n, v in h.items():
+            weights[n, deg, free, v] += 1
+            if n >= 1 and (at is None or (n, deg, b) < at):
+                at = n, deg, b
+        if graded and against is not None and h0_ok:
+            h0_ok = h.get(0, 0) == (not against.contains_monomial(b))
     dims: Counter = Counter()
     for (n, deg, free, v), count in weights.items():
         for d in range(deg, d_max + 1):
             dims[n, d] += count * v * (comb(d - deg + free - 1, free - 1) if free else d == deg)
     h0 = [dims[0, d] for d in range(d_max + 1)]
-    at = min(((n, deg, b) for b, deg, _, h in pieces for n, v in h.items() if n >= 1 and v), default=None)
-    h0_matches = None if against is None else (
-        h0 == hilbert_function(against, d_max) and not any(v for (n, d), v in dims.items() if n == 0 and d < 0)
-        if not graded
-        else all(h.get(0, 0) == (not against.contains_monomial(b)) for b, _, _, h in pieces))
+    h0_matches = None if against is None else h0_ok if graded else (
+        h0 == hilbert_function(against, d_max) and not any(v for (n, d), v in dims.items() if n == 0 and d < 0))
     return HomologyReport(
         dims={cell: v for cell, v in dims.items() if v},
         degree_bound=d_max,

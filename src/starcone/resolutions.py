@@ -1,5 +1,5 @@
 """Free resolutions of monomial quotients: Koszul and Taylor complexes,
-plus Gaussian minimization of an arbitrary complex by sparse Schur updates.
+plus Gaussian minimization by sparse Schur updates in one sweep over rows.
 
 No Groebner machinery anywhere: Taylor + minimize is the one route, and
 for generators forming a regular sequence the Taylor complex already IS
@@ -10,11 +10,10 @@ differentials, labelled when they are monomials.
 """
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import ChainComplex, PolyMatrix
+from .complexes import ChainComplex, PolyMatrix, is_minimal
 from .ring import (
     MonomialIdeal,
     Polynomial,
@@ -91,8 +90,8 @@ def taylor(I: MonomialIdeal) -> ChainComplex:
 
 def minimize(C: ChainComplex) -> ChainComplex:
     """Cancel unit entries (nonzero entries with mdeg_i == mdeg_g) until
-    none remain; a complex without unit entries is returned as it is, and
-    one without labels is refused with a ValueError.
+    none remain; a complex without unit entries (is_minimal) is returned as
+    it is, and one without labels is refused with a ValueError.
 
     Pivot choice is deterministic: first unit entry in (homological degree,
     row, column) order.  Cancelling d_n[i, j] removes generator j of C_n and
@@ -100,39 +99,41 @@ def minimize(C: ChainComplex) -> ChainComplex:
     gets the sparse Schur update column_k - column_j * d_n[i, k] / c, with
     c the pivot, and row j of d_{n+1} and column i of d_{n-1} are deleted.
     Generators keep their input indices until the end, so this order is the
-    input's.  Labels and homology are untouched.
+    input's.  Labels and homology are untouched.  One sweep, over degrees
+    and the rows of d_n ascending, cancels each row's first unit, found in
+    a row index (row -> its columns): the update at (i, j) makes a unit at
+    (i', k) only where (i', j) is one, so in a later row.
     """
-    F, mdegs = C.ring.coeff_field, C.mdegs
-    unit = lambda n, i, k: mdegs[n - 1][i] == mdegs[n][k]
-    units = [(n, i, j) for n in C.modules for j, col in enumerate(C.columns(n)) for i in col if unit(n, i, j)]
-    if not units:
+    if is_minimal(C):
         return C
+    F, mdegs = C.ring.coeff_field, C.mdegs
     mats = {n: dict(enumerate(map(dict, C.columns(n)))) for n in C.modules}
-    heapq.heapify(units)  # may hold stale positions, skipped when popped
-    while units:
-        n, pi, pj = heapq.heappop(units)
-        c = mats[n].get(pj, {}).get(pi)
-        if not c:
-            continue
-        inv = F.inv(c)
-        pcol = mats[n].pop(pj)
-        for k, col in mats[n].items():
-            if pi not in col:
+    rows = {n: {} for n in mats}
+    for n, k, i in ((n, k, i) for n, cols in mats.items() for k, col in cols.items() for i in col):
+        rows[n].setdefault(i, set()).add(k)
+    for n in sorted(mats):
+        where, tops = rows[n], mdegs[n]
+        for pi, b in enumerate(mdegs.get(n - 1, ())):
+            pj = min((k for k in where.get(pi, ()) if tops[k] == b), default=None)
+            if pj is None:
                 continue
-            factor = F.of_int(col.pop(pi) * inv)
-            for i, q in pcol.items():
-                if i == pi:
-                    continue
-                v = F.of_int(col.get(i, 0) - q * factor)
-                if not v:
-                    col.pop(i, None)
-                    continue
-                col[i] = v
-                if unit(n, i, k):
-                    heapq.heappush(units, (n, i, k))
-        for col in mats.get(n + 1, {}).values():
-            col.pop(pj, None)
-        del mats[n - 1][pi]
+            pcol = mats[n].pop(pj)
+            for i in pcol:
+                where[i].discard(pj)
+            inv = F.inv(pcol.pop(pi))
+            for k in where.pop(pi):
+                col = mats[n][k]
+                factor = F.of_int(col.pop(pi) * inv)
+                for i, q in pcol.items():
+                    if v := F.of_int(col.get(i, 0) - q * factor):
+                        col[i] = v
+                        where[i].add(k)
+                    else:
+                        del col[i]
+                        where[i].discard(k)
+            for k in rows.get(n + 1, {}).pop(pj, ()):
+                del mats[n + 1][k][pj]
+            del mats[n - 1][pi]
 
     keep = {n: sorted(cols) for n, cols in mats.items()}
     index = {n: {g: pos for pos, g in enumerate(gens)} for n, gens in keep.items()}

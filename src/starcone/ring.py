@@ -144,17 +144,9 @@ def mono_str(m: Monomial, ring: RingSpec) -> str:
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, d: int) -> tuple:
     """All exponent tuples of total degree d, descending lex.  Cached."""
-    if d < 0:
-        return ()
-    if nvars == 0:
+    if d < 0 or nvars == 0:
         return ((),) if d == 0 else ()
-    if nvars == 1:
-        return ((d,),)
-    out = []
-    for e in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - e):
-            out.append((e,) + rest)
-    return tuple(out)
+    return tuple((e, *rest) for e in range(d, -1, -1) for rest in monomials_of_degree(nvars - 1, d - e))
 
 
 # -------------------------------------------------------------- polynomials
@@ -421,22 +413,27 @@ def _same_ring(I: MonomialIdeal, J: MonomialIdeal):
 
 
 def hilbert_function(I: MonomialIdeal, d_max: int) -> list:
-    """dim_k (R/I)_d for d = 0..d_max, by walking the standard monomials up:
-    those of degree d are the x_i-multiples of degree d - 1 ones that are no
-    generator and whose every quotient by a variable is standard.  Codes are
-    in base d_max + 1, which no exponent of degree <= d_max reaches."""
+    """dim_k (R/I)_d for d = 0..d_max.  For M the lcm of the generators of
+    degree <= d_max, each c <= M with |c| <= d_max and x^c not in I stands for
+    C(d - |c| + f - 1, f - 1) monomials of degree d, f = #{i : c_i = M_i}
+    (x^c alone if f = 0); they are counted coordinate by coordinate."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    base = d_max + 1
-    steps = [base ** i for i in range(I.ring.nvars)]
-    gens = {sum(e * s for e, s in zip(g, steps)) for g in I.gens if mono_degree(g) <= d_max}
-    layer = {0}
-    out = [1]
-    for _ in range(d_max):
-        layer = {m for m in {m + s for m in layer for s in steps} if m not in gens
-                 and all(m - s in layer for s in steps if m // s % base)}
-        out.append(len(layer))
-    return out
+    gens = [g for g in I.gens if mono_degree(g) <= d_max]
+    top = tuple(map(max, zip((0,) * I.ring.nvars, *gens)))
+    states = {(0, 0, (1 << len(gens)) - 1): 1}  # (|c|, f, generators <= c so far): prefixes
+    for i, e in enumerate(top):
+        fits = [sum(1 << j for j, g in enumerate(gens) if g[i] <= k) for k in range(e + 1)]
+        done = sum(1 << j for j, g in enumerate(gens) if not any(g[i + 1:]))
+        prefix, states = states, {}
+        for (s, f, alive), w in prefix.items():
+            for k in range(min(e, d_max - s) + 1):
+                if (left := alive & fits[k]) & done:  # a generator divides x^c, also at any larger k
+                    break
+                key = s + k, f + (k == e), left
+                states[key] = states.get(key, 0) + w
+    return [sum(w * (comb(d - s + f - 1, f - 1) if f else d == s) for (s, f, _), w in states.items() if s <= d)
+            for d in range(d_max + 1)]
 
 
 def ideal_monomial_count(I: MonomialIdeal, d: int) -> int:

@@ -152,6 +152,17 @@ def test_box_too_large_to_walk_is_usage(tmp_path, capsys, exponents):
         f"usage error: lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked\n", "")
 
 
+def test_verify_at_the_largest_degree_bound_is_quick():
+    """4+1 variables at --degree-bound 1000: H_0 is compared with a Hilbert
+    function once counted by walking the standard monomials layer by layer,
+    which did not finish within a minute."""
+    start = time.perf_counter()
+    code, text = run_argv(["fiber", "--vars-a", "x1,x2,x3,x4", "--vars-b", "y", "--iprime", "x1^2",
+                           "--jprime", "y^2", "--verify", "--degree-bound", "1000"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and text.endswith("verification: exact up to degree 1000 (complete)\n")
+
+
 BAD_RING_OR_IDEAL = {
     "overlapping_blocks": ["--vars-a", "x", "--vars-b", "x", "--iprime", "x^2"],
     "bad_name": ["--vars-a", "x,1x", "--vars-b", "y"],

@@ -93,7 +93,7 @@ def same_labels_and_columns(A, B) -> bool:
 
 def test_minimize_fixes_minimal_complex():
     C = K(RING, "x", "y")
-    assert minimize(C) == C
+    assert minimize(C) is C
     # Taylor on a regular sequence has no unit entry: it is the Koszul complex
     T = taylor(MonomialIdeal.parse(["x^2", "y*z"], RING3))
     assert same_labels_and_columns(minimize(T), T)
@@ -157,8 +157,13 @@ taylor_gens = st.lists(
 
 @given(taylor_gens)
 def test_minimize_matches_dense_reference(texts):
+    """Also on the cone of the identity, which has units in every degree, so
+    rows of d_{n+1} are deleted while d_n is swept, and minimizes to 0."""
     T = taylor(MonomialIdeal.parse(texts, RING3))
+    identity = cone(ChainMap(T, T, {n: [{g: 1} for g in range(T.rank(n))] for n in T.support()}))
     assert minimize(T) == dense_minimize(T)
+    assert minimize(identity) == dense_minimize(identity)
+    assert minimize(identity).is_empty()
 
 
 def test_trivial_resolution():

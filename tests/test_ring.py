@@ -216,6 +216,18 @@ def test_hilbert_inclusion_exclusion_agree():
         assert hilbert_function(I, d)[d] + ideal_monomial_count(I, d) == total
 
 
+def test_hilbert_function_in_high_degree():
+    """The closed form over the lcm box agrees with inclusion-exclusion far
+    above the generators' degrees, and the eighth powers of 8 variables,
+    whose box has 9^8 points, are counted at once."""
+    R5 = RingSpec(("x1", "x2", "x3", "x4", "y"))
+    Q = MonomialIdeal.parse(["x1^2", "x1*y", "x2*y", "x3*y", "x4*y", "y^2"], R5)
+    assert hilbert_function(Q, 300)[300] == comb(304, 4) - ideal_monomial_count(Q, 300)
+    R8 = RingSpec(tuple(f"x{i}" for i in range(8)))
+    eighths = MonomialIdeal(R8, [tuple(8 * (i == j) for i in range(8)) for j in range(8)])
+    assert hilbert_function(eighths, 8) == [comb(d + 7, 7) for d in range(8)] + [comb(15, 7) - 8]
+
+
 @st.composite
 def monomial_ideals(draw):
     """A monomial ideal in 1-4 variables with 1-5 (not always minimal) generators."""
