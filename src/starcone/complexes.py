@@ -605,10 +605,7 @@ def complex_to_json_dict(C: ChainComplex) -> dict:
     modules = {str(n): list(C.twists(n)) for n in C.support()}
     diffs = {}
     for n in C.support():
-        mat = C.diff(n)
-        if mat.ncols == 0:
-            continue
-        diffs[str(n)] = [[str(p) for p in row] for row in mat.rows]
+        diffs[str(n)] = [[str(p) for p in row] for row in C.diff(n).rows]
     return {"ring": C.ring.describe(), "modules": modules, "differentials": diffs}
 
 

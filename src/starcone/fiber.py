@@ -103,6 +103,8 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
     LiftError is raised.  A result that is not a chain map raises
     InvariantViolation.
     """
+    if S.ring != X.ring or constrain_to is not None and constrain_to.ring != X.ring:
+        raise ValueError("S, X and constrain_to live in different rings")
     if S.rank(0) != 1 or X.rank(0) != 1:
         raise ValueError("both complexes need rank-one degree-0 pieces")
     F, src, tgt = X.ring.coeff_field, S.mdegs, X.mdegs

@@ -24,8 +24,8 @@ Res. Lett. 6, 1999).  The multidegrees and scalars are the labels C carries
 exactly what is exported, and a complex parsed by `verify --in` gets them
 from the text when it is made.  A complex without them falls back to total
 degree: the piece of each degree d up to the bound, from the lowest twist
-if it is negative, the labels (j, m) with twist_j + |m| = d, is ranked as one block by the same routine, so the
-verdicts are bounded.
+if it is negative, the labels (j, m) with twist_j + |m| = d, is ranked as
+one block by the same routine, so the verdicts are bounded.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
@@ -43,8 +43,9 @@ Introduction to Homological Algebra, Thm 1.3.1) gives H_n(B) = H_n(Q) for
 n >= lo + 2, dim H_lo(B) = |B_lo| - rank d_{lo+1} and dim H_{lo+1}(B) =
 dim H_{lo+1}(Q) - dim H_lo(A) + dim H_lo(B) - dim H_lo(Q).  So b ranks only
 Q, once per distinct N, and extends an echelon basis of d_{lo+1} by N's
-columns.  A block after one with homology above lo (never one of a
-resolution, whose blocks are its exact strands) is ranked whole.
+columns.  After a block with homology above lo (never one of a
+resolution, whose blocks are its exact strands) the sequence starts from
+the empty block A: then Q = B, and the same rule gives H(B) = H(Q).
 """
 from __future__ import annotations
 
@@ -60,9 +61,9 @@ from .complexes import ChainComplex, is_complex, tensor
 from .resolutions import resolution_of
 from .ring import InvariantViolation, MonomialIdeal, hilbert_function, mono_mul, mono_str, monomials_of_degree
 
-# The most points of an lcm box that one certification walks: the walk visits
-# every point, keeping masks and states one slab back and homology_dims only
-# running totals, so a box such as that of x^(10^30) would not finish.
+# The most points of an lcm box that one certification walks: the walk holds
+# states for one slab only and homology_dims only running totals, but it
+# visits every point, so a box such as that of x^(10^30) would not finish.
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
 # the tests and the benchmark walk, and 531441 at 6+6.
 MAX_BOX_POINTS = 1_000_000
@@ -105,7 +106,7 @@ def _dense_pieces(C: ChainComplex, d_max: int):
     generators are the piece's labels."""
     for d in range(min([0, *(w for n in C.support() for w in C.twists(n))]), d_max + 1):
         columns, degrees = _numbered({n: graded_piece(C, n, d) for n in C.support()})
-        h, _ = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
+        h = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
         yield None, d, 0, _checked(h, f"degree {d}")
 
 
@@ -121,41 +122,38 @@ def _numbered(pieces: dict) -> tuple:
 def _box_pieces(C: ChainComplex, against: Optional[MonomialIdeal]):
     """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M,
     for C carrying labels.  The block at b, the labels (g, x^(b - mdeg_g)) of
-    _degree_basis, is the generators g with mdeg_g <= b: bit g of one mask
-    per b, the OR of the masks at every b - e_i, walked first, and the bits
-    seeded at b.  M also covers against's generators, so x^b is in against
-    iff x^min(b, M) is.  A state (block, homology, echelon basis of
-    d_{lo+1}) is kept per point, shared while the block does not change; b
-    extends that of its predecessor with the largest block by the long exact
-    sequence when it can, and ranks its block whole when that predecessor
-    has homology above lo.  Masks and states are dropped one slab (b - e_N,
-    the furthest any b reaches back) behind."""
+    _degree_basis, is the generators g with mdeg_g <= b: as a mask, the OR of
+    the blocks at every b - e_i, walked first, and the bits seeded at b.  M
+    also covers against's generators, so x^b is in against iff x^min(b, M)
+    is.  A state (block, homology, echelon basis of d_{lo+1}) is kept per
+    point, shared while the block does not change, in a window of one slab
+    and one point: no b reaches back further than b - e_N.  b extends by
+    the long exact sequence the state of its predecessor with the largest
+    block, or the empty state when that predecessor has homology above lo."""
     mdegs = [a for mdeg in C.mdegs.values() for a in mdeg]
     columns, degrees = _numbered({n: C.columns(n) for n in C.mdegs})
     top = tuple(map(max, zip((0,) * C.ring.nvars, *mdegs, *(against.gens if against else ()))))
     if (points := prod(e + 1 for e in top)) > MAX_BOX_POINTS:
         raise BoxTooLarge(f"lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked")
     steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
-    masks, slab, empty = [0] * points, steps[-1], (0, {}, {})
+    seeds: Counter = Counter()  # code -> the mask of the generators labelled there
     for g, b in enumerate(mdegs):
-        masks[sum(map(mul, b, steps))] |= 1 << g
-    F, ring, memo, states = C.ring.coeff_field, C.ring, {}, [empty] * points
+        seeds[sum(map(mul, b, steps))] |= 1 << g
+    F, ring, memo, empty, window = C.ring.coeff_field, C.ring, {}, (0, {}, {}), steps[-1] + 1
+    states = [empty] * window
     lo, low_gens = degrees[0] if degrees else (0, 0)
     up_gens = dict(degrees).get(lo + 1, 0)
     for code, last_first in enumerate(product(*(range(e + 1) for e in reversed(top)))):
-        b, state = last_first[::-1], states[code]  # the empty block's, until a b - e_i has a larger one
+        b, block, state = last_first[::-1], seeds[code], empty
         for s, e in zip(steps, b):
             if e:
-                masks[code] |= masks[code - s]
-                if states[code - s][0].bit_count() > state[0].bit_count():
-                    state = states[code - s]
-        block = masks[code]
-        if code >= slab:
-            masks[code - slab], states[code - slab] = 0, empty
-        A, hA, low = state
-        if block != A and hA.keys() <= {lo}:  # the long exact sequence of A -> B -> B/A
+                block |= (before := states[(code - s) % window])[0]
+                if before[0].bit_count() > state[0].bit_count():
+                    state = before
+        if block != state[0]:  # the long exact sequence of A -> B -> B/A
+            A, hA, low = state if state[1].keys() <= {lo} else empty
             if (N := block & ~A) not in memo:
-                memo[N] = _checked(_block_homology(F, columns, degrees, N)[0], b, ring)
+                memo[N] = _checked(_block_homology(F, columns, degrees, N), b, ring)
             hQ, size = memo[N], (block & low_gens).bit_count()
             if N & up_gens and len(low) < size:
                 low = linalg.echelon(F, (dict(columns[g]) for g in _bits(N & up_gens)), basis=low)
@@ -165,10 +163,7 @@ def _box_pieces(C: ChainComplex, against: Optional[MonomialIdeal]):
             if up := hQ.get(lo + 1, 0) - hA.get(lo, 0) + h_lo - hQ.get(lo, 0):
                 h[lo + 1] = up
             state = block, _checked(h, b, ring) if up < 0 else h, low  # hQ is checked
-        elif block != A:
-            h, basis = _block_homology(F, columns, degrees, block)
-            state = block, _checked(h, b, ring), {p: v for p, v in basis.items() if low_gens >> p & 1}
-        states[code] = state
+        states[code % window] = state
         yield b, sum(b), sum(map(eq, b, top)), state[1]
 
 
@@ -179,10 +174,10 @@ def _bits(mask: int):
         mask ^= 1 << g
 
 
-def _block_homology(F, columns: list, degrees: list, block: int) -> tuple:
-    """(dim H_n for each n, echelon basis) of the generators in the mask
-    block, with d on the block's rows.  One basis serves every degree, since
-    the pivot rows of d_n are generators of degree n - 1: top degree down, a
+def _block_homology(F, columns: list, degrees: list, block: int) -> dict:
+    """dim H_n for each n of the generators in the mask block, with d on the
+    block's rows.  One echelon basis serves every degree, since the pivot
+    rows of d_n are generators of degree n - 1: top degree down, a
     generator's column is reduced unless it is a pivot row already.  dim H_n
     = size_n - rank d_n - rank d_{n+1}, checked: the Euler sums agree."""
     basis, present = {}, {n: block & gens for n, gens in degrees if block & gens}
@@ -195,7 +190,7 @@ def _block_homology(F, columns: list, degrees: list, block: int) -> tuple:
          if (v := (gens & ~pivots).bit_count() - (pivots & present.get(n - 1, 0)).bit_count())}
     if sum((-1) ** n * (gens.bit_count() - h.get(n, 0)) for n, gens in present.items()):
         raise InvariantViolation("rank-nullity bookkeeping broke")
-    return h, basis
+    return h
 
 
 def _checked(h: dict, where, ring=None) -> dict:
@@ -229,12 +224,15 @@ def homology_dims(C: ChainComplex, d_max: int, *, against: Optional[MonomialIdea
     C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
+    if against is not None and against.ring != C.ring:
+        raise ValueError("against lives in a different ring from the complex")
     if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
     graded, weights, at, h0_ok = C.is_multigraded(), Counter(), None, True
     for b, deg, free, h in _box_pieces(C, against) if graded else _dense_pieces(C, d_max):
         for n, v in h.items():
-            weights[n, deg, free, v] += 1
+            if deg <= d_max:  # a point above the bound reaches no printed cell
+                weights[n, deg, free, v] += 1
             if n >= 1 and (at is None or (n, deg, b) < at):
                 at = n, deg, b
         if graded and against is not None and h0_ok:

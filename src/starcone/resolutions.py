@@ -108,11 +108,13 @@ def minimize(C: ChainComplex) -> ChainComplex:
         return C
     F, mdegs = C.ring.coeff_field, C.mdegs
     mats = {n: dict(enumerate(map(dict, C.columns(n)))) for n in C.modules}
-    rows = {n: {} for n in mats}
-    for n, k, i in ((n, k, i) for n, cols in mats.items() for k, col in cols.items() for i in col):
-        rows[n].setdefault(i, set()).add(k)
+    rows: dict = {}  # n -> the row index of d_n, built when the sweep reaches degree n - 1
     for n in sorted(mats):
-        where, tops = rows[n], mdegs[n]
+        for m in {n, n + 1} - rows.keys():
+            rows[m] = {}
+            for k, i in ((k, i) for k, col in mats.get(m, {}).items() for i in col):
+                rows[m].setdefault(i, set()).add(k)
+        where, tops = rows.pop(n), mdegs[n]
         for pi, b in enumerate(mdegs.get(n - 1, ())):
             pj = min((k for k in where.get(pi, ()) if tops[k] == b), default=None)
             if pj is None:
@@ -131,7 +133,7 @@ def minimize(C: ChainComplex) -> ChainComplex:
                     else:
                         del col[i]
                         where[i].discard(k)
-            for k in rows.get(n + 1, {}).pop(pj, ()):
+            for k in rows[n + 1].pop(pj, ()):
                 del mats[n + 1][k][pj]
             del mats[n - 1][pi]
 

@@ -88,6 +88,18 @@ def test_lift_identity_needs_unit():
     assert str(rep.map.mat(1).entry(0, 0)) == "1"
 
 
+def test_lift_refuses_rings_that_differ():
+    """<y> over (y, x) has the exponent tuple of x in (x, y): as constrain_to
+    it would pass the entry x, and as X's ring it would be misread."""
+    ring, swapped = RingSpec(("x", "y")), RingSpec(("y", "x"))
+    S = resolution_of(MonomialIdeal.parse(["x^2"], ring))
+    X = resolution_of(MonomialIdeal.parse(["x"], ring))
+    with pytest.raises(ValueError, match="different rings"):
+        lift_chain_map(S, X, constrain_to=MonomialIdeal.parse(["y"], swapped))
+    with pytest.raises(ValueError, match="different rings"):
+        lift_chain_map(S, resolution_of(MonomialIdeal.parse(["x"], swapped)))
+
+
 def test_lift_refuses_target_without_single_term_entries():
     ring = RingSpec(("x", "y"))
     S = resolution_of(MonomialIdeal.parse(["x^2"], ring))

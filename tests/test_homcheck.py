@@ -120,6 +120,17 @@ def test_certifies_resolution_of():
     assert not certifies_resolution_of(R, other, 6)
 
 
+def test_against_from_another_ring_is_refused():
+    """An ideal over the variables in another order, or over more of them,
+    is a ValueError: its exponent tuples would be read in the complex's ring,
+    <y^2> over (y, x) as x^2 and an ideal over (x, y, z) cut to (x, y)."""
+    C = resolution_of(MonomialIdeal.parse(["x^2"], RING))
+    for against in (MonomialIdeal.parse(["y^2"], RingSpec(("y", "x"))),
+                    MonomialIdeal.parse(["x^2"], RingSpec(("x", "y", "z")))):
+        with pytest.raises(ValueError, match="different ring"):
+            certifies_resolution_of(C, against, 4)
+
+
 # --------------------------------------------------------------------- tor
 
 def test_tor_self_pair_frozen():
