@@ -175,8 +175,6 @@ def _star_of(job: argparse.Namespace):
 # --------------------------------------------------------------- rendering
 
 def _ranks(C: ChainComplex) -> list:
-    if C.is_empty():
-        return []
     return [C.rank(n) for n in range(C.max_degree() + 1)]
 
 

@@ -617,6 +617,9 @@ def complex_from_json(text: str) -> ChainComplex:
         if not isinstance(doc.get(key, {}), dict):
             raise ValueError(f"{key} is not a JSON object")
     ring = RingSpec.from_description(doc["ring"])
+    for key in (*doc["modules"], *doc.get("differentials", {})):
+        if key != str(int(key)):  # "01" would alias "1", and "1_0" name 10
+            raise ValueError(f"degree key {key!r} is not an integer in plain form")
     modules, zero = {}, Polynomial.zero(ring)  # most cells are "0": one shared zero, never parsed
     for n, tw in doc["modules"].items():
         if not isinstance(tw, list) or any(type(w) is not int for w in tw):

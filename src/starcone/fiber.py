@@ -65,7 +65,7 @@ from .ring import (
     mono_div,
     mono_divides,
 )
-from .star import star_basis, star_product
+from .star import _check_bottom, star_basis, star_product
 
 
 class LiftError(RuntimeError):
@@ -105,12 +105,12 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
     """
     if S.ring != X.ring or constrain_to is not None and constrain_to.ring != X.ring:
         raise ValueError("S, X and constrain_to live in different rings")
-    if S.rank(0) != 1 or X.rank(0) != 1:
-        raise ValueError("both complexes need rank-one degree-0 pieces")
+    _check_bottom(S, "source")
+    _check_bottom(X, "target")
     F, src, tgt = X.ring.coeff_field, S.mdegs, X.mdegs
     phi = {0: [{0: 1}]}
     for j in range(1, S.max_degree() + 1):
-        phi[j], d = [], X.columns(j)
+        phi[j], d, nrows = [], X.columns(j), X.rank(j - 1)
         for b, col in zip(src.get(j, ()), S.columns(j)):
             acc: dict = {}
             for k, c in col.items():
@@ -119,12 +119,10 @@ def lift_chain_map(S: ChainComplex, X: ChainComplex,
             if not any(map(F.of_int, acc.values())):  # v = 0, with no solve
                 phi[j].append({})
                 continue
-            rows = [i for i, a in enumerate(tgt.get(j - 1, ())) if mono_divides(a, b)]
             cols = [g for g, a in enumerate(tgt.get(j, ())) if mono_divides(a, b) and (
                 constrain_to is None or constrain_to.contains_monomial(mono_div(b, a)))]
-            row_of = {i: r for r, i in enumerate(rows)}
-            entries = {(row_of[i], k): c for k, g in enumerate(cols) for i, c in d[g].items()}
-            sol = linalg.solve(F, len(rows), len(cols), entries, [acc.get(i, 0) for i in rows])
+            entries = {(i, k): c for k, g in enumerate(cols) for i, c in d[g].items()}
+            sol = linalg.solve(F, nrows, len(cols), entries, [acc.get(i, 0) for i in range(nrows)])
             if sol is None:
                 inside = "" if constrain_to is None else f" with entries inside {constrain_to}"
                 raise LiftError(j, "no solution" + inside)

@@ -25,7 +25,11 @@ exactly what is exported, and a complex parsed by `verify --in` gets them
 from the text when it is made.  A complex without them falls back to total
 degree: the piece of each degree d up to the bound, from the lowest twist
 if it is negative, the labels (j, m) with twist_j + |m| = d, is ranked as
-one block by the same routine, so the verdicts are bounded.
+one block by the same routine, so the verdicts are bounded.  Both walks
+yield pieces of one kind, and H_0 is R/against when each piece has dim H_0
+= dim (R/against) there: the box walk seeds against's generators beside
+C's, so the OR that builds a block also decides whether x^b is in against,
+and the fallback reads ring.hilbert_function.
 
 Blocks are ranked top degree down by the Gaussian elimination lemma of
 algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006): cancelling an
@@ -100,14 +104,15 @@ def graded_piece(C: ChainComplex, n: int, d: int) -> list:
     return columns
 
 
-def _dense_pieces(C: ChainComplex, d_max: int):
+def _dense_pieces(C: ChainComplex, d_max: int, against: Optional[MonomialIdeal]):
     """Per degree d <= d_max, from C's lowest twist if it is negative, (None,
-    d, 0, homology of the degree-d piece), ranked as one block whose
-    generators are the piece's labels."""
+    d, 0, homology of the degree-d piece, dim (R/against)_d, 0 below degree
+    0), ranked as one block whose generators are the piece's labels."""
+    hf = dict(enumerate(hilbert_function(against, d_max))) if against is not None else {}
     for d in range(min([0, *(w for n in C.support() for w in C.twists(n))]), d_max + 1):
         columns, degrees = _numbered({n: graded_piece(C, n, d) for n in C.support()})
         h = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
-        yield None, d, 0, _checked(h, f"degree {d}")
+        yield None, d, 0, _checked(h, f"degree {d}"), hf.get(d, 0)
 
 
 def _numbered(pieces: dict) -> tuple:
@@ -120,19 +125,24 @@ def _numbered(pieces: dict) -> tuple:
 
 
 def _box_pieces(C: ChainComplex, against: Optional[MonomialIdeal]):
-    """(b, |b|, #{i : b_i = M_i}, homology) at each b of the box 0 <= b <= M,
-    for C carrying labels.  The block at b, the labels (g, x^(b - mdeg_g)) of
-    _degree_basis, is the generators g with mdeg_g <= b: as a mask, the OR of
-    the blocks at every b - e_i, walked first, and the bits seeded at b.  M
-    also covers against's generators, so x^b is in against iff x^min(b, M)
-    is.  A state (block, homology, echelon basis of d_{lo+1}) is kept per
-    point, shared while the block does not change, in a window of one slab
-    and one point: no b reaches back further than b - e_N.  b extends by
-    the long exact sequence the state of its predecessor with the largest
-    block, or the empty state when that predecessor has homology above lo."""
+    """(b, |b|, #{i : b_i = M_i}, homology, dim (R/against)_b) at each b of
+    the box 0 <= b <= M, for C carrying labels.  The block at b, the labels
+    (g, x^(b - mdeg_g)) of _degree_basis, is the generators g with mdeg_g <=
+    b: as a mask, the OR of the blocks at every b - e_i, walked first, and
+    the bits seeded at b.  against's generators are seeded at bits G and up,
+    for C's G generators, and M covers them: x^b is in against iff its block
+    holds one.  Only C's bits are ranked, and a resolution of against gains
+    no update, as each such seed comes with a generator of C_1.  A state
+    (block, homology, echelon basis of d_{lo+1}) is kept per point, shared
+    while the block does not change, in a window of one slab and one point:
+    no b reaches back further than b - e_N.  b extends by the long exact
+    sequence the state of its predecessor with the largest block, or the
+    empty state when that predecessor has homology above lo."""
     mdegs = [a for mdeg in C.mdegs.values() for a in mdeg]
+    ours = (1 << len(mdegs)) - 1  # C's generators; against's are seeded above them
+    mdegs += against.gens if against is not None else ()
     columns, degrees = _numbered({n: C.columns(n) for n in C.mdegs})
-    top = tuple(map(max, zip((0,) * C.ring.nvars, *mdegs, *(against.gens if against else ()))))
+    top = tuple(map(max, zip((0,) * C.ring.nvars, *mdegs)))
     if (points := prod(e + 1 for e in top)) > MAX_BOX_POINTS:
         raise BoxTooLarge(f"lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked")
     steps = [prod(e + 1 for e in top[:k]) for k in range(len(top))]
@@ -152,7 +162,7 @@ def _box_pieces(C: ChainComplex, against: Optional[MonomialIdeal]):
                     state = before
         if block != state[0]:  # the long exact sequence of A -> B -> B/A
             A, hA, low = state if state[1].keys() <= {lo} else empty
-            if (N := block & ~A) not in memo:
+            if (N := block & ours & ~A) not in memo:
                 memo[N] = _checked(_block_homology(F, columns, degrees, N), b, ring)
             hQ, size = memo[N], (block & low_gens).bit_count()
             if N & up_gens and len(low) < size:
@@ -164,7 +174,7 @@ def _box_pieces(C: ChainComplex, against: Optional[MonomialIdeal]):
                 h[lo + 1] = up
             state = block, _checked(h, b, ring) if up < 0 else h, low  # hQ is checked
         states[code % window] = state
-        yield b, sum(b), sum(map(eq, b, top)), state[1]
+        yield b, sum(b), sum(map(eq, b, top)), state[1], block <= ours  # 1 iff no seed of against's
 
 
 def _bits(mask: int):
@@ -220,38 +230,35 @@ class HomologyReport:
 
 def homology_dims(C: ChainComplex, d_max: int, *, against: Optional[MonomialIdeal] = None) -> HomologyReport:
     """Dimensions of H_n(C)_d for every n and d <= d_max, and whether H_0 is
-    R/against.  The b of degree d with min(b, M) = c are
-    C(d - |c| + |A| - 1, |A| - 1) for A = {i : c_i = M_i} nonempty, else c alone."""
+    R/against: whether every piece has dim H_0 = dim (R/against) there.  The
+    b of degree d with min(b, M) = c are C(d - |c| + |A| - 1, |A| - 1) for
+    A = {i : c_i = M_i} nonempty, else c alone."""
     if d_max < 0:
         raise ValueError("degree bound must be >= 0")
     if against is not None and against.ring != C.ring:
         raise ValueError("against lives in a different ring from the complex")
     if not is_complex(C):
         raise ValueError("d^2 != 0: homology dimensions are undefined")
-    graded, weights, at, h0_ok = C.is_multigraded(), Counter(), None, True
-    for b, deg, free, h in _box_pieces(C, against) if graded else _dense_pieces(C, d_max):
+    weights, at, h0_ok, b = Counter(), None, True, None
+    for b, deg, free, h, r in _box_pieces(C, against) if C.is_multigraded() else _dense_pieces(C, d_max, against):
         for n, v in h.items():
             if deg <= d_max:  # a point above the bound reaches no printed cell
                 weights[n, deg, free, v] += 1
             if n >= 1 and (at is None or (n, deg, b) < at):
                 at = n, deg, b
-        if graded and against is not None and h0_ok:
-            h0_ok = h.get(0, 0) == (not against.contains_monomial(b))
+        h0_ok = h0_ok and h.get(0, 0) == r
     dims: Counter = Counter()
     for (n, deg, free, v), count in weights.items():
         for d in range(deg, d_max + 1):
             dims[n, d] += count * v * (comb(d - deg + free - 1, free - 1) if free else d == deg)
-    h0 = [dims[0, d] for d in range(d_max + 1)]
-    h0_matches = None if against is None else h0_ok if graded else (
-        h0 == hilbert_function(against, d_max) and not any(v for (n, d), v in dims.items() if n == 0 and d < 0))
     return HomologyReport(
         dims={cell: v for cell, v in dims.items() if v},
         degree_bound=d_max,
-        complete=graded,
-        h0=h0,
+        complete=b is not None,  # the last piece's b: None on the fallback
+        h0=[dims[0, d] for d in range(d_max + 1)],
         exact_in_positive=at is None,
-        h0_matches=h0_matches,
-        homology_at=(at[0], at[2]) if at and graded else None,
+        h0_matches=None if against is None else h0_ok,
+        homology_at=(at[0], at[2]) if at and at[2] is not None else None,
     )
 
 

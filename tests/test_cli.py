@@ -92,7 +92,8 @@ def test_negative_truncate_is_usage(capsys):
 
 def test_bound_above_the_printed_table_is_usage(tmp_path, capsys):
     """A bound the table cannot print, explicit or the default read off a
-    huge twist, exits 2 at once with one line naming it."""
+    huge twist, exits 2 at once with one line naming it; so does a negative
+    one."""
     huge = 10 ** 30
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"ring": RingSpec(("x",)).describe(), "modules": {"0": [0], "1": [huge]}}))
@@ -104,6 +105,9 @@ def test_bound_above_the_printed_table_is_usage(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (f"usage error: --degree-bound {huge} is above {MAX_DEGREE_BOUND}, "
                                        "the largest table printed\n")
+    rc = main(["fiber", "--vars-a", "x", "--vars-b", "y", "--iprime", "x^2", "--degree-bound", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "usage error: --degree-bound must be nonnegative\n"
     assert time.perf_counter() - start < 1
     code, text = run_argv(["verify", "--in", str(path), "--degree-bound", str(MAX_DEGREE_BOUND)])
     assert code == 0 and f"degree bound {MAX_DEGREE_BOUND} (bounded)" in text
@@ -167,15 +171,22 @@ BAD_RING_OR_IDEAL = {
     "overlapping_blocks": ["--vars-a", "x", "--vars-b", "x", "--iprime", "x^2"],
     "bad_name": ["--vars-a", "x,1x", "--vars-b", "y"],
     "unit_generator": ["--vars-a", "x", "--vars-b", "y", "--ideal-i", "x", "--ideal-j", "y^0"],
+    "empty_variable_list": ["--vars-a", ",", "--vars-b", "y"],
 }
+# The reason given for a variable list, which is split before the job runs.
+BAD_RING_OR_IDEAL_REASONS = {"empty_variable_list": "empty variable list"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RING_OR_IDEAL))
-def test_bad_ring_or_ideal_is_usage(case):
-    code, text = run_argv(["fiber", *BAD_RING_OR_IDEAL[case]])
+def test_bad_ring_or_ideal_is_usage(capsys, case):
+    code = main(["fiber", *BAD_RING_OR_IDEAL[case]])
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
     assert code == 2
     assert text.startswith("usage error: ")
     assert text.count("\n") == 1
+    if case in BAD_RING_OR_IDEAL_REASONS:
+        assert text == f"usage error: {BAD_RING_OR_IDEAL_REASONS[case]}\n"
 
 
 def test_tor_violation_exit_one():
@@ -509,6 +520,10 @@ MALFORMED = {
         lambda d: d["differentials"].update({"1": [["x +", "x^2", "y^2"]]})),
     "lone_sign_cell": lambda: _broken_export(
         lambda d: d["differentials"].update({"1": [["-", "x^2", "y^2"]]})),
+    # keys that int() reads as another degree's: "01" as 1, "1_0" as 10
+    "degree_key_leading_zero": lambda: _broken_export(lambda d: d.update(
+        modules={"0": [0], "1": [1], "01": [2]}, differentials={"1": [["x"]], "01": [["x^2"]]})),
+    "degree_key_underscore": lambda: _broken_export(lambda d: d["modules"].update({"1_0": []})),
 }
 # The reason given for a part of the document that is not a JSON object, and
 # for a row of the wrong length.
@@ -518,6 +533,7 @@ MALFORMED_REASONS = {
     "ring_list": "ring is not a JSON object",
     "wrong_type": "modules is not a JSON object",
     "differentials_list": "differentials is not a JSON object",
+    "degree_key_leading_zero": "degree key '01' is not an integer in plain form",
 }
 
 

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from starcone import (
+    ChainComplex,
     HypothesisViolation,
     LiftError,
     MonomialIdeal,
@@ -112,6 +113,17 @@ def test_lift_refuses_source_without_single_term_entries():
     X = resolution_of(MonomialIdeal.parse(["x"], ring))
     with pytest.raises(ValueError, match="multigraded"):
         lift_chain_map(koszul(ring, [poly_parse("x + y", ring)]), X)
+
+
+def test_lift_refuses_a_bottom_generator_of_nonzero_twist():
+    """S = R(-1) <- R(-2) by y has rank one in degree 0, but its bottom
+    generator sits at x: "lifting the identity" would return multiplication
+    by x, so the lift refuses it as the star product does."""
+    ring = RingSpec(("x", "y"))
+    S = ChainComplex.from_labels(ring, {0: ((1, 0),), 1: ((1, 1),)}, {1: [{0: 1}]})
+    X = resolution_of(MonomialIdeal.parse(["x"], ring))
+    with pytest.raises(ValueError, match="single twist-0 generator in degree 0"):
+        lift_chain_map(S, X)
 
 
 def test_lift_source_longer_than_target_frozen():
