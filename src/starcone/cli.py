@@ -9,8 +9,9 @@ Subcommands:
   verify    homology certification of a built or imported complex
   export    emit a constructed complex as JSON
 
-Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error
-(a malformed `verify --in` file and an lcm box too large to walk included),
+Exit codes: 0 success, 1 hypothesis violation, 2 parse or usage error (a
+malformed `verify --in` file, an option given `--` as its value, and an lcm
+box or a total-degree fallback too large to rank included),
 3 verification failure (a broken internal invariant included), 4 resource
 error (out of memory).  Output is deterministic: the same invocation
 produces byte-identical documents.
@@ -55,7 +56,6 @@ from .ring import (
     ideal_contains,
     ideal_product,
     mono_str,
-    poly_parse,
 )
 from .star import star_product
 
@@ -111,20 +111,10 @@ def _ring_of(job: argparse.Namespace) -> RingSpec:
 
 
 def _parse_ideal(ring: RingSpec, text: str, flag: str) -> MonomialIdeal:
-    gens = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        p = poly_parse(piece, ring)
-        if p.is_zero():
-            continue
-        if len(p.terms) != 1:
-            raise UsageError(f"{flag}: '{piece}' is not a monomial")
-        ((m, c),) = p.terms.items()
-        gens.append(m)  # unit coefficients generate the same ideal
     try:
-        return MonomialIdeal(ring, gens)
+        return MonomialIdeal.parse(text.split(","), ring)
+    except PolyParseError:
+        raise
     except ValueError as e:
         raise UsageError(f"{flag}: {e}") from None
 
@@ -137,8 +127,7 @@ def _ideals_of(job: argparse.Namespace) -> tuple:
          else _parse_ideal(ring, job.ideal_i, "--ideal-i"))
     J = (MonomialIdeal.parse(job.vars_b, ring) if job.ideal_j is None
          else _parse_ideal(ring, job.ideal_j, "--ideal-j"))
-    Ip = _parse_ideal(ring, job.iprime, "--iprime") if job.iprime else MonomialIdeal(ring, [])
-    Jp = _parse_ideal(ring, job.jprime, "--jprime") if job.jprime else MonomialIdeal(ring, [])
+    Ip, Jp = _parse_ideal(ring, job.iprime, "--iprime"), _parse_ideal(ring, job.jprime, "--jprime")
     return ring, Ip, I, Jp, J
 
 
@@ -377,7 +366,7 @@ def _read_complex(path: str) -> ChainComplex:
 def cmd_verify(job: argparse.Namespace):
     if job.in_path:
         C = _read_complex(job.in_path)
-        Q = _parse_ideal(C.ring, job.against, "--against") if job.against else None
+        Q = _parse_ideal(C.ring, job.against, "--against") if job.against is not None else None
         bound = job.degree_bound if job.degree_bound is not None else max(C.max_twist(), 0)
         try:
             v, ok = _verification(C, Q, bound)
@@ -440,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vars-a", type=str, default="", help="block A variable names, comma separated")
         p.add_argument("--vars-b", type=str, default="", help="block B variable names, comma separated")
         if ideals:
-            p.add_argument("--iprime", type=str, default=None, help="generators of I', comma separated monomials")
-            p.add_argument("--jprime", type=str, default=None, help="generators of J'")
+            p.add_argument("--iprime", type=str, default="", help="generators of I', comma separated monomials")
+            p.add_argument("--jprime", type=str, default="", help="generators of J'")
         p.add_argument("--ideal-i", type=str, default=None, help="generators of I (default: block A variables)")
         p.add_argument("--ideal-j", type=str, default=None, help="generators of J (default: block B variables)")
         p.add_argument("--prime", type=int, default=32003, help="coefficient prime, 0 for the rationals")
@@ -454,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="require comparison-lift entries inside I resp. J")
         p.add_argument("--out", type=str, default=None, help="write output to a file instead of stdout")
         # flags only some subcommands define: every job still carries them
-        p.set_defaults(iprime=None, jprime=None, verify=False, betti=False, what="fiber", in_path=None,
+        p.set_defaults(iprime="", jprime="", verify=False, betti=False, what="fiber", in_path=None,
                        against=None, degree_bound=None, truncate=None, constrained_lift=True)
 
     p_star = sub.add_parser("star", help="build the star product of two resolutions")
@@ -491,7 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def job_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the numeric flags and split the variable lists of a parsed
-    command line, which is then the job that run executes."""
+    command line, which is then the job that run executes.  `--flag=--`
+    reaches it as [] (Python 3.10-3.12) or "--" (3.13) and is refused."""
+    for dest, value in vars(args).items():
+        if value == [] or value == "--":
+            raise UsageError(f"--{dest.removesuffix('_path').replace('_', '-')} needs a value")
     if args.degree_bound is not None and args.degree_bound < 0:
         raise UsageError("--degree-bound must be nonnegative")
     if args.degree_bound is not None and args.degree_bound > MAX_DEGREE_BOUND:

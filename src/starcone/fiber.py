@@ -238,7 +238,6 @@ def block_instance(m: int, n: int, ip_texts, jp_texts, coeff_field=None) -> Fibe
     """Two-block instance: I = <x_1..x_m>, J = <y_1..y_n>, with I' and J'
     parsed from monomial strings over the respective blocks."""
     from .fields import PrimeField
-    from .ring import mono_parse
 
     xs = [f"x{i+1}" for i in range(m)] if m > 1 else ["x"]
     ys = [f"y{j+1}" for j in range(n)] if n > 1 else ["y"]
@@ -247,12 +246,7 @@ def block_instance(m: int, n: int, ip_texts, jp_texts, coeff_field=None) -> Fibe
         partition=(tuple(xs), tuple(ys)),
         coeff_field=coeff_field or PrimeField(),
     )
-    unit = lambda name: mono_parse(name, ring)
-    I = MonomialIdeal(ring, [unit(v) for v in xs])
-    J = MonomialIdeal(ring, [unit(v) for v in ys])
-    Ip = MonomialIdeal(ring, [mono_parse(t, ring) for t in ip_texts])
-    Jp = MonomialIdeal(ring, [mono_parse(t, ring) for t in jp_texts])
-    return make_instance(ring, Ip, I, Jp, J)
+    return make_instance(ring, *(MonomialIdeal.parse(texts, ring) for texts in (ip_texts, xs, jp_texts, ys)))
 
 
 def default_degree_bound(instance: FiberInstance, resolution: ChainComplex) -> int:

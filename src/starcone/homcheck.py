@@ -71,21 +71,22 @@ from .ring import InvariantViolation, MonomialIdeal, hilbert_function, mono_mul,
 # Block instances of squares have 3^(m+n) points: 59049 at 5+5, the largest
 # the tests and the benchmark walk, and 531441 at 6+6.
 MAX_BOX_POINTS = 1_000_000
+# The most labels the total-degree fallback ranks over all its degrees:
+# sum_j C(bound - twist_j + N, N) over the generators j, in N variables, so
+# about bound^N.  The Koszul complex of (x + y, z^2) in tests/data has 974965
+# at bound 113, the largest it is ranked at: 3.6 s and 34 MiB max RSS with
+# Python 3.11 on a 2-vCPU host.
+MAX_FALLBACK_LABELS = 1_000_000
 
 
 class BoxTooLarge(ValueError):
-    """The lcm box has more than MAX_BOX_POINTS points."""
+    """A walk above its limit: an lcm box of more than MAX_BOX_POINTS points,
+    or a total-degree fallback of more than MAX_FALLBACK_LABELS labels."""
 
 
 def _degree_basis(C: ChainComplex, n: int, d: int):
-    labels = []
-    for j, w in enumerate(C.twists(n)):
-        rem = d - w
-        if rem < 0:
-            continue
-        for m in monomials_of_degree(C.ring.nvars, rem):
-            labels.append((j, m))
-    return labels
+    monos = {w: monomials_of_degree(C.ring.nvars, d - w) for w in set(C.twists(n)) if w <= d}
+    return [(j, m) for j, w in enumerate(C.twists(n)) if w in monos for m in monos[w]]
 
 
 def graded_piece(C: ChainComplex, n: int, d: int) -> list:
@@ -108,8 +109,12 @@ def _dense_pieces(C: ChainComplex, d_max: int, against: Optional[MonomialIdeal])
     """Per degree d <= d_max, from C's lowest twist if it is negative, (None,
     d, 0, homology of the degree-d piece, dim (R/against)_d, 0 below degree
     0), ranked as one block whose generators are the piece's labels."""
+    N, twists = C.ring.nvars, [w for n in C.support() for w in C.twists(n)]
+    if (labels := sum(comb(d_max - w + N, N) for w in twists if w <= d_max)) > MAX_FALLBACK_LABELS:
+        raise BoxTooLarge(f"total-degree fallback of {labels} labels up to degree {d_max} "
+                          f"is above {MAX_FALLBACK_LABELS}, the largest ranked")
     hf = dict(enumerate(hilbert_function(against, d_max))) if against is not None else {}
-    for d in range(min([0, *(w for n in C.support() for w in C.twists(n))]), d_max + 1):
+    for d in range(min([0, *twists]), d_max + 1):
         columns, degrees = _numbered({n: graded_piece(C, n, d) for n in C.support()})
         h = _block_homology(C.ring.coeff_field, columns, degrees, (1 << len(columns)) - 1)
         yield None, d, 0, _checked(h, f"degree {d}"), hf.get(d, 0)

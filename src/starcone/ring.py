@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import add, le, sub
@@ -141,12 +140,14 @@ def mono_str(m: Monomial, ring: RingSpec) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, d: int) -> tuple:
-    """All exponent tuples of total degree d, descending lex.  Cached."""
+    """All exponent tuples of total degree d, descending lex."""
     if d < 0 or nvars == 0:
         return ((),) if d == 0 else ()
-    return tuple((e, *rest) for e in range(d, -1, -1) for rest in monomials_of_degree(nvars - 1, d - e))
+    heads = [()]  # the first k exponents, each way they sum to at most d
+    for _ in range(nvars - 1):
+        heads = [(*h, e) for h in heads for e in range(d - sum(h), -1, -1)]
+    return tuple((*h, d - sum(h)) for h in heads)
 
 
 # -------------------------------------------------------------- polynomials
@@ -307,16 +308,6 @@ def poly_parse(text: str, ring: RingSpec) -> Polynomial:
     return result
 
 
-def mono_parse(text: str, ring: RingSpec) -> Monomial:
-    p = poly_parse(text, ring)
-    if len(p.terms) != 1:
-        raise PolyParseError(f"{text!r} is not a single monomial")
-    ((m, c),) = p.terms.items()
-    if c != 1:
-        raise PolyParseError(f"{text!r} has a nontrivial coefficient")
-    return m
-
-
 # ----------------------------------------------------------------- ideals
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple:
@@ -346,7 +337,17 @@ class MonomialIdeal:
 
     @staticmethod
     def parse(texts: Sequence[str], ring: RingSpec) -> "MonomialIdeal":
-        return MonomialIdeal(ring, [mono_parse(t, ring) for t in texts])
+        """The ideal the monomial texts generate.  Each text is stripped and
+        read by poly_parse, whose PolyParseError passes through: a blank or
+        zero text adds nothing, a coefficient is dropped, as it generates the
+        same ideal, and a text of more than one term raises ValueError."""
+        gens = []
+        for text in map(str.strip, texts):
+            terms = poly_parse(text, ring).terms if text else {}
+            if len(terms) > 1:
+                raise ValueError(f"'{text}' is not a monomial")
+            gens += terms
+        return MonomialIdeal(ring, gens)
 
     def is_zero(self) -> bool:
         return not self.gens

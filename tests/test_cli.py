@@ -2,12 +2,13 @@
 import json
 import time
 from math import prod
+from pathlib import Path
 
 import pytest
 
 from starcone import RingSpec, complex_to_json
 from starcone.cli import MAX_DEGREE_BOUND, build_parser, job_from_args, main, run
-from starcone.homcheck import MAX_BOX_POINTS
+from starcone.homcheck import MAX_BOX_POINTS, MAX_FALLBACK_LABELS
 from starcone.ring import mono_str
 
 from helpers import double_every_solve, fiber_without_top_module, koszul_without_syzygy
@@ -154,6 +155,20 @@ def test_box_too_large_to_walk_is_usage(tmp_path, capsys, exponents):
     assert rc == 2
     assert capsys.readouterr() == (
         f"usage error: lcm box of {points} points is above {MAX_BOX_POINTS}, the largest walked\n", "")
+
+
+def test_fallback_too_large_to_rank_is_usage(capsys):
+    """The Koszul complex of (x + y, z^2) has no labels, so it is ranked by
+    total degree; at --degree-bound 1000 that is 667669001 labels, which would
+    take hours: it exits 2 at once with one line naming the count and the limit."""
+    path = Path(__file__).parent / "data" / "koszul_x_plus_y_z2.json"
+    start = time.perf_counter()
+    rc = main(["verify", "--in", str(path), "--degree-bound", "1000"])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "usage error: total-degree fallback of 667669001 labels up to degree 1000 is above "
+        f"{MAX_FALLBACK_LABELS}, the largest ranked\n", "")
 
 
 def test_verify_at_the_largest_degree_bound_is_quick():
@@ -342,6 +357,15 @@ def test_verify_detects_corruption(tmp_path):
     assert "FAILED" in text2
 
 
+def test_blank_against_is_the_zero_ideal():
+    """An ideal text of blank pieces is the zero ideal, for --against too:
+    "" once skipped the H_0 comparison, while " " compared with <0>."""
+    path = str(Path(__file__).parent / "data" / "export_star.out")
+    for blank in ("", " ", " , 0"):
+        code, text = run_argv(["verify", "--in", path, "--against", blank])
+        assert code == 3 and "H0 against <0>: MISMATCH\n" in text, blank
+
+
 def test_verify_missing_input_is_usage(tmp_path, capsys):
     rc = main(["verify", "--in", str(tmp_path / "absent.json")])
     out = capsys.readouterr().out
@@ -427,6 +451,34 @@ def test_flag_the_subcommand_ignores_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Each option that takes a value, and a subcommand that has it.
+VALUE_OPTIONS = {
+    "--vars-a": "fiber", "--vars-b": "fiber", "--iprime": "fiber", "--jprime": "fiber",
+    "--ideal-i": "fiber", "--ideal-j": "fiber", "--prime": "fiber", "--degree-bound": "fiber",
+    "--out": "fiber", "--truncate": "poincare", "--in": "verify", "--against": "verify", "--what": "export",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(VALUE_OPTIONS))
+def test_double_dash_is_not_a_value(flag, tmp_path, monkeypatch, capsys):
+    """argparse on Python 3.10-3.12 reads `--flag=--` as [], so --iprime=--
+    ran with I' = 0, --in=-- certified the built fiber, --out=-- wrote to
+    stdout and --prime=-- ended in a traceback.  Each exits 2 with one line;
+    where argparse itself refuses "--" (an int or a choice on 3.13), with
+    its own usage error."""
+    monkeypatch.chdir(tmp_path)
+    try:
+        code, ours = main([VALUE_OPTIONS[flag], "--vars-a", "x", "--vars-b", "y", f"{flag}=--"]), True
+    except SystemExit as e:
+        code, ours = e.code, False
+    out, err = capsys.readouterr()
+    assert code == 2 and not any(tmp_path.iterdir())
+    if ours:
+        assert (out, err) == ("", f"usage error: {flag} needs a value\n")
+    else:
+        assert out == "" and err.startswith("usage: ") and "Traceback" not in err
 
 
 def test_absent_flags_take_their_defaults():

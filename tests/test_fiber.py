@@ -10,6 +10,7 @@ from starcone import (
     HypothesisViolation,
     LiftError,
     MonomialIdeal,
+    PrimeField,
     RingSpec,
     block_instance,
     build_fiber,
@@ -391,6 +392,36 @@ def test_linear_solve_lift_certified_over_q(monkeypatch):
     from starcone import RationalField
 
     _certify_linear_solve_build(instance_e_prime(RationalField()), monkeypatch, [1, 5, 6, 2])
+
+
+# ------------------------------------------ a field where Betti numbers change
+
+# The Stanley-Reisner ideal of the 6-vertex real projective plane: its ten
+# minimal nonfaces, the triangles outside the hemi-icosahedron.  The reduced
+# H_1 and H_2 of RP^2 over k are k in characteristic 2 and 0 otherwise, and
+# by Hochster's formula each adds one to a Betti number of the whole vertex set.
+RP2_NONFACES = ["x1*x2*x4", "x1*x2*x6", "x1*x3*x5", "x1*x3*x6", "x1*x4*x5",
+                "x2*x3*x4", "x2*x3*x5", "x2*x5*x6", "x3*x4*x6", "x4*x5*x6"]
+
+
+@pytest.mark.parametrize("prime, ranks, fiber_ranks", [
+    (2, [1, 10, 15, 7, 1], [1, 17, 46, 57, 43, 22, 7, 1]),
+    (3, [1, 10, 15, 6], [1, 17, 46, 56, 41, 21, 7, 1]),
+    (32003, [1, 10, 15, 6], [1, 17, 46, 56, 41, 21, 7, 1]),
+])
+def test_rp2_betti_numbers_depend_on_the_characteristic(prime, ranks, fiber_ranks):
+    """Over GF(2) the resolution of R/I_RP2 has one more rank in degrees 3
+    and 4, and so has the fiber quotient with I' = I_RP2 and J' = <y^2>; each
+    resolution certifies, is minimal and, for the fiber, meets the closed form."""
+    inst = block_instance(6, 1, RP2_NONFACES, ["y^2"], coeff_field=PrimeField(prime))
+    build = build_fiber(inst)
+    for C, Q, expected in ((resolution_of(inst.Ip), inst.Ip, ranks),
+                           (build.resolution, inst.quotient_ideal(), fiber_ranks)):
+        assert [C.rank(n) for n in range(C.max_degree() + 1)] == expected
+        rep = homology_dims(C, 0, against=Q)
+        assert rep.complete and rep.exact_in_positive and rep.h0_matches
+        assert is_minimal(C)
+    assert closed_form_table(inst) == graded_betti(build.resolution)
 
 
 # ----------------------------------------------------- closed-form entry points

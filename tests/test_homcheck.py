@@ -3,6 +3,7 @@ import importlib.util
 import json
 import random
 from functools import reduce
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from starcone import (
     tor_dims,
 )
 from starcone.complexes import multidegrees
-from starcone.homcheck import MAX_BOX_POINTS, BoxTooLarge
+from starcone.homcheck import MAX_BOX_POINTS, BoxTooLarge, graded_piece
 from starcone.ring import mono_degree, mono_lcm, mono_mul
 
 from helpers import (
@@ -474,3 +475,19 @@ def test_box_limit_is_inclusive(monkeypatch):
         homology_dims(resolution_of(MonomialIdeal.parse(["x^4", "y"], ring)), 3)
     with pytest.raises(BoxTooLarge, match=r"^lcm box of 12 points is above 8"):
         tor_dims(fits, MonomialIdeal.parse(["y"], ring), 3)
+
+
+def test_fallback_label_limit_is_inclusive(monkeypatch):
+    """The fallback counts its labels, sum_j C(bound - twist_j + N, N), before
+    it ranks any: at MAX_FALLBACK_LABELS it ranks and one degree more is
+    refused.  The monomials of a degree are listed afresh in each piece, so
+    no cache of them outlives a walk."""
+    C = K(RingSpec(("x", "y", "z")), "x + y", "z^2")  # twists 0, 1, 2, 3
+    labels = lambda bound: sum(comb(bound - w + 3, 3) for w in (0, 1, 2, 3) if w <= bound)
+    assert sum(len(graded_piece(C, n, d)) for n in C.support() for d in range(6)) == labels(5) == 121
+    monkeypatch.setattr(starcone.homcheck, "MAX_FALLBACK_LABELS", 121)
+    assert homology_dims(C, 5).exact_in_positive
+    with pytest.raises(BoxTooLarge, match=r"^total-degree fallback of 195 labels up to degree 6 is above 121, "
+                                          r"the largest ranked$"):
+        homology_dims(C, 6)
+    assert not hasattr(starcone.ring.monomials_of_degree, "cache_info")

@@ -21,7 +21,6 @@ from starcone import (
     ideal_product,
     ideal_sum,
     is_tor_independent,
-    mono_parse,
     poly_parse,
 )
 from starcone.ring import ideal_monomial_count, mono_degree, monomials_of_degree
@@ -128,9 +127,21 @@ def test_parse_prime_field_normalizes():
     assert P("x - x").is_zero()
 
 
-def test_mono_parse_rejects_sums():
+def test_ideal_parse_rejects_sums():
+    with pytest.raises(ValueError, match=r"^'x \+ y' is not a monomial$") as exc:
+        ideal([" x + y "])
+    assert not isinstance(exc.value, PolyParseError)
+
+
+def test_ideal_parse_drops_blanks_zeros_and_coefficients():
+    """The rules the command line reads ideal text by: a blank or zero text
+    adds nothing, and a coefficient generates the same ideal."""
+    assert ideal(["2*x", "0", " ", "", "x - x", " -3*y^2 "]) == ideal(["x", "y^2"])
+    assert ideal(["32003*x"]).is_zero()
     with pytest.raises(PolyParseError):
-        mono_parse("x + y", RING)
+        ideal(["x^"])
+    with pytest.raises(ValueError, match="unit ideal"):
+        ideal(["y^0"])
 
 
 # -------------------------------------------------------------- arithmetic
