@@ -201,13 +201,21 @@ def _homology_at(v: dict) -> list:
     return [f"homology: {v['homology_at']}"] if "homology_at" in v else []
 
 
-def _verify_into(doc: dict, lines: list, C: ChainComplex, Q: MonomialIdeal, bound: int) -> int:
-    """Certify C as a resolution of R/Q, record the result in doc and
-    lines, and return the exit code."""
-    v, ok = _verification(C, Q, bound)
-    doc["verification"] = {**v, "ok": ok}
-    lines += [f"verification: {v['verdict']} up to degree {bound}" + _extent(v), *_homology_at(v)]
-    return EXIT_OK if ok else EXIT_VERIFICATION
+def _finish(job: argparse.Namespace, doc: dict, lines: list, table, C: ChainComplex, Q: MonomialIdeal,
+            bound: int) -> tuple:
+    """The exit code, document and text of star or fiber: the Betti table,
+    when one is given, then with --verify the certificate of C as a
+    resolution of R/Q."""
+    code = EXIT_OK
+    if table is not None:
+        doc["betti"] = table.to_json_dict()
+        lines += ["betti table:", table.render_text().rstrip("\n")]
+    if job.verify:
+        v, ok = _verification(C, Q, bound)
+        doc["verification"] = {**v, "ok": ok}
+        lines += [f"verification: {v['verdict']} up to degree {bound}" + _extent(v), *_homology_at(v)]
+        code = EXIT_OK if ok else EXIT_VERIFICATION
+    return code, doc, "\n".join(lines) + "\n"
 
 
 def _emit(job: argparse.Namespace, doc: dict, text: str) -> str:
@@ -236,11 +244,7 @@ def cmd_star(job: argparse.Namespace):
         "ranks: " + " ".join(str(r) for r in _ranks(S)),
         f"resolves R/{IJ}",
     ]
-    if is_minimal(S):
-        doc["betti"] = graded_betti(S).to_json_dict()
-        lines += ["betti table:", graded_betti(S).render_text().rstrip("\n")]
-    code = _verify_into(doc, lines, S, IJ, bound) if job.verify else EXIT_OK
-    return code, doc, "\n".join(lines) + "\n"
+    return _finish(job, doc, lines, graded_betti(S) if is_minimal(S) else None, S, IJ, bound)
 
 
 def _certificate_doc(build, cert, bound: int) -> dict:
@@ -292,12 +296,7 @@ def cmd_fiber(job: argparse.Namespace):
         "ranks: " + " ".join(str(r) for r in _ranks(res)),
     ]
     lines += _certificate_text(cert_doc)
-    if job.betti:
-        table = graded_betti(minimize(res))
-        doc["betti"] = table.to_json_dict()
-        lines += ["betti table:", table.render_text().rstrip("\n")]
-    code = _verify_into(doc, lines, res, Q, bound) if job.verify else EXIT_OK
-    return code, doc, "\n".join(lines) + "\n"
+    return _finish(job, doc, lines, graded_betti(minimize(res)) if job.betti else None, res, Q, bound)
 
 
 def cmd_betti(job: argparse.Namespace):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, Iterator, Optional, Tuple
 
 from .ring import Polynomial, RingSpec, mono_degree, mono_div, mono_divides, mono_mul, mono_one, poly_parse
@@ -227,16 +228,6 @@ class ChainComplex:
             return False
         return all(self.diff(n) == other.diff(n) for n in self.modules)
 
-    def __str__(self) -> str:
-        if self.is_empty():
-            return "0"
-        return " <- ".join(
-            f"R^{self.rank(n)}{list(self.twists(n))}" for n in self.support()
-        )
-
-
-def zero_complex(ring: RingSpec) -> ChainComplex:
-    return ChainComplex.from_labels(ring, {}, {})
 
 
 class ChainMap:
@@ -313,8 +304,6 @@ def pair_map(labels: list, targets: list, left, right, F) -> list:
 def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     if C.ring != D.ring:
         raise ValueError("tensor factors live in different rings")
-    if C.is_empty() or D.is_empty():
-        return zero_complex(C.ring)
     left, right = C.mdegs, D.mdegs
     degrees = sorted({i + j for i in C.modules for j in D.modules})
     bases = {n: tensor_basis(C, D, n) for n in degrees}
@@ -450,12 +439,14 @@ def is_minimal(C: ChainComplex) -> bool:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated integer power series in one variable t; index = degree."""
+    """Truncated integer power series in one variable t; index = degree.
+    A coefficient that is not an integer (a float, a Fraction) is refused
+    with a TypeError, not truncated."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if not self.coeffs:
             raise ValueError("series needs at least the degree-0 coefficient")
 
@@ -533,14 +524,13 @@ def generating_function(C: ChainComplex, truncation: int) -> PowerSeries:
 # ------------------------------------------------------------- Betti table
 
 class BettiTable:
-    """Graded Betti numbers: entries[(l, k)] = beta_{l,k}, zero if absent."""
+    """Graded Betti numbers: entries[(l, k)] = beta_{l,k}, zero if absent;
+    a key or value that is not an integer raises TypeError."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict):
-        self.entries = {
-            (int(l), int(k)): int(v) for (l, k), v in entries.items() if v != 0
-        }
+        self.entries = {(index(l), index(k)): index(v) for (l, k), v in entries.items() if v != 0}
 
     def entry(self, l: int, k: int) -> int:
         return self.entries.get((l, k), 0)

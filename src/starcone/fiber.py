@@ -73,7 +73,6 @@ class LiftError(RuntimeError):
 
     def __init__(self, degree: int, message: str):
         super().__init__(f"lift failed at homological degree {degree}: {message}")
-        self.degree = degree
 
 
 class HypothesisViolation(ValueError):
@@ -236,9 +235,12 @@ def make_instance(ring: RingSpec, Ip: MonomialIdeal, I: MonomialIdeal,
 
 def block_instance(m: int, n: int, ip_texts, jp_texts, coeff_field=None) -> FiberInstance:
     """Two-block instance: I = <x_1..x_m>, J = <y_1..y_n>, with I' and J'
-    parsed from monomial strings over the respective blocks."""
+    parsed from monomial strings over the respective blocks; m and n must
+    be at least 1, or ValueError is raised."""
     from .fields import PrimeField
 
+    if m < 1 or n < 1:
+        raise ValueError(f"block sizes must be at least 1, got m = {m} and n = {n}")
     xs = [f"x{i+1}" for i in range(m)] if m > 1 else ["x"]
     ys = [f"y{j+1}" for j in range(n)] if n > 1 else ["y"]
     ring = RingSpec(

@@ -39,11 +39,6 @@ def is_regular_sequence_monomials(monos: Sequence[tuple]) -> bool:
     return True
 
 
-def trivial_resolution(ring: RingSpec) -> ChainComplex:
-    """The rank-one complex R in degree 0; resolves R itself."""
-    return ChainComplex.from_labels(ring, {0: (mono_one(ring.nvars),)}, {})
-
-
 def _subset_complex(r: int, base, step, entry) -> tuple:
     """Labels and columns of the complex with basis e_T in degree n for the
     size-n subsets T of range(r), in lexicographic order: e_T is labelled
@@ -64,8 +59,6 @@ def koszul(ring: RingSpec, polys: Sequence[Polynomial]) -> ChainComplex:
 
     Basis of degree n: e_T for size-n subsets T in lexicographic order;
     d(e_T) = sum over i in T of (-1)^pos(i, T) f_i e_{T minus i}."""
-    if not polys:
-        return trivial_resolution(ring)
     for f in polys:
         if f.is_zero() or not f.is_homogeneous():
             raise ValueError("koszul wants nonzero homogeneous polynomials")

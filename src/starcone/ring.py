@@ -340,7 +340,11 @@ class MonomialIdeal:
         """The ideal the monomial texts generate.  Each text is stripped and
         read by poly_parse, whose PolyParseError passes through: a blank or
         zero text adds nothing, a coefficient is dropped, as it generates the
-        same ideal, and a text of more than one term raises ValueError."""
+        same ideal, and a text of more than one term raises ValueError.  A
+        single str, which would be read one character at a time, raises
+        TypeError."""
+        if isinstance(texts, str):
+            raise TypeError("MonomialIdeal.parse wants a sequence of monomial texts, not one str")
         gens = []
         for text in map(str.strip, texts):
             terms = poly_parse(text, ring).terms if text else {}

@@ -1,4 +1,6 @@
 """Chain complex operations: suspension, truncation, tensor, cone, series."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from starcone import (
     direct_sum,
     generating_function,
     graded_betti,
+    homology_dims,
     is_chain_map,
     is_complex,
     is_minimal,
@@ -150,6 +153,15 @@ def test_tensor_with_koszul_is_koszul_sized():
     assert is_complex(T)
 
 
+def test_tensor_with_an_empty_factor_is_the_empty_labelled_complex():
+    empty = ChainComplex.from_labels(RING, {}, {})
+    for T in (tensor(empty, K("x", "y")), tensor(K("x", "y"), empty), tensor(empty, empty)):
+        assert T.is_empty() and T.is_multigraded() and T.mdegs == {}
+        report = homology_dims(T, 2)
+        assert report.complete and report.exact_in_positive
+        assert report.h0 == [0, 0, 0]
+
+
 def test_tensor_basis_order_left_major():
     A = K("x")
     B = K("y", "z")
@@ -273,6 +285,13 @@ def test_series_arithmetic():
         m.shift_down(1)
 
 
+def test_series_refuses_non_integer_coefficients():
+    assert PowerSeries((1, 2, True)).coeffs == (1, 2, 1)
+    for bad in (2.7, 2.0, Fraction(5, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            PowerSeries((1, bad))
+
+
 def test_generating_function():
     C = K("x", "y", "z")
     P = generating_function(C, 5)
@@ -287,6 +306,13 @@ def test_betti_table_roundtrip_and_render():
     text = t.render_text()
     assert "total" in text and "3" in text
     assert t.totals() == {0: 1, 1: 3, 2: 2}
+
+
+def test_betti_table_refuses_non_integers():
+    assert BettiTable({(1, 2): 2, (2, 3): 0}).entries == {(1, 2): 2}
+    for bad in ({(1, 2): 2.5}, {(1, 2): Fraction(3)}, {(1.0, 2): 1}, {(1, 2.5): 1}):
+        with pytest.raises(TypeError):
+            BettiTable(bad)
 
 
 def test_graded_betti_requires_minimal():

@@ -63,6 +63,12 @@ def quadratic():
     return block_instance(1, 1, ["x^2"], ["y^2"])
 
 
+def test_block_instance_refuses_block_sizes_below_one():
+    for m, n in ((0, 1), (-3, 1), (1, 0), (2, -1)):
+        with pytest.raises(ValueError, match=rf"m = {m} and n = {n}$"):
+            block_instance(m, n, [], ["y^2"])
+
+
 def mat_strings(C, n):
     M = C.diff(n)
     return [[str(M.entry(i, j)) for j in range(M.ncols)] for i in range(M.nrows)]

@@ -25,7 +25,6 @@ from starcone import (
     poly_parse,
     resolution_of,
     taylor,
-    trivial_resolution,
 )
 
 RING = RingSpec(("x", "y"))
@@ -167,15 +166,18 @@ def test_minimize_matches_dense_reference(texts):
 
 
 def test_trivial_resolution():
-    C = trivial_resolution(RING)
+    """The zero ideal is resolved by R itself, and so is the empty sequence
+    by koszul: both through the general path, labelled."""
+    C = resolution_of(MonomialIdeal(RING, []))
     assert C.support() == [0]
     assert C.rank(0) == 1
+    assert C.mdegs == {0: ((0, 0),)}
+    assert K(RING).mdegs == C.mdegs and K(RING) == C
 
 
 def test_resolution_of_dispatch():
     reg = MonomialIdeal.parse(["x^2", "y^3"], RING)
     assert resolution_of(reg) == K(RING, "x^2", "y^3")
-    assert resolution_of(MonomialIdeal(RING, [])) == trivial_resolution(RING)
     messy = MonomialIdeal.parse(["x^2", "x*y"], RING)
     R = resolution_of(messy)
     assert is_minimal(R)

@@ -133,6 +133,13 @@ def test_ideal_parse_rejects_sums():
     assert not isinstance(exc.value, PolyParseError)
 
 
+def test_ideal_parse_refuses_a_single_str():
+    """One str would be read one character at a time: "xy" as <x, y>."""
+    for text in ("xy", "x*y"):
+        with pytest.raises(TypeError, match="not one str"):
+            MonomialIdeal.parse(text, RingSpec(("x", "y")))
+
+
 def test_ideal_parse_drops_blanks_zeros_and_coefficients():
     """The rules the command line reads ideal text by: a blank or zero text
     adds nothing, and a coefficient generates the same ideal."""
